@@ -30,6 +30,7 @@ from .norms import (
     LpSpace,
     PowerTypeConstants,
     check_convexity_inequality,
+    dist,
     inverse_modulus_bound,
     lp_norm,
     modulus_of_convexity,
@@ -88,6 +89,7 @@ __all__ = [
     "error_budget_at",
     "inverse_modulus_bound",
     "displacement_decay_check",
+    "dist",
     "lp_norm",
     "make_example1",
     "modulus_of_convexity",

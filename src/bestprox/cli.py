@@ -7,7 +7,9 @@ Subcommands:
 * ``table``    fill an (eps, p) grid of stopping steps and optionally diff
   it against the published reference grids;
 * ``verify``   run the invariant suites (geometry, cyclic map, bounds,
-  tables) and report pass/fail per property;
+  tables) and report pass/fail per property.  The suites and their
+  properties live in `oracle`, shared with the acceptance tests; this
+  module only dispatches and prints them;
 * ``modulus``  query the modulus-of-convexity machinery at one point.
 
 Exit codes: 0 success, 1 verification or convergence failure, 2 invalid
@@ -18,21 +20,10 @@ Configuration comes from flags only.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import random
 import sys
 
 from . import oracle
-from .cyclic import (
-    CyclicMapSpec,
-    Example1Params,
-    apply_map,
-    displacement_decay_check,
-    make_example1,
-    sample_points,
-    verify_contraction,
-    verify_cyclicity,
-)
+from .cyclic import CyclicMapSpec, Example1Params, make_example1
 from .errors import (
     BudgetExhaustedError,
     ConfigurationError,
@@ -40,27 +31,10 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .norms import (
-    LpSpace,
-    check_convexity_inequality,
-    inverse_modulus_bound,
-    lp_norm,
-    modulus_of_convexity,
-    power_type_constants,
-)
-from .solver import (
-    IterationTrace,
-    StopKind,
-    StopRule,
-    apriori_bound,
-    run_with_stop,
-)
+from .norms import dist, modulus_of_convexity, power_type_constants
+from .solver import IterationTrace, StopKind, StopRule, run_with_stop
 
 _FORMATS = ("csv", "markdown", "plain")
-
-#: Scenario matrix shared by the cyclic and bounds suites.
-_SUITE_LAMBDAS = (0.3, 0.5, 0.9)
-_SUITE_PS = (1.1, 1.5, 2.0, 3.0, 5.0, 20.0)
 
 
 def _g17(value) -> str:
@@ -168,7 +142,7 @@ def cmd_solve(args) -> int:
         )
     if not args.no_oracle:
         ref = oracle.reference_best_proximity(spec, x0)
-        true_error = lp_norm(spec.space, [a - b for a, b in zip(approx, ref.xi)])
+        true_error = dist(spec.space, approx, ref.xi)
         print(f"reference point: {_fmt_point(ref.xi)} ({ref.method.value})")
         print(f"true error: {_g6(true_error)}")
     if args.out:
@@ -213,8 +187,7 @@ def cmd_table(args) -> int:
         blocks.append(("reference", result.reference_counts))
         blocks.append(("delta", result.deltas))
         tolerance = 2 if kind is StopKind.APOSTERIORI else 4
-        worst = max(abs(d) for row in result.deltas for d in row)
-        if worst > tolerance:
+        if not oracle.grid_within(result, tolerance)[0]:
             exit_code = 1
 
     pieces = []
@@ -241,229 +214,12 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_map(lam: float, p: float, k_override: float | None) -> CyclicMapSpec:
-    spec = make_example1(Example1Params(lam=lam, p=p))
-    if k_override is not None:
-        spec = dataclasses.replace(spec, k=k_override)
-    return spec
-
-
-def _norms_suite(seed: int):
-    checks = []
-    grid = [2.0 * (i + 1) / 1000 for i in range(1000)]
-    for p in _SUITE_PS:
-        consts = power_type_constants(p)
-        values = [modulus_of_convexity(p, eps) for eps in grid]
-        checks.append(
-            (
-                f"delta_p strictly increasing on (0,2] grid (p={p})",
-                all(a < b for a, b in zip(values, values[1:])),
-                "",
-            )
-        )
-        # The power bound is asymptotically tight as eps -> 0, so allow the
-        # documented bisection tolerance as absolute slack.
-        dominated = all(
-            v >= consts.C * eps ** consts.q - 1e-12 for v, eps in zip(values, grid)
-        )
-        checks.append((f"delta_p >= C*eps^q on grid (p={p})", dominated, ""))
-        inverse_ok = all(
-            abs(inverse_modulus_bound(consts.C * eps ** consts.q, consts) - eps) <= 1e-12
-            for eps in grid[::10]
-        )
-        checks.append((f"inverse bound inverts C*eps^q (p={p})", inverse_ok, ""))
-        if p < 2:
-            residual_ok = True
-            for eps in grid:
-                delta = modulus_of_convexity(p, eps)
-                residual = abs(
-                    (1 - delta + eps / 2) ** p + abs(1 - delta - eps / 2) ** p - 2
-                )
-                if residual > 1e-10:
-                    residual_ok = False
-                    break
-            checks.append((f"implicit-equation residual <= 1e-10 (p={p})", residual_ok, ""))
-
-        rng = random.Random(seed + int(p * 100))
-        space = LpSpace(dim=2, p=p)
-        ok = True
-        detail = ""
-        for _ in range(10_000):
-            z = tuple(rng.uniform(-5, 5) for _ in range(2))
-            R = rng.uniform(0.1, 3.0)
-            pts = []
-            for _i in range(2):
-                raw = tuple(rng.uniform(-1, 1) for _ in range(2))
-                nrm = lp_norm(space, raw)
-                scale = rng.random() / nrm if nrm > 0 else 0.0
-                pts.append(tuple(z_i + R * scale * c for z_i, c in zip(z, raw)))
-            x, y = pts
-            r = lp_norm(space, [a - b for a, b in zip(x, y)])
-            if not check_convexity_inequality(space, x, y, z, R, r):
-                ok = False
-                detail = f"violated at x={x}, y={y}, z={z}, R={R}, r={r}"
-                break
-        checks.append((f"midpoint convexity inequality, 1e4 random triples (p={p})", ok, detail))
-    return checks
-
-
-def _cyclic_suite(seed: int, k_override: float | None):
-    checks = []
-    for lam in _SUITE_LAMBDAS:
-        for p in _SUITE_PS:
-            tag = f"(lambda={lam}, p={p})"
-            spec = _suite_map(lam, p, k_override)
-            cyc = verify_cyclicity(spec, sample_count=1000, seed=seed)
-            checks.append(
-                (f"T(A) in B and T(B) in A, 1000 samples {tag}", cyc.passed,
-                 f"{len(cyc.violations)} violations" if cyc.violations else "")
-            )
-            con = verify_contraction(spec, sample_count=1000, seed=seed + 1)
-            checks.append(
-                (f"contraction inequality, 1000 pairs {tag}", con.passed,
-                 f"max violation {con.max_violation:.3g}")
-            )
-            decay = displacement_decay_check(spec, (1000.0, 8.0), n_max=60)
-            checks.append(
-                (f"displacement-excess geometric decay, 60 steps {tag}", decay.passed,
-                 f"max envelope excess {decay.max_envelope_excess:.3g}")
-            )
-            e1 = (1.0, 0.0)
-            twice = apply_map(spec, apply_map(spec, e1))
-            fixed = max(abs(a - b) for a, b in zip(twice, e1)) <= 1e-15
-            checks.append((f"T^2 fixes (1, 0) to 1e-15 {tag}", fixed, f"T^2 e1 = {twice}"))
-
-            rng = random.Random(seed + 7)
-            start = sample_points(rng, spec.box_a, spec.in_a, 1)[0]
-            point, alternation = start, True
-            for step in range(1, 41):
-                point = apply_map(spec, point)
-                inside = spec.in_a(point) if step % 2 == 0 else spec.in_b(point)
-                alternation = alternation and inside
-            checks.append((f"orbit alternates between A and B {tag}", alternation, ""))
-
-            us = sample_points(rng, spec.box_a, spec.in_a, 200)
-            vs = sample_points(rng, spec.box_b, spec.in_b, 200)
-            separated = all(
-                lp_norm(spec.space, [a - b for a, b in zip(u, v)]) >= spec.d - 1e-9
-                for u, v in zip(us, vs)
-            )
-            checks.append((f"sampled pairs separated by at least d {tag}", separated, ""))
-    return checks
-
-
-def _bounds_suite(seed: int, k_override: float | None):
-    checks = []
-    rng = random.Random(seed)
-    for lam in _SUITE_LAMBDAS:
-        for p in _SUITE_PS:
-            tag = f"(lambda={lam}, p={p})"
-            spec = _suite_map(lam, p, k_override)
-            starts = sample_points(rng, spec.box_a, spec.in_a, 5)
-            sound = True
-            detail = ""
-            for x0 in starts:
-                report = oracle.audit_soundness(spec, x0, steps=100)
-                if not report.passed:
-                    sound = False
-                    detail = f"first failure {report.failures[0]}"
-                    break
-            checks.append((f"true error within both budgets, 5 starts x 100 steps {tag}", sound, detail))
-
-            chain = oracle.audit_proof_chain(spec, (1000.0, 8.0), steps=60)
-            checks.append(
-                (f"inner chain inequalities along the trace {tag}", chain.passed,
-                 f"{len(chain.failures)} failures of {chain.checks}" if chain.failures else "")
-            )
-
-            stop_ok = True
-            detail = ""
-            ref = oracle.reference_best_proximity(spec, (1000.0, 8.0))
-            for eps in (1e-2, 1e-6, 1e-10):
-                # float64 first; below its resolution floor (displacement
-                # pinned ulps above d, as happens for large lam) certify at
-                # working precision instead
-                try:
-                    rule = StopRule(kind=StopKind.APOSTERIORI, epsilon=eps,
-                                    max_steps=4000)
-                    approx, stopped_at, _ = run_with_stop(
-                        spec, (1000.0, 8.0), rule, store_iterates=False
-                    )
-                    err = lp_norm(spec.space, [a - b for a, b in zip(approx, ref.xi)])
-                except BudgetExhaustedError as exc:
-                    plateau = exc.trace.displacements[-1] - spec.d
-                    if not (0 < plateau < 1e-13) or k_override is not None:
-                        stop_ok = False
-                        detail = f"eps={eps}: no stop and no resolution plateau"
-                        break
-                    stopped_at, err = oracle.aposteriori_stop_working_precision(
-                        lam, p, (1000.0, 8.0), eps
-                    )
-                if not err < eps:
-                    stop_ok = False
-                    detail = f"eps={eps}: stopped {stopped_at}, true error {err:.3g}"
-                    break
-            checks.append((f"stop rule delivers true error < eps {tag}", stop_ok, detail))
-
-    consts = power_type_constants(3.0)
-    decay_ok = True
-    for n in range(1, 40):
-        ratio = apriori_bound(7.0, 2.0, 0.4, consts, n + 1) / apriori_bound(
-            7.0, 2.0, 0.4, consts, n
-        )
-        if abs(ratio - 0.4 ** (2.0 / 3.0)) > 1e-12:
-            decay_ok = False
-    checks.append(("a priori budget decays by exactly k^(2/q) per even step", decay_ok, ""))
-    return checks
-
-
-def _tables_suite():
-    checks = []
-    post = oracle.reproduce_table(StopKind.APOSTERIORI)
-    worst_post = max(abs(d) for row in post.deltas for d in row)
-    checks.append(
-        ("a posteriori grid matches reference within +-2",
-         worst_post <= 2, f"worst |delta| = {worst_post}")
-    )
-    p2 = post.p_list.index(2.0)
-    exact_p2 = all(row[p2] == ref[p2] for row, ref in zip(post.counts, post.reference_counts))
-    checks.append(("a posteriori p=2 column matches reference exactly", exact_p2, ""))
-
-    pri = oracle.reproduce_table(StopKind.APRIORI)
-    small_p_exact = all(
-        row[j] == ref[j]
-        for row, ref in zip(pri.counts, pri.reference_counts)
-        for j, p in enumerate(pri.p_list)
-        if p < 2
-    )
-    checks.append(("a priori p<2 columns match reference exactly", small_p_exact, ""))
-    offset_doc = all(d >= 0 for row in pri.deltas for d in row)
-    checks.append(
-        ("a priori deltas are a nonnegative systematic offset (documented, not tuned)",
-         offset_doc, f"deltas={pri.deltas}")
-    )
-    for result, label in ((post, "a posteriori"), (pri, "a priori")):
-        monotone = all(
-            result.counts[i][j] <= result.counts[i + 1][j]
-            for j in range(len(result.p_list))
-            for i in range(len(result.eps_list) - 1)
-        )
-        checks.append((f"{label} columns non-decreasing as eps shrinks", monotone, ""))
-    coarser = all(
-        pri.counts[i][j] >= post.counts[i][j]
-        for i in range(len(pri.eps_list))
-        for j in range(len(pri.p_list))
-    )
-    checks.append(("a priori count >= a posteriori count per cell", coarser, ""))
-    return checks
-
-
 def cmd_verify(args) -> int:
     suites = {
-        "norms": lambda: _norms_suite(args.seed),
-        "cyclic": lambda: _cyclic_suite(args.seed, args.k_override),
-        "bounds": lambda: _bounds_suite(args.seed, args.k_override),
-        "tables": _tables_suite,
+        "norms": lambda: oracle.norms_suite(args.seed),
+        "cyclic": lambda: oracle.cyclic_suite(args.seed, args.k_override),
+        "bounds": lambda: oracle.bounds_suite(args.seed, args.k_override),
+        "tables": oracle.tables_suite,
     }
     names = list(suites) if args.suite == "all" else [args.suite]
     all_ok = True

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigurationError, InputError
-from .norms import LpSpace, Vector, lp_norm
+from .norms import LpSpace, Vector, check_exponent, dist
 
 #: Sampling window for the built-in sets: A is drawn from this box, B from
 #: its mirror image.  The sets themselves are unbounded cones, so any
@@ -85,8 +85,7 @@ class Example1Params:
     def __post_init__(self):
         if not (0 < self.lam < 1):
             raise InputError(f"lam must lie in (0, 1), got {self.lam}")
-        if not self.p > 1:
-            raise InputError(f"p must be > 1, got {self.p}")
+        check_exponent(self.p)
 
 
 def make_example1(params: Example1Params) -> CyclicMapSpec:
@@ -131,6 +130,16 @@ def apply_map(spec: CyclicMapSpec, x: Vector) -> Vector:
             f"point has {len(x)} coordinates, space has dim {spec.space.dim}"
         )
     return spec.apply(x)
+
+
+def check_start(spec: CyclicMapSpec, x0: Vector):
+    """Raise InputError, naming x0, unless x0 is a point of A in the map's space."""
+    if len(x0) != spec.space.dim:
+        raise InputError(
+            f"x0={tuple(x0)} has {len(x0)} coordinates, space has dim {spec.space.dim}"
+        )
+    if not spec.in_a(x0):
+        raise InputError(f"x0={tuple(x0)} is not in A (runs must start in A)")
 
 
 def sample_points(
@@ -217,9 +226,8 @@ def verify_contraction(spec: CyclicMapSpec, sample_count: int, seed: int) -> Con
     worst = None
     passed = True
     for x, y in zip(xs, ys):
-        dxy = lp_norm(spec.space, [a - b for a, b in zip(x, y)])
-        tx, ty = apply_map(spec, x), apply_map(spec, y)
-        dtxty = lp_norm(spec.space, [a - b for a, b in zip(tx, ty)])
+        dxy = dist(spec.space, x, y)
+        dtxty = dist(spec.space, apply_map(spec, x), apply_map(spec, y))
         violation = dtxty - (spec.k * dxy + (1 - spec.k) * spec.d)
         if violation > max_violation:
             max_violation = violation
@@ -261,10 +269,7 @@ def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int) -> Dis
     orbit = [tuple(x0)]
     for _ in range(n_max + 1):
         orbit.append(apply_map(spec, orbit[-1]))
-    disps = [
-        lp_norm(spec.space, [a - b for a, b in zip(orbit[i], orbit[i + 1])])
-        for i in range(n_max + 1)
-    ]
+    disps = [dist(spec.space, orbit[i], orbit[i + 1]) for i in range(n_max + 1)]
     base_gap = disps[0] - spec.d
     passed = True
     max_excess = float("-inf")

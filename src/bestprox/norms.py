@@ -34,6 +34,12 @@ BISECTION_TOL = 1e-12
 BISECTION_CAP = 200
 
 
+def check_exponent(p):
+    """Raise InputError, naming p, unless p is a finite exponent > 1."""
+    if not (p > 1 and math.isfinite(p)):
+        raise InputError(f"uniform convexity requires a finite p > 1, got p={p}")
+
+
 @dataclass(frozen=True)
 class LpSpace:
     """Ambient space R^dim equipped with the l_p norm, p > 1."""
@@ -44,8 +50,7 @@ class LpSpace:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"dim must be >= 1, got {self.dim}")
-        if not self.p > 1:
-            raise InputError(f"uniform convexity requires p > 1, got p={self.p}")
+        check_exponent(self.p)
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,18 @@ def lp_norm(space: LpSpace, v: Vector):
     return scale * total ** (1 / p)
 
 
+def dist(space: LpSpace, u: Vector, v: Vector):
+    """Return ||u - v||_p."""
+    return lp_norm(space, [ui - vi for ui, vi in zip(u, v)])
+
+
 def power_type_constants(p: float) -> PowerTypeConstants:
     """Power-type constants for the canonical l_p norm.
 
     (C, q) = (1/(p*2^p), p) for p >= 2 and ((p-1)/8, 2) for 1 < p < 2.
     The two branches agree at p = 2, where both give (1/8, 2).
     """
-    if not p > 1:
-        raise InputError(f"p must be > 1, got {p}")
+    check_exponent(p)
     if p >= 2:
         return PowerTypeConstants(C=1 / (p * 2 ** p), q=p)
     return PowerTypeConstants(C=(p - 1) / 8, q=2.0)
@@ -104,8 +113,7 @@ def modulus_of_convexity(p: float, eps: float):
     [0, 1]; the left side is strictly decreasing in d there, so the root
     is unique and bisection cannot fail.
     """
-    if not p > 1:
-        raise InputError(f"p must be > 1, got {p}")
+    check_exponent(p)
     if not (0 < eps <= 2):
         raise InputError(f"eps must lie in (0, 2], got {eps}")
     if p >= 2:
@@ -173,9 +181,9 @@ def check_convexity_inequality(
         raise InputError(f"r must lie in [0, 2R]=[0, {2 * R}], got {r}")
 
     slack = 1e-12 * max(R, 1.0)
-    dxz = lp_norm(space, [a - b for a, b in zip(x, z)])
-    dyz = lp_norm(space, [a - b for a, b in zip(y, z)])
-    dxy = lp_norm(space, [a - b for a, b in zip(x, y)])
+    dxz = dist(space, x, z)
+    dyz = dist(space, y, z)
+    dxy = dist(space, x, y)
     if dxz > R + slack:
         raise PreconditionError(f"||x - z|| = {dxz} exceeds R = {R}")
     if dyz > R + slack:

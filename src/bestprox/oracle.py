@@ -1,6 +1,6 @@
 """Ground-truth references and the verification harness.
 
-Three jobs live here:
+Four jobs live here:
 
 * computing an independent reference best proximity point (long
   iteration at a tolerance far below anything the bounds are tested at,
@@ -12,7 +12,12 @@ Three jobs live here:
   convexity argument along traces;
 
 * reproducing the benchmark iteration-count grids and diffing them
-  against the published reference grids embedded under data/.
+  against the published reference grids embedded under data/;
+
+* the checked properties themselves.  Each is one function returning
+  (passed, detail); the suites that `bestprox verify` prints (norms,
+  cyclic, bounds, tables) and the acceptance tests both call them, so
+  every property is computed in exactly one place.
 
 Iteration-count reproduction needs care with precision.  The a
 posteriori criterion reads the displacement excess P - d, which decays
@@ -22,7 +27,8 @@ limit).  Counting stops faithfully therefore runs the *same* solver code
 on mpmath numbers with enough working digits, sized per column from the
 closed-form decay rate.  Everyday solves stay in float64, where a
 collapsed displacement legitimately reports a zero bound (the iterate is
-the limit to machine precision).
+the limit to machine precision); `stop_with_escalation` is the one place
+that falls back from a floored float64 run to working precision.
 
 Grid cells are independent pure computations; reports are assembled in a
 fixed order regardless of evaluation order.
@@ -31,6 +37,7 @@ fixed order regardless of evaluation order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
@@ -39,12 +46,33 @@ from importlib import resources
 
 import mpmath as mp
 
-from .cyclic import CyclicMapSpec, Example1Params, apply_map, make_example1, sample_points
-from .errors import DeclarationError, InputError, NumericalError
-from .norms import Vector, lp_norm, modulus_of_convexity, power_type_constants
+from .cyclic import (
+    CyclicMapSpec,
+    Example1Params,
+    apply_map,
+    check_start,
+    displacement_decay_check,
+    make_example1,
+    sample_points,
+    verify_contraction,
+    verify_cyclicity,
+)
+from .errors import BudgetExhaustedError, DeclarationError, InputError, NumericalError
+from .norms import (
+    LpSpace,
+    Vector,
+    check_convexity_inequality,
+    check_exponent,
+    dist,
+    inverse_modulus_bound,
+    lp_norm,
+    modulus_of_convexity,
+    power_type_constants,
+)
 from .solver import (
     StopKind,
     StopRule,
+    apriori_bound,
     apriori_steps_needed,
     picard_iterate,
     run_with_stop,
@@ -60,6 +88,11 @@ DEFAULT_X0 = (1000.0, 8.0)
 #: reference never contaminates a soundness audit.
 REFERENCE_TOL = 1e-13
 REFERENCE_CAP = 100_000
+
+#: Float64 step cap of `stop_with_escalation`, and the displacement excess
+#: below which a capped float64 orbit sits on its resolution plateau.
+FLOAT64_CAP = 4000
+PLATEAU_GAP = 1e-13
 
 
 class ReferenceMethod(Enum):
@@ -91,12 +124,7 @@ def reference_best_proximity(
     """
     if not tol > 0:
         raise InputError(f"tol must be positive, got {tol}")
-    if len(x0) != spec.space.dim:
-        raise InputError(
-            f"x0 has {len(x0)} coordinates, space has dim {spec.space.dim}"
-        )
-    if not spec.in_a(x0):
-        raise InputError(f"x0={x0} is not in A")
+    check_start(spec, x0)
     space = spec.space
     current = tuple(x0)
     steps = 0
@@ -104,8 +132,8 @@ def reference_best_proximity(
         mid = apply_map(spec, current)
         nxt = apply_map(spec, mid)
         steps += 2
-        move = lp_norm(space, [a - b for a, b in zip(current, nxt)])
-        gap = lp_norm(space, [a - b for a, b in zip(current, mid)]) - spec.d
+        move = dist(space, current, nxt)
+        gap = dist(space, current, mid) - spec.d
         converged = move < tol * (1 + lp_norm(space, current)) and gap < tol
         current = nxt
         if converged:
@@ -116,16 +144,13 @@ def reference_best_proximity(
     xi = current
     method = ReferenceMethod.ITERATED
     if spec.best_proximity is not None:
-        offset = lp_norm(space, [a - b for a, b in zip(xi, spec.best_proximity)])
-        if offset <= 1e-10:
+        if dist(space, xi, spec.best_proximity) <= 1e-10:
             xi = tuple(spec.best_proximity)
             method = ReferenceMethod.EXACT
 
     t_xi = apply_map(spec, xi)
-    achieved_gap = lp_norm(space, [a - b for a, b in zip(xi, t_xi)]) - spec.d
-    period_residual = lp_norm(
-        space, [a - b for a, b in zip(xi, apply_map(spec, t_xi))]
-    )
+    achieved_gap = dist(space, xi, t_xi) - spec.d
+    period_residual = dist(space, xi, apply_map(spec, t_xi))
     if abs(achieved_gap) > 1e-12 or period_residual > 1e-12:
         raise NumericalError(
             f"reference rejected: gap={achieved_gap}, ||xi - T^2 xi||={period_residual}"
@@ -159,8 +184,7 @@ def audit_soundness(spec: CyclicMapSpec, x0: Vector, steps: int) -> SoundnessRep
     trace = picard_iterate(spec, x0, steps)
     report = SoundnessReport(passed=True, steps=steps)
     for budget in trace.budgets:
-        point = trace.iterates[budget.step]
-        true_error = lp_norm(spec.space, [a - b for a, b in zip(point, ref.xi)])
+        true_error = dist(spec.space, trace.iterates[budget.step], ref.xi)
         if true_error > budget.apriori + 1e-9 or true_error > budget.aposteriori + 1e-9:
             report.passed = False
             report.failures.append(
@@ -204,16 +228,12 @@ def audit_proof_chain(spec: CyclicMapSpec, x0: Vector, steps: int) -> ProofChain
     space, k, d = spec.space, spec.k, spec.d
     consts = trace.constants
     report = ProofChainReport(passed=True, steps=steps)
-
-    def dist(i: int, j: int):
-        return lp_norm(space, [a - b for a, b in zip(pts[i], pts[j])])
-
     for step in range(2, steps - 1, 2):
-        even_move = dist(step, step + 2)
+        even_move = dist(space, pts[step], pts[step + 2])
         for lookback in {1, 2, step}:
             if lookback > step:
                 continue
-            span = dist(step - lookback, step + 1 - lookback)
+            span = dist(space, pts[step - lookback], pts[step + 1 - lookback])
             excess = max(span - d, 0.0)
             scaled = (k ** lookback) * excess
 
@@ -275,16 +295,12 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
         raise InputError("map spec has no sampling boxes for A/B")
     rng = random.Random(seed)
     space = spec.space
-
-    def separation(u, v):
-        return lp_norm(space, [a - b for a, b in zip(u, v)])
-
     us = sample_points(rng, spec.box_a, spec.in_a, sample_count)
     vs = sample_points(rng, spec.box_b, spec.in_b, sample_count)
-    best_u = min(us, key=lambda u: separation(u, vs[0]))
-    best_v = min(vs, key=lambda v: separation(best_u, v))
-    best_u = min(us, key=lambda u: separation(u, best_v))
-    best = separation(best_u, best_v)
+    best_u = min(us, key=lambda u: dist(space, u, vs[0]))
+    best_v = min(vs, key=lambda v: dist(space, best_u, v))
+    best_u = min(us, key=lambda u: dist(space, u, best_v))
+    best = dist(space, best_u, best_v)
 
     directions = _pattern_directions(space.dim)
     step = max(1.0, best / 4)
@@ -293,12 +309,12 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
         for direction in directions:
             cu = tuple(c + step * dc for c, dc in zip(best_u, direction))
             if spec.in_a(cu):
-                trial = separation(cu, best_v)
+                trial = dist(space, cu, best_v)
                 if trial < best:
                     best_u, best, improved = cu, trial, True
             cv = tuple(c + step * dc for c, dc in zip(best_v, direction))
             if spec.in_b(cv):
-                trial = separation(best_u, cv)
+                trial = dist(space, best_u, cv)
                 if trial < best:
                     best_v, best, improved = cv, trial, True
         if not improved:
@@ -348,7 +364,7 @@ def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
 def _column_working_dps(D: float, d: float, k: float, C: float, q: float, eps_min: float) -> int:
     """Decimal digits needed to resolve displacement excesses down to the
     deepest stopping step of a column, with cushion."""
-    prefactor = D / (1 - k ** (2.0 / q)) * ((D - d) / (C * d)) ** (1.0 / q)
+    prefactor = D / (1 - k ** (2.0 / q)) * (max(D - d, 0.0) / (C * d)) ** (1.0 / q)
     digits = q * math.log10(max(prefactor, 1.0) / eps_min)
     return max(60, int(digits) + 40)
 
@@ -364,10 +380,11 @@ def aposteriori_stop_working_precision(
     mpmath numbers.  Returns (stopped_at, true_error) with the true error
     measured against the map's exact best proximity point (as a float).
     """
+    spec = make_example1(Example1Params(lam, p))
+    check_start(spec, x0)
+    D = dist(spec.space, x0, apply_map(spec, x0))
     consts = power_type_constants(p)
-    D = lp_norm(make_example1(Example1Params(lam, p)).space,
-                _initial_displacement_vector(lam, p, x0))
-    dps = _column_working_dps(D, 2.0, lam, consts.C, consts.q, eps)
+    dps = _column_working_dps(D, spec.d, lam, consts.C, consts.q, eps)
     with mp.workdps(dps):
         # lam, p and the start must all be working-precision numbers;
         # a float64 exponent alone floors displacement excesses near 1e-17.
@@ -375,16 +392,8 @@ def aposteriori_stop_working_precision(
         start = tuple(mp.mpf(c) for c in x0)
         rule = StopRule(kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=max_steps)
         approx, stopped_at, _ = run_with_stop(spec, start, rule, store_iterates=False)
-        err = lp_norm(
-            spec.space, [a - b for a, b in zip(approx, spec.best_proximity)]
-        )
+        err = dist(spec.space, approx, spec.best_proximity)
     return stopped_at, float(err)
-
-
-def _initial_displacement_vector(lam, p, x0):
-    spec = make_example1(Example1Params(lam, p))
-    image = apply_map(spec, x0)
-    return [a - b for a, b in zip(x0, image)]
 
 
 def reproduce_table(
@@ -411,14 +420,15 @@ def reproduce_table(
     p_list = tuple(p_list) if p_list is not None else DEFAULT_P_LIST
     if any(e <= 0 for e in eps_list):
         raise InputError(f"all eps must be positive, got {eps_list}")
-    if any(p <= 1 for p in p_list):
-        raise InputError(f"all p must be > 1, got {p_list}")
+    for p in p_list:
+        check_exponent(p)
 
     counts = [[0] * len(p_list) for _ in eps_list]
     for j, p in enumerate(p_list):
         if kind is StopKind.APRIORI:
             spec = make_example1(Example1Params(lam, p))
-            D = lp_norm(spec.space, _initial_displacement_vector(lam, p, x0))
+            check_start(spec, x0)
+            D = dist(spec.space, x0, apply_map(spec, x0))
             consts = power_type_constants(p)
             for i, eps in enumerate(eps_list):
                 counts[i][j] = apriori_steps_needed(D, spec.d, spec.k, consts, eps)
@@ -444,3 +454,258 @@ def reproduce_table(
             for crow, rrow in zip(counts, ref_counts)
         ]
     return result
+
+
+# ---------------------------------------------------------------------------
+# Checked properties and the verify suites
+# ---------------------------------------------------------------------------
+
+#: Scenario matrix of the cyclic and bounds suites.
+SUITE_LAMBDAS = (0.3, 0.5, 0.9)
+SUITE_PS = (1.1, 1.5, 2.0, 3.0, 5.0, 20.0)
+#: eps grid on (0, 2] for the modulus properties.
+MODULUS_GRID = tuple(2.0 * (i + 1) / 1000 for i in range(1000))
+
+
+def suite_map(lam: float, p: float, k_override: float | None = None) -> CyclicMapSpec:
+    """The built-in map, with its declared k replaced when k_override is given."""
+    spec = make_example1(Example1Params(lam=lam, p=p))
+    if k_override is not None:
+        spec = dataclasses.replace(spec, k=k_override)
+    return spec
+
+
+def stop_with_escalation(lam, p, x0: Vector, eps: float, k_override: float | None = None):
+    """Stop the built-in map by the a posteriori rule at eps; returns
+    (stopped_at, true_error, escalated), or None when float64 gives up.
+
+    Float64 runs up to FLOAT64_CAP steps.  A capped orbit whose excess over
+    d lies in (0, PLATEAU_GAP) is at the float64 resolution floor and is
+    re-run at working precision, unless k_override fault-injects k: that
+    re-run would use the true k.
+    """
+    spec = suite_map(lam, p, k_override)
+    rule = StopRule(kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=FLOAT64_CAP)
+    try:
+        approx, stopped_at, _ = run_with_stop(spec, x0, rule, store_iterates=False)
+    except BudgetExhaustedError as exc:
+        gap = exc.trace.displacements[-1] - spec.d
+        if k_override is not None or not 0 < gap < PLATEAU_GAP:
+            return None
+        return (*aposteriori_stop_working_precision(lam, p, x0, eps), True)
+    return stopped_at, dist(spec.space, approx, spec.best_proximity), False
+
+
+def modulus_on_grid(p: float) -> list:
+    return [modulus_of_convexity(p, eps) for eps in MODULUS_GRID]
+
+
+def modulus_increasing(values):
+    """delta_p, given on MODULUS_GRID, is strictly increasing."""
+    return all(a < b for a, b in zip(values, values[1:])), ""
+
+
+def power_type_dominated(p: float, values):
+    """delta_p >= C eps^q on MODULUS_GRID, up to the bisection tolerance
+    (the power bound is asymptotically tight as eps -> 0)."""
+    consts = power_type_constants(p)
+    return all(
+        v >= consts.C * eps ** consts.q - 1e-12 for v, eps in zip(values, MODULUS_GRID)
+    ), ""
+
+
+def inverse_bound_inverts(p: float):
+    """inverse_modulus_bound undoes C eps^q on every tenth grid point."""
+    consts = power_type_constants(p)
+    return all(
+        abs(inverse_modulus_bound(consts.C * eps ** consts.q, consts) - eps) <= 1e-12
+        for eps in MODULUS_GRID[::10]
+    ), ""
+
+
+def implicit_residual_small(p: float, values):
+    """For 1 < p < 2, delta_p solves its defining equation to 1e-10."""
+    return not any(
+        abs((1 - delta + eps / 2) ** p + abs(1 - delta - eps / 2) ** p - 2) > 1e-10
+        for eps, delta in zip(MODULUS_GRID, values)
+    ), ""
+
+
+def midpoint_inequality_holds(p: float, rng: random.Random):
+    """The midpoint convexity inequality on 1e4 random admissible triples."""
+    space = LpSpace(dim=2, p=p)
+    for _ in range(10_000):
+        z = tuple(rng.uniform(-5, 5) for _ in range(2))
+        R = rng.uniform(0.1, 3.0)
+        pts = []
+        for _i in range(2):
+            raw = tuple(rng.uniform(-1, 1) for _ in range(2))
+            nrm = lp_norm(space, raw)
+            scale = rng.random() / nrm if nrm > 0 else 0.0
+            pts.append(tuple(z_i + R * scale * c for z_i, c in zip(z, raw)))
+        x, y = pts
+        # ||x - y|| <= 2R exactly; round-off may overshoot it by an ulp.
+        r = min(dist(space, x, y), 2 * R)
+        if not check_convexity_inequality(space, x, y, z, R, r):
+            return False, f"violated at x={x}, y={y}, z={z}, R={R}, r={r}"
+    return True, ""
+
+
+def cyclicity_holds(spec: CyclicMapSpec, seed: int):
+    report = verify_cyclicity(spec, sample_count=1000, seed=seed)
+    return report.passed, (f"{len(report.violations)} violations" if report.violations else "")
+
+
+def contraction_holds(spec: CyclicMapSpec, seed: int):
+    report = verify_contraction(spec, sample_count=1000, seed=seed)
+    return report.passed, f"max violation {report.max_violation:.3g}"
+
+
+def displacement_decays(spec: CyclicMapSpec):
+    report = displacement_decay_check(spec, DEFAULT_X0, n_max=60)
+    return report.passed, f"max envelope excess {report.max_envelope_excess:.3g}"
+
+
+def apex_fixed_by_t2(spec: CyclicMapSpec):
+    """T^2 fixes the declared best proximity point to 1e-15."""
+    xi = spec.best_proximity
+    twice = apply_map(spec, apply_map(spec, xi))
+    return max(abs(a - b) for a, b in zip(twice, xi)) <= 1e-15, f"T^2 e1 = {twice}"
+
+
+def bounds_sound(spec: CyclicMapSpec, starts, steps: int):
+    """True error within both certificates at every even step, from each start."""
+    for x0 in starts:
+        report = audit_soundness(spec, x0, steps)
+        if not report.passed:
+            return False, f"first failure {report.failures[0]}"
+    return True, ""
+
+
+def proof_chain_holds(spec: CyclicMapSpec):
+    report = audit_proof_chain(spec, DEFAULT_X0, steps=60)
+    return report.passed, (
+        f"{len(report.failures)} failures of {report.checks}" if report.failures else ""
+    )
+
+
+def grid_within(result: TableResult, tolerance: int):
+    """Every cell of a reproduced grid within +-tolerance of the reference."""
+    worst = max(abs(d) for row in result.deltas for d in row)
+    return worst <= tolerance, f"worst |delta| = {worst}"
+
+
+def columns_match_reference(result: TableResult, columns):
+    """The given columns of a reproduced grid equal the reference exactly."""
+    return all(
+        row[j] == ref[j]
+        for row, ref in zip(result.counts, result.reference_counts)
+        for j in columns
+    ), ""
+
+
+def norms_suite(seed: int):
+    checks = []
+    for p in SUITE_PS:
+        values = modulus_on_grid(p)
+        checks += [
+            (f"delta_p strictly increasing on (0,2] grid (p={p})", *modulus_increasing(values)),
+            (f"delta_p >= C*eps^q on grid (p={p})", *power_type_dominated(p, values)),
+            (f"inverse bound inverts C*eps^q (p={p})", *inverse_bound_inverts(p)),
+        ]
+        if p < 2:
+            checks.append((f"implicit-equation residual <= 1e-10 (p={p})",
+                           *implicit_residual_small(p, values)))
+        checks.append((f"midpoint convexity inequality, 1e4 random triples (p={p})",
+                       *midpoint_inequality_holds(p, random.Random(seed + int(p * 100)))))
+    return checks
+
+
+def cyclic_suite(seed: int, k_override: float | None):
+    checks = []
+    for lam in SUITE_LAMBDAS:
+        for p in SUITE_PS:
+            tag = f"(lambda={lam}, p={p})"
+            spec = suite_map(lam, p, k_override)
+            checks += [
+                (f"T(A) in B and T(B) in A, 1000 samples {tag}", *cyclicity_holds(spec, seed)),
+                (f"contraction inequality, 1000 pairs {tag}", *contraction_holds(spec, seed + 1)),
+                (f"displacement-excess geometric decay, 60 steps {tag}",
+                 *displacement_decays(spec)),
+                (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
+            ]
+
+            rng = random.Random(seed + 7)
+            point, alternation = sample_points(rng, spec.box_a, spec.in_a, 1)[0], True
+            for step in range(1, 41):
+                point = apply_map(spec, point)
+                alternation = alternation and (spec.in_b if step % 2 else spec.in_a)(point)
+            checks.append((f"orbit alternates between A and B {tag}", alternation, ""))
+
+            us = sample_points(rng, spec.box_a, spec.in_a, 200)
+            vs = sample_points(rng, spec.box_b, spec.in_b, 200)
+            separated = all(dist(spec.space, u, v) >= spec.d - 1e-9 for u, v in zip(us, vs))
+            checks.append((f"sampled pairs separated by at least d {tag}", separated, ""))
+    return checks
+
+
+def _stop_rule_delivers(lam: float, p: float, k_override: float | None):
+    for eps in (1e-2, 1e-6, 1e-10):
+        outcome = stop_with_escalation(lam, p, DEFAULT_X0, eps, k_override)
+        if outcome is None:
+            return False, f"eps={eps}: no stop and no resolution plateau"
+        stopped_at, err, _ = outcome
+        if not err < eps:
+            return False, f"eps={eps}: stopped {stopped_at}, true error {err:.3g}"
+    return True, ""
+
+
+def bounds_suite(seed: int, k_override: float | None):
+    checks = []
+    rng = random.Random(seed)
+    for lam in SUITE_LAMBDAS:
+        for p in SUITE_PS:
+            tag = f"(lambda={lam}, p={p})"
+            spec = suite_map(lam, p, k_override)
+            starts = sample_points(rng, spec.box_a, spec.in_a, 5)
+            checks += [
+                (f"true error within both budgets, 5 starts x 100 steps {tag}",
+                 *bounds_sound(spec, starts, 100)),
+                (f"inner chain inequalities along the trace {tag}", *proof_chain_holds(spec)),
+                (f"stop rule delivers true error < eps {tag}",
+                 *_stop_rule_delivers(lam, p, k_override)),
+            ]
+
+    consts = power_type_constants(3.0)
+    bounds = [apriori_bound(7.0, 2.0, 0.4, consts, n) for n in range(1, 41)]
+    decay_ok = all(abs(b / a - 0.4 ** (2.0 / 3.0)) <= 1e-12 for a, b in zip(bounds, bounds[1:]))
+    checks.append(("a priori budget decays by exactly k^(2/q) per even step", decay_ok, ""))
+    return checks
+
+
+def tables_suite():
+    post = reproduce_table(StopKind.APOSTERIORI)
+    pri = reproduce_table(StopKind.APRIORI)
+    checks = [
+        ("a posteriori grid matches reference within +-2", *grid_within(post, 2)),
+        ("a posteriori p=2 column matches reference exactly",
+         *columns_match_reference(post, [post.p_list.index(2.0)])),
+        ("a priori p<2 columns match reference exactly",
+         *columns_match_reference(pri, [j for j, p in enumerate(pri.p_list) if p < 2])),
+        ("a priori deltas are a nonnegative systematic offset (documented, not tuned)",
+         all(d >= 0 for row in pri.deltas for d in row), f"deltas={pri.deltas}"),
+    ]
+    for result, label in ((post, "a posteriori"), (pri, "a priori")):
+        monotone = all(
+            result.counts[i][j] <= result.counts[i + 1][j]
+            for j in range(len(result.p_list))
+            for i in range(len(result.eps_list) - 1)
+        )
+        checks.append((f"{label} columns non-decreasing as eps shrinks", monotone, ""))
+    coarser = all(
+        pri.counts[i][j] >= post.counts[i][j]
+        for i in range(len(pri.eps_list))
+        for j in range(len(pri.p_list))
+    )
+    checks.append(("a priori count >= a posteriori count per cell", coarser, ""))
+    return checks

@@ -87,6 +87,11 @@ class TestSolve:
         code, _, _ = run_cli(capsys, "solve", "--p", "1", "--x0", "1000,8")
         assert code == 2
 
+    def test_infinite_p_is_exit_2_naming_p(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--p", "inf", "--x0", "1000,8")
+        assert code == 2
+        assert "p=inf" in err
+
     def test_unknown_map_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--map", "moebius", "--x0", "1000,8")
         assert code == 2
@@ -127,6 +132,15 @@ class TestTable:
         assert code == 1
         assert "# computed" in out and "# reference" in out and "# delta" in out
         assert "authoritative" in err
+
+    @pytest.mark.parametrize("criterion", ["apriori", "aposteriori"])
+    def test_start_outside_a_is_exit_2_naming_x0(self, capsys, criterion):
+        code, _, err = run_cli(
+            capsys, "table", "--criterion", criterion, "--x0", "0,0",
+            "--eps", "1e-2", "--p", "2",
+        )
+        assert code == 2
+        assert "x0=(0.0, 0.0) is not in A" in err
 
     def test_compare_requires_benchmark_grid(self, capsys):
         code, _, _ = run_cli(
@@ -173,6 +187,9 @@ class TestModulus:
         assert code == 2
         code, _, _ = run_cli(capsys, "modulus", "--p", "0.9", "--eps", "1")
         assert code == 2
+        code, _, err = run_cli(capsys, "modulus", "--p", "inf", "--eps", "1")
+        assert code == 2
+        assert "p=inf" in err
 
 
 class TestVerify:

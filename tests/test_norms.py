@@ -3,11 +3,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bestprox import (
+    Example1Params,
     InputError,
     LpSpace,
     PowerTypeConstants,
     PreconditionError,
     check_convexity_inequality,
+    dist,
     inverse_modulus_bound,
     lp_norm,
     modulus_of_convexity,
@@ -58,6 +60,17 @@ class TestLpNorm:
             LpSpace(2, 1.0)
         with pytest.raises(InputError):
             LpSpace(0, 2.0)
+
+    @pytest.mark.parametrize("p", [1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("build", [
+        lambda p: LpSpace(2, p),
+        lambda p: Example1Params(0.5, p),
+        power_type_constants,
+        lambda p: modulus_of_convexity(p, 1.0),
+    ])
+    def test_every_entry_point_rejects_bad_p_by_name(self, build, p):
+        with pytest.raises(InputError, match=f"p={p}"):
+            build(p)
 
     @given(
         st.floats(min_value=1.01, max_value=30),
@@ -235,5 +248,5 @@ class TestConvexityInequality:
 
         x = ball_point(ux, uy, su)
         y = ball_point(vx, vy, sv)
-        r = lp_norm(space, (x[0] - y[0], x[1] - y[1]))
+        r = dist(space, x, y)
         assert check_convexity_inequality(space, x, y, z, R=R, r=min(r, 2 * R))

@@ -10,7 +10,7 @@ from bestprox import (
     StopKind,
     audit_proof_chain,
     audit_soundness,
-    lp_norm,
+    dist,
     make_example1,
     rederive_distance,
     reference_best_proximity,
@@ -21,6 +21,7 @@ from bestprox.oracle import (
     DEFAULT_P_LIST,
     ReferenceMethod,
     load_reference_counts,
+    stop_with_escalation,
 )
 
 E1 = (1.0, 0.0)
@@ -58,7 +59,7 @@ class TestReferenceBestProximity:
         spec = benchmark_map(lam=0.73, p=1.3)
         ref = reference_best_proximity(spec, (321.0, 55.0))
         double = spec.apply(spec.apply(ref.xi))
-        assert lp_norm(spec.space, [a - b for a, b in zip(ref.xi, double)]) <= 1e-12
+        assert dist(spec.space, ref.xi, double) <= 1e-12
 
     def test_cap_exhaustion(self):
         with pytest.raises(NumericalError):
@@ -133,6 +134,25 @@ class TestRederiveDistance:
         spec = dataclasses.replace(benchmark_map(), d=3.0)
         with pytest.raises(DeclarationError):
             rederive_distance(spec, sample_count=200, seed=7)
+
+
+class TestStopWithEscalation:
+    def test_floored_run_escalates_and_certifies(self):
+        # at lam = 0.9 the float64 displacement pins a few ulps above d
+        # long before the certificate reaches 1e-10
+        stopped_at, err, escalated = stop_with_escalation(0.9, 2.0, (1000.0, 8.0), 1e-10)
+        assert escalated
+        assert stopped_at % 2 == 0 and err < 1e-10
+
+    def test_cap_without_plateau_is_a_failure(self):
+        # at lam = 0.999 the excess is still far above the float64 floor
+        # when the cap is hit, so there is nothing to escalate past
+        assert stop_with_escalation(0.999, 2.0, (1000.0, 8.0), 1e-2) is None
+
+    def test_overridden_k_does_not_escalate(self):
+        # the floored run above, with k declared by hand: working
+        # precision would rebuild the map with its true k instead
+        assert stop_with_escalation(0.9, 2.0, (1000.0, 8.0), 1e-10, k_override=0.9) is None
 
 
 class TestReferenceGrids:

@@ -15,8 +15,8 @@ from bestprox import (
     aposteriori_bound,
     apriori_bound,
     apriori_steps_needed,
+    dist,
     error_budget_at,
-    lp_norm,
     make_example1,
     picard_iterate,
     run_with_stop,
@@ -46,7 +46,7 @@ class TestAprioriBound:
         spec = benchmark_map()
         x0 = (1000.0, 8.0)
         tx0 = spec.apply(x0)
-        D = lp_norm(spec.space, [a - b for a, b in zip(x0, tx0)])
+        D = dist(spec.space, x0, tx0)
         expected_pref = 2 * D * math.sqrt((D - 2.0) / 0.25)
         for n in (1, 5, 20):
             got = apriori_bound(D, 2.0, 0.5, C18_Q2, n)
@@ -123,7 +123,7 @@ class TestAprioriStepsNeeded:
         # systematic offset from the literal formula (see the table tests)
         spec = benchmark_map()
         x0 = (1000.0, 8.0)
-        D = lp_norm(spec.space, [a - b for a, b in zip(x0, spec.apply(x0))])
+        D = dist(spec.space, x0, spec.apply(x0))
         assert apriori_steps_needed(D, 2.0, 0.5, C18_Q2, 1e-2) == 50
         assert apriori_steps_needed(D, 2.0, 0.5, C18_Q2, 1e-10) == 104
 
@@ -176,7 +176,7 @@ class TestPicardIterate:
         spec = benchmark_map(lam=0.7, p=3)
         trace = picard_iterate(spec, (600.0, -40.0), steps=60)
         errors = [
-            lp_norm(spec.space, [a - b for a, b in zip(trace.iterates[s], E1)])
+            dist(spec.space, trace.iterates[s], E1)
             for s in range(0, 61, 2)
         ]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(errors, errors[1:]))
@@ -211,7 +211,7 @@ class TestRunWithStop:
             benchmark_map(), (1000.0, 8.0), StopRule(StopKind.APOSTERIORI, 1e-2)
         )
         assert stopped_at == 30
-        err = lp_norm(benchmark_map().space, [a - b for a, b in zip(approx, E1)])
+        err = dist(benchmark_map().space, approx, E1)
         assert err < 1e-2
 
     def test_deep_cell_at_working_precision(self):
@@ -235,7 +235,7 @@ class TestRunWithStop:
         )
         assert stopped_at % 2 == 0
         assert stopped_at <= 84
-        err = lp_norm(benchmark_map().space, [a - b for a, b in zip(approx, E1)])
+        err = dist(benchmark_map().space, approx, E1)
         assert err < 1e-10
 
     def test_apriori_kind_runs_predicted_count(self):
@@ -244,7 +244,7 @@ class TestRunWithStop:
         )
         assert stopped_at == 50
         assert trace.steps == 50
-        err = lp_norm(benchmark_map().space, [a - b for a, b in zip(approx, E1)])
+        err = dist(benchmark_map().space, approx, E1)
         assert err < 1e-2
 
     def test_max_steps_kind_runs_to_cap(self):
