@@ -32,7 +32,7 @@ from .errors import (
     NumericalError,
 )
 from .norms import dist, modulus_of_convexity, power_type_constants
-from .solver import IterationTrace, StopKind, StopRule, run_with_stop
+from .solver import IterationTrace, StopKind, StopRule, error_budget_at, run_with_stop
 
 _FORMATS = ("csv", "markdown", "plain")
 
@@ -134,8 +134,8 @@ def cmd_solve(args) -> int:
     print(f"criterion: {args.criterion}, eps = {_g6(args.eps)}")
     print(f"stopped at even step: {stopped_at}")
     print(f"approximation: {_fmt_point(approx)}")
-    if trace.budgets:
-        final = trace.budgets[-1]
+    if trace.steps >= 2:
+        final = error_budget_at(trace, trace.steps // 2)
         print(
             f"final budgets at step {final.step}: "
             f"apriori = {_g6(final.apriori)}, aposteriori = {_g6(final.aposteriori)}"

@@ -49,6 +49,7 @@ import mpmath as mp
 from .cyclic import (
     CyclicMapSpec,
     Example1Params,
+    _require_boxes,
     apply_map,
     check_start,
     displacement_decay_check,
@@ -60,6 +61,7 @@ from .cyclic import (
 from .errors import BudgetExhaustedError, DeclarationError, InputError, NumericalError
 from .norms import (
     LpSpace,
+    PowerTypeConstants,
     Vector,
     check_convexity_inequality,
     check_exponent,
@@ -74,6 +76,7 @@ from .solver import (
     StopRule,
     apriori_bound,
     apriori_steps_needed,
+    certificate,
     picard_iterate,
     run_with_stop,
 )
@@ -291,8 +294,7 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
-    if spec.box_a is None or spec.box_b is None:
-        raise InputError("map spec has no sampling boxes for A/B")
+    _require_boxes(spec)
     rng = random.Random(seed)
     space = spec.space
     us = sample_points(rng, spec.box_a, spec.in_a, sample_count)
@@ -361,11 +363,11 @@ def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
     return eps_list, p_list, counts
 
 
-def _column_working_dps(D: float, d: float, k: float, C: float, q: float, eps_min: float) -> int:
+def _column_working_dps(D, d, k, consts: PowerTypeConstants, eps_min) -> int:
     """Decimal digits needed to resolve displacement excesses down to the
     deepest stopping step of a column, with cushion."""
-    prefactor = D / (1 - k ** (2.0 / q)) * (max(D - d, 0.0) / (C * d)) ** (1.0 / q)
-    digits = q * math.log10(max(prefactor, 1.0) / eps_min)
+    prefactor = certificate(D, d, k, consts, 0, "D")
+    digits = consts.q * math.log10(max(prefactor, 1.0) / eps_min)
     return max(60, int(digits) + 40)
 
 
@@ -383,8 +385,7 @@ def aposteriori_stop_working_precision(
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
     D = dist(spec.space, x0, apply_map(spec, x0))
-    consts = power_type_constants(p)
-    dps = _column_working_dps(D, spec.d, lam, consts.C, consts.q, eps)
+    dps = _column_working_dps(D, spec.d, lam, power_type_constants(p), eps)
     with mp.workdps(dps):
         # lam, p and the start must all be working-precision numbers;
         # a float64 exponent alone floors displacement excesses near 1e-17.
@@ -604,6 +605,20 @@ def columns_match_reference(result: TableResult, columns):
     ), ""
 
 
+def columns_monotone(result: TableResult):
+    """Every column of a reproduced grid is non-decreasing as eps shrinks."""
+    return all(
+        a <= b for row, below in zip(result.counts, result.counts[1:]) for a, b in zip(row, below)
+    ), ""
+
+
+def apriori_dominates(pri: TableResult, post: TableResult):
+    """Each a priori count is at least the a posteriori count of its cell."""
+    return all(
+        a >= b for prow, qrow in zip(pri.counts, post.counts) for a, b in zip(prow, qrow)
+    ), ""
+
+
 def norms_suite(seed: int):
     checks = []
     for p in SUITE_PS:
@@ -696,16 +711,6 @@ def tables_suite():
          all(d >= 0 for row in pri.deltas for d in row), f"deltas={pri.deltas}"),
     ]
     for result, label in ((post, "a posteriori"), (pri, "a priori")):
-        monotone = all(
-            result.counts[i][j] <= result.counts[i + 1][j]
-            for j in range(len(result.p_list))
-            for i in range(len(result.eps_list) - 1)
-        )
-        checks.append((f"{label} columns non-decreasing as eps shrinks", monotone, ""))
-    coarser = all(
-        pri.counts[i][j] >= post.counts[i][j]
-        for i in range(len(pri.eps_list))
-        for j in range(len(pri.p_list))
-    )
-    checks.append(("a priori count >= a posteriori count per cell", coarser, ""))
+        checks.append((f"{label} columns non-decreasing as eps shrinks", *columns_monotone(result)))
+    checks.append(("a priori count >= a posteriori count per cell", *apriori_dominates(pri, post)))
     return checks

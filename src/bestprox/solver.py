@@ -14,9 +14,12 @@ A, and two computable bounds certify the remaining error:
 
       ||xi - x_{2n}|| <= P / (1 - k^(2/q)) * ((P - d)/(C d))^(1/q) * k^(1/q).
 
-The a posteriori form is a direct stopping criterion: halt at the first
-even step whose bound falls below the target eps.  The a priori form
-predicts the required step count before iterating.
+Both are one expression, evaluated by `certificate`.  The a posteriori
+form is a direct stopping criterion: halt at the first even step whose
+bound falls below the target eps.  The a priori form predicts the
+required step count before iterating.  A run records only its orbit and
+displacements; the per-even-step budgets of a trace are derived from the
+displacements when read (`IterationTrace.budgets`, `error_budget_at`).
 
 Bound evaluators and the iteration engine use only `**`, `abs` and
 comparisons, so they run unchanged on higher-precision number types
@@ -72,12 +75,14 @@ class ErrorBudget:
 
 @dataclass
 class IterationTrace:
-    """Record of a Picard run: orbit, displacements, per-even-step budgets.
+    """Record of a Picard run: orbit and displacements.
 
     `displacements[i]` is ||x_i - x_{i+1}||.  When `store_iterates` is
     False only x0 is kept in `iterates` (long runs); `last` always holds
     the final point.  The declared (k, d) and power-type constants are
-    carried so budgets can be recomputed from the trace alone.
+    carried so that `budgets` can be derived from the displacements when
+    read; on mpmath numbers they are evaluated at the working precision
+    in force at the time of reading.
     """
 
     x0: Vector
@@ -86,7 +91,6 @@ class IterationTrace:
     constants: PowerTypeConstants
     iterates: list = field(default_factory=list)
     displacements: list = field(default_factory=list)
-    budgets: list = field(default_factory=list)
     last: Vector = None
     store_iterates: bool = True
 
@@ -94,17 +98,37 @@ class IterationTrace:
     def steps(self) -> int:
         return len(self.displacements)
 
+    @property
+    def budgets(self) -> list:
+        """The ErrorBudget of every even step 2n >= 2, in step order."""
+        return [error_budget_at(self, n) for n in range(1, self.steps // 2 + 1)]
 
-def _checked_gap(value, d, name: str):
-    """Validate value >= d > 0 and return the clamped gap value - d."""
+
+def _check_distance(d):
     if not d > 0:
         raise InputError(f"finite bounds require dist(A, B) > 0, got d={d}")
-    gap = value - d
+
+
+def certificate(X, d, k, consts: PowerTypeConstants, m, name: str):
+    """The paper's error estimate X/(1 - k^(2/q)) * ((X - d)/(C d))^(1/q) * k^(m/q).
+
+    X = D and m = 2n give the a priori bound at step 2n, X = P and m = 1
+    the a posteriori bound, and m = 0 the prefactor of both.  `name`
+    labels X in error messages.  Returns exactly 0 when X = d; a gap
+    X - d in (-GAP_CLAMP, 0) is round-off and counts as 0.
+    """
+    if not (0 < k < 1):
+        raise InputError(f"k must lie in (0, 1), got {k}")
+    _check_distance(d)
+    gap = X - d
     if gap < 0:
         if gap < -GAP_CLAMP:
-            raise InputError(f"{name}={value} is below d={d}")
+            raise InputError(f"{name}={X} is below d={d}")
         gap = 0.0
-    return gap
+    if gap == 0:
+        return 0.0
+    C, q = consts.C, consts.q
+    return X / (1 - k ** (2.0 / q)) * (gap / (C * d)) ** (1.0 / q) * k ** (m / q)
 
 
 def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
@@ -113,15 +137,9 @@ def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
     Returns exactly 0 when D = d (the orbit already realizes the set
     distance, so the best proximity point is reached).
     """
-    if not (0 < k < 1):
-        raise InputError(f"k must lie in (0, 1), got {k}")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    gap = _checked_gap(D, d, "D")
-    if gap == 0:
-        return 0.0
-    C, q = consts.C, consts.q
-    return D / (1 - k ** (2.0 / q)) * (gap / (C * d)) ** (1.0 / q) * k ** (2.0 * n / q)
+    return certificate(D, d, k, consts, 2 * n, "D")
 
 
 def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
@@ -129,13 +147,7 @@ def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
 
     Returns exactly 0 when P = d.
     """
-    if not (0 < k < 1):
-        raise InputError(f"k must lie in (0, 1), got {k}")
-    gap = _checked_gap(P, d, "P")
-    if gap == 0:
-        return 0.0
-    C, q = consts.C, consts.q
-    return P / (1 - k ** (2.0 / q)) * (gap / (C * d)) ** (1.0 / q) * k ** (1.0 / q)
+    return certificate(P, d, k, consts, 1, "P")
 
 
 def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
@@ -147,13 +159,8 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     """
     if not eps > 0:
         raise InputError(f"eps must be positive, got {eps}")
-    if not (0 < k < 1):
-        raise InputError(f"k must lie in (0, 1), got {k}")
-    gap = _checked_gap(D, d, "D")
-    if gap == 0:
-        return 2
-    C, q = consts.C, consts.q
-    prefactor = D / (1 - k ** (2.0 / q)) * (gap / (C * d)) ** (1.0 / q)
+    prefactor = certificate(D, d, k, consts, 0, "D")
+    q = consts.q
 
     def bound(m: int):
         return prefactor * k ** (2.0 * m / q)
@@ -171,6 +178,7 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
 
 def _start_trace(spec: CyclicMapSpec, x0: Vector, store_iterates: bool) -> IterationTrace:
     check_start(spec, x0)
+    _check_distance(spec.d)
     return IterationTrace(
         x0=tuple(x0),
         k=spec.k,
@@ -183,7 +191,7 @@ def _start_trace(spec: CyclicMapSpec, x0: Vector, store_iterates: bool) -> Itera
 
 
 def _advance(spec: CyclicMapSpec, trace: IterationTrace, current: Vector):
-    """One Picard step: extend the trace and fill the budget on even steps."""
+    """One Picard step: record the displacement and the image, return the image."""
     nxt = apply_map(spec, current)
     # Not norms.dist: on this per-step path one more Python call per step
     # is a measurable slowdown of long float64 runs.
@@ -193,19 +201,6 @@ def _advance(spec: CyclicMapSpec, trace: IterationTrace, current: Vector):
     if trace.store_iterates:
         trace.iterates.append(nxt)
     trace.last = nxt
-    step = len(trace.displacements)
-    if step >= 2 and step % 2 == 0:
-        trace.budgets.append(
-            ErrorBudget(
-                step=step,
-                apriori=apriori_bound(
-                    trace.displacements[0], spec.d, spec.k, trace.constants, step // 2
-                ),
-                aposteriori=aposteriori_bound(
-                    trace.displacements[step - 1], spec.d, spec.k, trace.constants
-                ),
-            )
-        )
     return nxt
 
 
@@ -215,8 +210,8 @@ def picard_iterate(
     """Run exactly `steps` Picard steps from x0 in A.
 
     The trace holds steps + 1 points (or just x0 in displacement-only
-    mode), all step displacements, and an ErrorBudget at every even step
-    >= 2.
+    mode) and all step displacements; its `budgets` derive an ErrorBudget
+    for every even step >= 2 from them.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -234,8 +229,10 @@ def run_with_stop(
 
     APOSTERIORI stops at the first even step 2n whose a posteriori bound
     is strictly below eps.  APRIORI predicts the step count from the
-    initial displacement and runs exactly that many steps.  MAX_STEPS
-    runs to the cap.  Hitting the cap before a criterion fires raises
+    initial displacement and runs exactly that many steps; a prediction
+    above the cap raises BudgetExhaustedError at once, carrying the
+    one-step trace the prediction was read from.  MAX_STEPS runs to the
+    cap.  Hitting the cap before a criterion fires raises
     BudgetExhaustedError carrying the partial trace.
     """
     trace = _start_trace(spec, x0, store_iterates)
@@ -247,8 +244,6 @@ def run_with_stop(
             trace.displacements[0], spec.d, spec.k, trace.constants, rule.epsilon
         )
         if target > rule.max_steps:
-            for _ in range(rule.max_steps - 1):
-                current = _advance(spec, trace, current)
             raise BudgetExhaustedError(
                 f"a priori criterion needs {target} steps, cap is {rule.max_steps}",
                 trace=trace,
@@ -261,7 +256,9 @@ def run_with_stop(
         while trace.steps < rule.max_steps:
             current = _advance(spec, trace, current)
             step = trace.steps
-            if step % 2 == 0 and trace.budgets[-1].aposteriori < rule.epsilon:
+            if step % 2 == 0 and aposteriori_bound(
+                trace.displacements[-1], spec.d, spec.k, trace.constants
+            ) < rule.epsilon:
                 return current, step, trace
         raise BudgetExhaustedError(
             f"a posteriori bound did not reach eps={rule.epsilon} "
@@ -276,7 +273,7 @@ def run_with_stop(
 
 
 def error_budget_at(trace: IterationTrace, n: int) -> ErrorBudget:
-    """Both bounds at even step 2n, recomputed from the stored displacements."""
+    """Both bounds at even step 2n, derived from the stored displacements."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if trace.steps < 2 * n:

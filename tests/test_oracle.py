@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from bestprox import (
+    ConfigurationError,
     DeclarationError,
     Example1Params,
     InputError,
@@ -20,6 +21,8 @@ from bestprox.oracle import (
     DEFAULT_EPS_LIST,
     DEFAULT_P_LIST,
     ReferenceMethod,
+    apriori_dominates,
+    columns_monotone,
     load_reference_counts,
     stop_with_escalation,
 )
@@ -135,6 +138,11 @@ class TestRederiveDistance:
         with pytest.raises(DeclarationError):
             rederive_distance(spec, sample_count=200, seed=7)
 
+    def test_spec_without_boxes_is_a_configuration_error(self):
+        spec = dataclasses.replace(benchmark_map(), box_a=None)
+        with pytest.raises(ConfigurationError, match="no sampling boxes"):
+            rederive_distance(spec, sample_count=10, seed=7)
+
 
 class TestStopWithEscalation:
     def test_floored_run_escalates_and_certifies(self):
@@ -204,14 +212,11 @@ class TestReproduceTable:
     def test_apriori_count_dominates_aposteriori(self, default_grids):
         pri = default_grids[StopKind.APRIORI]
         post = default_grids[StopKind.APOSTERIORI]
-        for prow, qrow in zip(pri.counts, post.counts):
-            assert all(a >= b for a, b in zip(prow, qrow))
+        assert apriori_dominates(pri, post)[0]
 
     def test_columns_monotone_in_eps(self, default_grids):
         for result in default_grids.values():
-            for j in range(len(result.p_list)):
-                column = [row[j] for row in result.counts]
-                assert column == sorted(column)
+            assert columns_monotone(result)[0]
 
     def test_input_validation(self):
         with pytest.raises(InputError):

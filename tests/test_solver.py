@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -263,11 +264,45 @@ class TestRunWithStop:
         assert excinfo.value.trace.steps == 10
 
     def test_apriori_cap_exhaustion(self):
-        with pytest.raises(BudgetExhaustedError):
+        with pytest.raises(BudgetExhaustedError) as excinfo:
             run_with_stop(
                 benchmark_map(), (1000.0, 8.0),
                 StopRule(StopKind.APRIORI, 1e-10, max_steps=20),
             )
+        assert excinfo.value.trace.steps == 1
+
+    def test_zero_set_distance_rejected_before_stepping(self):
+        spec = dataclasses.replace(benchmark_map(), d=0.0)
+        with pytest.raises(InputError, match="d=0.0"):
+            picard_iterate(spec, (1000.0, 8.0), steps=1)
+        with pytest.raises(InputError, match="d=0.0"):
+            run_with_stop(spec, (1000.0, 8.0), StopRule(StopKind.APOSTERIORI, 1e-2))
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6])
+    @pytest.mark.parametrize("p", [1.1, 2.0, 20.0])
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
+    def test_stop_agrees_with_derived_budgets(self, lam, p, eps):
+        # the stop rule evaluates its bound inline; the budgets a trace
+        # reports are derived afterwards from its displacements
+        spec = benchmark_map(lam=lam, p=p)
+        x0 = (1000.0, 8.0)
+        try:
+            _, stopped_at, trace = run_with_stop(
+                spec, x0, StopRule(StopKind.APOSTERIORI, eps, max_steps=4000)
+            )
+        except BudgetExhaustedError:
+            pytest.skip("target below the float64 resolution floor")
+        n = stopped_at // 2
+        budgets = trace.budgets
+        assert len(budgets) == n
+        assert budgets[-1].aposteriori < eps
+        assert all(b.aposteriori >= eps for b in budgets[:-1])
+        consts = trace.constants
+        D = dist(spec.space, x0, spec.apply(x0))
+        P = dist(spec.space, trace.iterates[-2], trace.iterates[-1])
+        assert budgets[-1].step == stopped_at
+        assert budgets[-1].apriori == apriori_bound(D, spec.d, spec.k, consts, n)
+        assert budgets[-1].aposteriori == aposteriori_bound(P, spec.d, spec.k, consts)
 
     def test_stop_rule_validation(self):
         with pytest.raises(InputError):
