@@ -133,11 +133,16 @@ def apply_map(spec: CyclicMapSpec, x: Vector) -> Vector:
 
 
 def check_start(spec: CyclicMapSpec, x0: Vector):
-    """Raise InputError, naming x0, unless x0 is a point of A in the map's space."""
+    """Raise InputError, naming x0, unless x0 is a finite point of A in the
+    map's space.  Coordinates may be floats or mpmath numbers."""
     if len(x0) != spec.space.dim:
         raise InputError(
             f"x0={tuple(x0)} has {len(x0)} coordinates, space has dim {spec.space.dim}"
         )
+    # c - c is exactly 0 for a finite c of any number type and magnitude
+    # (math.isfinite would reject an mpf beyond the float range), nan else.
+    if not all(c - c == 0 for c in x0):
+        raise InputError(f"x0={tuple(x0)} has a non-finite coordinate")
     if not spec.in_a(x0):
         raise InputError(f"x0={tuple(x0)} is not in A (runs must start in A)")
 

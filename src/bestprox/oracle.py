@@ -24,7 +24,7 @@ posteriori criterion reads the displacement excess P - d, which decays
 like k^m; for large q the stopping step is so deep that the excess falls
 far below float64 resolution (the iterate coordinates collapse onto the
 limit).  Counting stops faithfully therefore runs the *same* solver code
-on mpmath numbers with enough working digits, sized per column from the
+on mpmath numbers with enough working digits, sized per cell from the
 closed-form decay rate.  Everyday solves stay in float64, where a
 collapsed displacement legitimately reports a zero bound (the iterate is
 the limit to machine precision); `stop_with_escalation` is the one place
@@ -77,6 +77,7 @@ from .solver import (
     apriori_bound,
     apriori_steps_needed,
     certificate,
+    check_target,
     picard_iterate,
     run_with_stop,
 )
@@ -363,11 +364,11 @@ def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
     return eps_list, p_list, counts
 
 
-def _column_working_dps(D, d, k, consts: PowerTypeConstants, eps_min) -> int:
+def _working_dps(D, d, k, consts: PowerTypeConstants, eps) -> int:
     """Decimal digits needed to resolve displacement excesses down to the
-    deepest stopping step of a column, with cushion."""
+    stopping step for eps, with cushion."""
     prefactor = certificate(D, d, k, consts, 0, "D")
-    digits = consts.q * math.log10(max(prefactor, 1.0) / eps_min)
+    digits = consts.q * math.log10(max(prefactor, 1.0) / eps)
     return max(60, int(digits) + 40)
 
 
@@ -382,10 +383,11 @@ def aposteriori_stop_working_precision(
     mpmath numbers.  Returns (stopped_at, true_error) with the true error
     measured against the map's exact best proximity point (as a float).
     """
+    check_target(eps)
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
     D = dist(spec.space, x0, apply_map(spec, x0))
-    dps = _column_working_dps(D, spec.d, lam, power_type_constants(p), eps)
+    dps = _working_dps(D, spec.d, lam, power_type_constants(p), eps)
     with mp.workdps(dps):
         # lam, p and the start must all be working-precision numbers;
         # a float64 exponent alone floors displacement excesses near 1e-17.
@@ -408,7 +410,7 @@ def reproduce_table(
     """Fill the (eps, p) grid of even stopping steps for the two-cone map.
 
     APOSTERIORI cells run the live stopping rule (at working precision
-    sized per column); APRIORI cells evaluate the closed-form step
+    sized per cell); APRIORI cells evaluate the closed-form step
     predictor from D = ||x0 - Tx0||_p.  When the scenario matches the
     embedded benchmark grids, the published counts and cell deltas are
     attached; deltas are reported as computed, never reconciled.
@@ -419,8 +421,8 @@ def reproduce_table(
         raise InputError(f"lam must lie in (0, 1), got {lam}")
     eps_list = tuple(eps_list) if eps_list is not None else DEFAULT_EPS_LIST
     p_list = tuple(p_list) if p_list is not None else DEFAULT_P_LIST
-    if any(e <= 0 for e in eps_list):
-        raise InputError(f"all eps must be positive, got {eps_list}")
+    for eps in eps_list:
+        check_target(eps)
     for p in p_list:
         check_exponent(p)
 

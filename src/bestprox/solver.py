@@ -14,9 +14,11 @@ A, and two computable bounds certify the remaining error:
 
       ||xi - x_{2n}|| <= P / (1 - k^(2/q)) * ((P - d)/(C d))^(1/q) * k^(1/q).
 
-Both are one expression, evaluated by `certificate`.  The a posteriori
-form is a direct stopping criterion: halt at the first even step whose
-bound falls below the target eps.  The a priori form predicts the
+Both are one expression, built by `certificate_evaluator` and evaluated
+in one shot by `certificate`.  The a posteriori form is a direct stopping
+criterion: halt at the first even step whose bound falls below the target
+eps; `run_with_stop` builds its evaluator once per run, so an even step
+pays one power rather than three.  The a priori form predicts the
 required step count before iterating.  A run records only its orbit and
 displacements; the per-even-step budgets of a trace are derived from the
 displacements when read (`IterationTrace.budgets`, `error_budget_at`).
@@ -43,6 +45,12 @@ from .norms import PowerTypeConstants, Vector, lp_norm, power_type_constants
 GAP_CLAMP = 1e-12
 
 
+def check_target(eps):
+    """Raise InputError, naming eps, unless eps is a finite target > 0."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise InputError(f"the target must be a finite eps > 0, got eps={eps}")
+
+
 class StopKind(Enum):
     APRIORI = "apriori"
     APOSTERIORI = "aposteriori"
@@ -58,8 +66,7 @@ class StopRule:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InputError(f"epsilon must be positive, got {self.epsilon}")
+        check_target(self.epsilon)
         if self.max_steps < 2 or self.max_steps % 2 != 0:
             raise InputError(f"max_steps must be an even integer >= 2, got {self.max_steps}")
 
@@ -109,26 +116,49 @@ def _check_distance(d):
         raise InputError(f"finite bounds require dist(A, B) > 0, got d={d}")
 
 
-def certificate(X, d, k, consts: PowerTypeConstants, m, name: str):
-    """The paper's error estimate X/(1 - k^(2/q)) * ((X - d)/(C d))^(1/q) * k^(m/q).
+def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
+    """The paper's error estimate X/(1 - k^(2/q)) * ((X - d)/(C d))^(1/q) * k^(m/q)
+    as a one-argument function of X.
 
     X = D and m = 2n give the a priori bound at step 2n, X = P and m = 1
-    the a posteriori bound, and m = 0 the prefactor of both.  `name`
-    labels X in error messages.  Returns exactly 0 when X = d; a gap
-    X - d in (-GAP_CLAMP, 0) is round-off and counts as 0.
+    the a posteriori bound, and m = 0 the prefactor of both.  k in (0, 1)
+    and d > 0 are checked here, once; `name` labels X in the error an
+    evaluation raises when X lies below d.  An evaluation returns exactly
+    0 when X = d; a gap X - d in (-GAP_CLAMP, 0) is round-off and counts
+    as 0.
+
+    The factors that do not depend on X are formed here, at the working
+    precision in force now, so an evaluator must be built at the
+    precision it is evaluated at, and must not be cached across calls:
+    an mpf hashes without its precision.  Each evaluation performs the same
+    operations in the same order as the full expression, so its value
+    is the same to the bit.
     """
     if not (0 < k < 1):
         raise InputError(f"k must lie in (0, 1), got {k}")
     _check_distance(d)
-    gap = X - d
-    if gap < 0:
-        if gap < -GAP_CLAMP:
-            raise InputError(f"{name}={X} is below d={d}")
-        gap = 0.0
-    if gap == 0:
-        return 0.0
     C, q = consts.C, consts.q
-    return X / (1 - k ** (2.0 / q)) * (gap / (C * d)) ** (1.0 / q) * k ** (m / q)
+    denom = 1 - k ** (2.0 / q)
+    Cd = C * d
+    root = 1.0 / q
+    tail = k ** (m / q)
+
+    def evaluate(X):
+        gap = X - d
+        if gap < 0:
+            if gap < -GAP_CLAMP:
+                raise InputError(f"{name}={X} is below d={d}")
+            gap = 0.0
+        if gap == 0:
+            return 0.0
+        return X / denom * (gap / Cd) ** root * tail
+
+    return evaluate
+
+
+def certificate(X, d, k, consts: PowerTypeConstants, m, name: str):
+    """The paper's error estimate at X, in one shot (see `certificate_evaluator`)."""
+    return certificate_evaluator(d, k, consts, m, name)(X)
 
 
 def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
@@ -157,8 +187,7 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     verified by direct evaluation at n and n - 1 to absorb floating-point
     drift.  Returns 2 when the bound at n = 1 is already below eps.
     """
-    if not eps > 0:
-        raise InputError(f"eps must be positive, got {eps}")
+    check_target(eps)
     prefactor = certificate(D, d, k, consts, 0, "D")
     q = consts.q
 
@@ -253,12 +282,13 @@ def run_with_stop(
         return current, target, trace
 
     if rule.kind is StopKind.APOSTERIORI:
+        # aposteriori_bound with its run constants formed once, at the
+        # working precision of this run.
+        bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")
         while trace.steps < rule.max_steps:
             current = _advance(spec, trace, current)
             step = trace.steps
-            if step % 2 == 0 and aposteriori_bound(
-                trace.displacements[-1], spec.d, spec.k, trace.constants
-            ) < rule.epsilon:
+            if step % 2 == 0 and bound(trace.displacements[-1]) < rule.epsilon:
                 return current, step, trace
         raise BudgetExhaustedError(
             f"a posteriori bound did not reach eps={rule.epsilon} "

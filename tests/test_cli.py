@@ -192,6 +192,25 @@ class TestModulus:
         assert "p=inf" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["solve", "--x0", "inf,0"], "x0=(inf, 0.0)"),
+        (["table", "--criterion", "apriori", "--x0", "inf,0"], "x0=(inf, 0.0)"),
+        (["table", "--criterion", "aposteriori", "--x0", "inf,0", "--p", "2", "--eps", "1e-2"],
+         "x0=(inf, 0.0)"),
+        (["solve", "--eps", "inf"], "eps=inf"),
+        (["solve", "--eps", "inf", "--criterion", "apriori"], "eps=inf"),
+        (["table", "--criterion", "apriori", "--eps", "inf"], "eps=inf"),
+        (["table", "--criterion", "aposteriori", "--eps", "inf", "--p", "2"], "eps=inf"),
+    ],
+)
+def test_non_finite_start_or_target_is_exit_2(capsys, argv, named):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert named in err
+
+
 class TestVerify:
     def test_cyclic_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "cyclic", "--seed", "42")

@@ -1,5 +1,8 @@
+import math
 import random
+import re
 
+import mpmath as mp
 import pytest
 
 from bestprox import (
@@ -15,7 +18,7 @@ from bestprox import (
     verify_contraction,
     verify_cyclicity,
 )
-from bestprox.cyclic import EXAMPLE1_BOX_A, EXAMPLE1_BOX_B, sample_points
+from bestprox.cyclic import EXAMPLE1_BOX_A, EXAMPLE1_BOX_B, check_start, sample_points
 
 E1 = (1.0, 0.0)
 
@@ -194,6 +197,22 @@ class TestDisplacementDecayCheck:
     def test_outside_union_rejected(self):
         with pytest.raises(InputError):
             displacement_decay_check(two_cone_map(), (0.0, 0.0), n_max=5)
+
+
+class TestCheckStart:
+    @pytest.mark.parametrize("x0", [(math.inf, 0.0), (math.nan, 0.0), (1000.0, -math.inf)])
+    def test_non_finite_start_rejected_naming_x0(self, x0):
+        with pytest.raises(InputError, match=re.escape(f"x0={x0} has a non-finite")):
+            check_start(two_cone_map(), x0)
+
+    def test_working_precision_starts_accepted(self):
+        with mp.workdps(355):
+            spec = make_example1(Example1Params(lam=mp.mpf(0.5), p=mp.mpf(20)))
+            check_start(spec, (mp.mpf(1000), mp.mpf(8)))
+            # finite, though beyond the float range
+            check_start(spec, (mp.mpf(10) ** 400, mp.mpf(0)))
+            with pytest.raises(InputError, match="non-finite"):
+                check_start(spec, (mp.inf, mp.mpf(0)))
 
 
 class TestOrbitGeometry:

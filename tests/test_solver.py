@@ -14,14 +14,19 @@ from bestprox import (
     StopKind,
     StopRule,
     aposteriori_bound,
+    aposteriori_stop_working_precision,
     apriori_bound,
     apriori_steps_needed,
     dist,
     error_budget_at,
     make_example1,
     picard_iterate,
+    power_type_constants,
+    reproduce_table,
     run_with_stop,
 )
+from bestprox.oracle import _working_dps
+from bestprox.solver import certificate, certificate_evaluator
 
 E1 = (1.0, 0.0)
 C18_Q2 = PowerTypeConstants(C=0.125, q=2)
@@ -304,6 +309,34 @@ class TestRunWithStop:
         assert budgets[-1].apriori == apriori_bound(D, spec.d, spec.k, consts, n)
         assert budgets[-1].aposteriori == aposteriori_bound(P, spec.d, spec.k, consts)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("lam", [0.5, 0.9])
+    def test_stop_agrees_with_derived_budgets_at_working_precision(self, lam, p):
+        # the stop's per-run evaluator against the one-shot bounds the
+        # trace derives, both at the digits the oracle sizes for the cell
+        eps = 1e-6
+        x0 = (1000.0, 8.0)
+        spec = benchmark_map(lam=lam, p=p)
+        D = dist(spec.space, x0, spec.apply(x0))
+        dps = _working_dps(D, spec.d, spec.k, power_type_constants(p), eps)
+        with mp.workdps(dps):
+            spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
+            start = tuple(mp.mpf(c) for c in x0)
+            _, stopped_at, trace = run_with_stop(spec, start, StopRule(StopKind.APOSTERIORI, eps))
+            budgets = trace.budgets
+            P = dist(spec.space, trace.iterates[-2], trace.iterates[-1])
+            last = aposteriori_bound(P, spec.d, spec.k, trace.constants)
+        assert len(budgets) == stopped_at // 2
+        assert budgets[-1].aposteriori < eps
+        assert all(b.aposteriori >= eps for b in budgets[:-1])
+        assert budgets[-1].aposteriori == last
+
+    def test_declared_distance_above_true_one_is_caught_at_an_even_step(self):
+        # k and d are checked once per run; the gap check stays per step
+        spec = dataclasses.replace(benchmark_map(), d=2.5)
+        with pytest.raises(InputError, match=r"P=.* is below d=2\.5"):
+            run_with_stop(spec, (1000.0, 8.0), StopRule(StopKind.APOSTERIORI, 1e-6))
+
     def test_stop_rule_validation(self):
         with pytest.raises(InputError):
             StopRule(StopKind.APOSTERIORI, 0.0)
@@ -311,6 +344,58 @@ class TestRunWithStop:
             StopRule(StopKind.APOSTERIORI, 1e-2, max_steps=11)
         with pytest.raises(InputError):
             StopRule(StopKind.APOSTERIORI, 1e-2, max_steps=0)
+
+
+def _inline_certificate(X, d, k, consts, m):
+    """The estimate written out as one expression: the reference that the
+    evaluator, with its run constants formed once, must match bit for bit."""
+    gap = X - d
+    if gap < 0:
+        gap = 0.0
+    if gap == 0:
+        return 0.0
+    C, q = consts.C, consts.q
+    return X / (1 - k ** (2.0 / q)) * (gap / (C * d)) ** (1.0 / q) * k ** (m / q)
+
+
+class TestCertificateEvaluator:
+    @pytest.mark.parametrize("p", [1.1, 2.0, 20.0])
+    @pytest.mark.parametrize("dps", [None, 80, 355])
+    def test_matches_one_shot_certificate_bit_for_bit(self, dps, p):
+        with mp.workdps(dps or mp.mp.dps):
+            num = float if dps is None else mp.mpf
+            spec = make_example1(Example1Params(lam=num(0.5), p=num(p)))
+            d, k = spec.d, spec.k
+            consts = power_type_constants(spec.space.p)
+            xs = [d, d - 1e-13, d + 1e-13, d * (1 + num(1e-6)), d + num(0.5), 3 * d, num(1000)]
+            for m in (0, 1, 2, 40):
+                evaluate = certificate_evaluator(d, k, consts, m, "X")
+                for X in xs:
+                    value = evaluate(X)
+                    assert value == certificate(X, d, k, consts, m, "X")
+                    assert value == _inline_certificate(X, d, k, consts, m)
+
+    def test_run_constants_are_checked_when_built(self):
+        with pytest.raises(InputError, match="k must lie in"):
+            certificate_evaluator(2.0, 1.0, C18_Q2, 1, "P")
+        with pytest.raises(InputError, match="d=0.0"):
+            certificate_evaluator(0.0, 0.5, C18_Q2, 1, "P")
+        evaluate = certificate_evaluator(2.0, 0.5, C18_Q2, 1, "P")
+        with pytest.raises(InputError, match="P=1.5 is below d=2.0"):
+            evaluate(1.5)
+
+
+class TestTargetCheck:
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+    def test_every_entry_point_rejects_bad_eps_by_name(self, eps):
+        with pytest.raises(InputError, match=f"eps={eps}"):
+            StopRule(StopKind.APOSTERIORI, eps)
+        with pytest.raises(InputError, match=f"eps={eps}"):
+            apriori_steps_needed(1000.0, 2.0, 0.5, C18_Q2, eps)
+        with pytest.raises(InputError, match=f"eps={eps}"):
+            reproduce_table(StopKind.APRIORI, eps_list=[1e-2, eps])
+        with pytest.raises(InputError, match=f"eps={eps}"):
+            aposteriori_stop_working_precision(0.5, 2.0, (1000.0, 8.0), eps)
 
 
 class TestErrorBudgetAt:
