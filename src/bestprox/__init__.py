@@ -25,6 +25,7 @@ from .errors import (
     InputError,
     NumericalError,
     PreconditionError,
+    ResolutionFloorError,
 )
 from .norms import (
     LpSpace,
@@ -75,6 +76,7 @@ __all__ = [
     "PowerTypeConstants",
     "PreconditionError",
     "ReferenceSolution",
+    "ResolutionFloorError",
     "StopKind",
     "StopRule",
     "TableResult",

@@ -34,3 +34,17 @@ class BudgetExhaustedError(RuntimeError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace
+
+
+class ResolutionFloorError(BudgetExhaustedError):
+    """The a posteriori bound stalled above eps at the resolution floor.
+
+    The displacement stopped changing, so no later step in the same
+    arithmetic can certify eps.  Carries the partial trace and `floor`,
+    the stalled bound value: the smallest eps this arithmetic could have
+    certified on this orbit.
+    """
+
+    def __init__(self, message: str, trace=None, floor=None):
+        super().__init__(message, trace=trace)
+        self.floor = floor

@@ -58,7 +58,13 @@ from .cyclic import (
     verify_contraction,
     verify_cyclicity,
 )
-from .errors import BudgetExhaustedError, DeclarationError, InputError, NumericalError
+from .errors import (
+    BudgetExhaustedError,
+    DeclarationError,
+    InputError,
+    NumericalError,
+    ResolutionFloorError,
+)
 from .norms import (
     LpSpace,
     PowerTypeConstants,
@@ -75,8 +81,8 @@ from .solver import (
     StopKind,
     StopRule,
     apriori_bound,
+    apriori_prefactor,
     apriori_steps_needed,
-    certificate,
     check_target,
     picard_iterate,
     run_with_stop,
@@ -93,10 +99,8 @@ DEFAULT_X0 = (1000.0, 8.0)
 REFERENCE_TOL = 1e-13
 REFERENCE_CAP = 100_000
 
-#: Float64 step cap of `stop_with_escalation`, and the displacement excess
-#: below which a capped float64 orbit sits on its resolution plateau.
+#: Float64 step cap of `stop_with_escalation`.
 FLOAT64_CAP = 4000
-PLATEAU_GAP = 1e-13
 
 
 class ReferenceMethod(Enum):
@@ -367,7 +371,7 @@ def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
 def _working_dps(D, d, k, consts: PowerTypeConstants, eps) -> int:
     """Decimal digits needed to resolve displacement excesses down to the
     stopping step for eps, with cushion."""
-    prefactor = certificate(D, d, k, consts, 0, "D")
+    prefactor = apriori_prefactor(D, d, k, consts)
     digits = consts.q * math.log10(max(prefactor, 1.0) / eps)
     return max(60, int(digits) + 40)
 
@@ -482,20 +486,21 @@ def stop_with_escalation(lam, p, x0: Vector, eps: float, k_override: float | Non
     """Stop the built-in map by the a posteriori rule at eps; returns
     (stopped_at, true_error, escalated), or None when float64 gives up.
 
-    Float64 runs up to FLOAT64_CAP steps.  A capped orbit whose excess over
-    d lies in (0, PLATEAU_GAP) is at the float64 resolution floor and is
+    Float64 runs up to FLOAT64_CAP steps.  A run that raises
+    ResolutionFloorError has stalled at the float64 resolution floor and is
     re-run at working precision, unless k_override fault-injects k: that
-    re-run would use the true k.
+    re-run would use the true k.  A run that hits the cap gives up.
     """
     spec = suite_map(lam, p, k_override)
     rule = StopRule(kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=FLOAT64_CAP)
     try:
         approx, stopped_at, _ = run_with_stop(spec, x0, rule, store_iterates=False)
-    except BudgetExhaustedError as exc:
-        gap = exc.trace.displacements[-1] - spec.d
-        if k_override is not None or not 0 < gap < PLATEAU_GAP:
+    except ResolutionFloorError:
+        if k_override is not None:
             return None
         return (*aposteriori_stop_working_precision(lam, p, x0, eps), True)
+    except BudgetExhaustedError:
+        return None
     return stopped_at, dist(spec.space, approx, spec.best_proximity), False
 
 

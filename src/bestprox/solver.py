@@ -18,10 +18,15 @@ Both are one expression, built by `certificate_evaluator` and evaluated
 in one shot by `certificate`.  The a posteriori form is a direct stopping
 criterion: halt at the first even step whose bound falls below the target
 eps; `run_with_stop` builds its evaluator once per run, so an even step
-pays one power rather than three.  The a priori form predicts the
-required step count before iterating.  A run records only its orbit and
-displacements; the per-even-step budgets of a trace are derived from the
-displacements when read (`IterationTrace.budgets`, `error_budget_at`).
+pays one power rather than three.  The bound can fire only while the
+computed excess P - d keeps shrinking: once the even-step displacement
+has held still for STALL_HALF_LIVES half-lives of the excess decay, the
+run is at the resolution floor of its arithmetic and raises
+ResolutionFloorError rather than stepping on to the cap.  The a priori
+form predicts the required step count before iterating.  A run records
+only its orbit and displacements; the per-even-step budgets of a trace
+are derived from the displacements when read (`IterationTrace.budgets`,
+`error_budget_at`).
 
 Bound evaluators and the iteration engine use only `**`, `abs` and
 comparisons, so they run unchanged on higher-precision number types
@@ -37,12 +42,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .cyclic import CyclicMapSpec, apply_map, check_start
-from .errors import BudgetExhaustedError, InputError
+from .errors import BudgetExhaustedError, InputError, ResolutionFloorError
 from .norms import PowerTypeConstants, Vector, lp_norm, power_type_constants
 
 #: Gap D - d (or P - d) more negative than this is an input error; anything
 #: in (-GAP_CLAMP, 0) is round-off below a true gap of 0 and clamps to 0.
 GAP_CLAMP = 1e-12
+
+#: Half-lives of the excess decay k^2 per even step for which the even-step
+#: displacement must hold exactly still before the a posteriori stop gives
+#: up.  A stall that later breaks was measured at up to 1.57 half-lives
+#: (lam 0.6-0.999, p 1.01-20); one repeat alone is not a floor.
+STALL_HALF_LIVES = 10
 
 
 def check_target(eps):
@@ -180,6 +191,15 @@ def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
     return certificate(P, d, k, consts, 1, "P")
 
 
+def apriori_prefactor(D, d, k, consts: PowerTypeConstants):
+    """The factor of the a priori bound that does not decay with n, the
+    certificate at D with m = 0; InputError naming D unless it is finite."""
+    prefactor = certificate(D, d, k, consts, 0, "D")
+    if not prefactor - prefactor == 0:
+        raise InputError(f"the a priori prefactor is not finite at D={D}, got {prefactor}")
+    return prefactor
+
+
 def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     """Smallest even step 2n (n >= 1) whose a priori bound is below eps.
 
@@ -188,7 +208,7 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     drift.  Returns 2 when the bound at n = 1 is already below eps.
     """
     check_target(eps)
-    prefactor = certificate(D, d, k, consts, 0, "D")
+    prefactor = apriori_prefactor(D, d, k, consts)
     q = consts.q
 
     def bound(m: int):
@@ -203,6 +223,18 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     while n > 1 and bound(n - 1) < eps:
         n -= 1
     return 2 * n
+
+
+def stall_span(k):
+    """Even steps of unchanged displacement after which the a posteriori
+    stop gives up: STALL_HALF_LIVES half-lives of the decay k^2 per even
+    step, for the declared k taken as a float (inf if that rounds to 1,
+    1 if it rounds to 0)."""
+    k = float(k)
+    if k == 0:
+        return 1
+    rate = -2.0 * math.log(k)
+    return math.ceil(STALL_HALF_LIVES * math.log(2.0) / rate) if rate > 0 else math.inf
 
 
 def _start_trace(spec: CyclicMapSpec, x0: Vector, store_iterates: bool) -> IterationTrace:
@@ -257,7 +289,10 @@ def run_with_stop(
     """Iterate until the rule fires; returns (approx, stopped_at, trace).
 
     APOSTERIORI stops at the first even step 2n whose a posteriori bound
-    is strictly below eps.  APRIORI predicts the step count from the
+    is strictly below eps.  When instead the displacement of
+    `stall_span(k)` consecutive even steps equals that of the even step
+    before each, it raises ResolutionFloorError carrying the trace and the
+    stalled bound as `floor`.  APRIORI predicts the step count from the
     initial displacement and runs exactly that many steps; a prediction
     above the cap raises BudgetExhaustedError at once, carrying the
     one-step trace the prediction was read from.  MAX_STEPS runs to the
@@ -285,11 +320,26 @@ def run_with_stop(
         # aposteriori_bound with its run constants formed once, at the
         # working precision of this run.
         bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")
+        span = stall_span(spec.k)
+        held, previous = 0, None
         while trace.steps < rule.max_steps:
             current = _advance(spec, trace, current)
             step = trace.steps
-            if step % 2 == 0 and bound(trace.displacements[-1]) < rule.epsilon:
-                return current, step, trace
+            if step % 2 == 0:
+                P = trace.displacements[-1]
+                value = bound(P)
+                if value < rule.epsilon:
+                    return current, step, trace
+                held = held + 1 if P == previous else 0
+                if held >= span:
+                    raise ResolutionFloorError(
+                        f"a posteriori bound stalled at its resolution floor "
+                        f"{value} >= eps={rule.epsilon}: the displacement has not "
+                        f"changed since step {step - 2 * held} ({held} even steps)",
+                        trace=trace,
+                        floor=value,
+                    )
+                previous = P
         raise BudgetExhaustedError(
             f"a posteriori bound did not reach eps={rule.epsilon} "
             f"within {rule.max_steps} steps",

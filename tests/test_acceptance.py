@@ -173,10 +173,10 @@ def test_criterion_4_stop_correctness(starts):
 
     Large contraction factors pin the float64 displacement a few ulps above
     the set distance, so certificates below that resolution floor cannot
-    fire in float64 (the rule then exhausts its cap rather than stopping
-    wrongly).  Every scenario is certified in float64 at the deepest
-    reachable eps of the ladder; deeper targets are certified by the same
-    solver at working precision.
+    fire in float64 (the rule then raises ResolutionFloorError at the floor
+    rather than stopping wrongly).  Every scenario is certified in float64
+    at the deepest reachable eps of the ladder; deeper targets are
+    certified by the same solver at working precision.
     """
     ladder = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
     t0 = time.perf_counter()

@@ -74,6 +74,14 @@ class TestSolve:
         assert code == 1
         assert "10" in err
 
+    def test_stall_at_the_resolution_floor_is_exit_1(self, capsys):
+        # gives up within a few hundred steps of its 10**6 default cap
+        code, _, err = run_cli(
+            capsys, "solve", "--lambda", "0.9", "--p", "2", "--eps", "1e-10", "--no-oracle"
+        )
+        assert code == 1
+        assert "stalled" in err and "eps=1e-10" in err
+
     def test_start_outside_a_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--x0", "0,0", "--eps", "1e-2")
         assert code == 2
@@ -203,6 +211,10 @@ class TestModulus:
         (["solve", "--eps", "inf", "--criterion", "apriori"], "eps=inf"),
         (["table", "--criterion", "apriori", "--eps", "inf"], "eps=inf"),
         (["table", "--criterion", "aposteriori", "--eps", "inf", "--p", "2"], "eps=inf"),
+        # finite starts whose a priori prefactor overflows float64
+        (["table", "--x0", "1e308,0", "--p", "2", "--eps", "1e-2"], "D=1.5e+308"),
+        (["table", "--criterion", "apriori", "--x0", "1e308,0"], "D=1.5e+308"),
+        (["solve", "--x0", "1e308,0", "--criterion", "apriori"], "D=1.5e+308"),
     ],
 )
 def test_non_finite_start_or_target_is_exit_2(capsys, argv, named):

@@ -11,6 +11,7 @@ from bestprox import (
     Example1Params,
     InputError,
     PowerTypeConstants,
+    ResolutionFloorError,
     StopKind,
     StopRule,
     aposteriori_bound,
@@ -26,7 +27,7 @@ from bestprox import (
     run_with_stop,
 )
 from bestprox.oracle import _working_dps
-from bestprox.solver import certificate, certificate_evaluator
+from bestprox.solver import apriori_prefactor, certificate, certificate_evaluator, stall_span
 
 E1 = (1.0, 0.0)
 C18_Q2 = PowerTypeConstants(C=0.125, q=2)
@@ -149,6 +150,17 @@ class TestAprioriStepsNeeded:
     def test_eps_validation(self):
         with pytest.raises(InputError):
             apriori_steps_needed(3.0, 2.0, 0.5, C18_Q2, 0.0)
+
+    def test_overflowing_prefactor_is_an_input_error_naming_d(self):
+        # finite D, but D / (1 - k) * sqrt(4 (D - d)) overflows float64;
+        # the step predictor and the digit sizing both read the prefactor
+        for read in (
+            lambda: apriori_prefactor(1.5e308, 2.0, 0.5, C18_Q2),
+            lambda: apriori_steps_needed(1.5e308, 2.0, 0.5, C18_Q2, 1e-2),
+            lambda: _working_dps(1.5e308, 2.0, 0.5, C18_Q2, 1e-2),
+        ):
+            with pytest.raises(InputError, match=r"D=1\.5e\+308"):
+                read()
 
 
 class TestPicardIterate:
@@ -344,6 +356,74 @@ class TestRunWithStop:
             StopRule(StopKind.APOSTERIORI, 1e-2, max_steps=11)
         with pytest.raises(InputError):
             StopRule(StopKind.APOSTERIORI, 1e-2, max_steps=0)
+
+
+class TestResolutionFloor:
+    def test_stalled_run_raises_at_the_floor(self):
+        # at lam = 0.9 the float64 displacement pins a few ulps above d;
+        # the run gives up after stall_span(0.9) = 33 still even steps
+        # instead of running on to its cap
+        spec = benchmark_map(lam=0.9, p=2)
+        rule = StopRule(StopKind.APOSTERIORI, 1e-10, max_steps=1_000_000)
+        with pytest.raises(ResolutionFloorError) as excinfo:
+            run_with_stop(spec, (1000.0, 8.0), rule)
+        exc = excinfo.value
+        assert isinstance(exc, BudgetExhaustedError)
+        trace = exc.trace
+        assert trace.steps < 600 and trace.steps % 2 == 0
+        assert 0 < trace.displacements[-1] - spec.d < 1e-13
+        P = dist(spec.space, trace.iterates[-2], trace.iterates[-1])
+        assert exc.floor == aposteriori_bound(P, spec.d, spec.k, trace.constants)
+        assert exc.floor >= 1e-10
+        held = trace.displacements[-1 - 2 * stall_span(spec.k) :: 2]
+        assert len(set(held)) == 1
+
+    def test_stalled_run_at_working_precision_raises_too(self):
+        # 20 digits resolve excesses down to about 1e-19, far above 1e-30
+        with mp.workdps(20):
+            spec = make_example1(Example1Params(lam=mp.mpf(0.9), p=mp.mpf(2)))
+            rule = StopRule(StopKind.APOSTERIORI, 1e-30, max_steps=100_000)
+            with pytest.raises(ResolutionFloorError) as excinfo:
+                run_with_stop(spec, (mp.mpf(1000), mp.mpf(8)), rule, store_iterates=False)
+        assert excinfo.value.trace.steps < 1000
+        assert excinfo.value.floor >= 1e-30
+
+    def test_stall_that_breaks_still_certifies(self):
+        # the longest stall that later broke in a sweep over lam 0.6-0.999,
+        # p 1.01-20 and ten starts: 108 even steps, 1.57 half-lives of the
+        # 692 that stall_span allows at lam = 0.995
+        spec = benchmark_map(lam=0.995, p=1.01)
+        x0 = (536.3461223023825, -268.622166174829)
+        trace = picard_iterate(spec, x0, steps=8400, store_iterates=False)
+        even = trace.displacements[1::2]  # even[n - 1] is P at step 2n
+        runs, start = [], 0
+        for i in range(1, len(even)):
+            if even[i] != even[i - 1]:
+                runs.append((i - 1 - start, start))
+                start = i
+        held, start = max(runs)
+        assert held == 108 and held < stall_span(spec.k)
+        breaks_at = 2 * (start + held + 2)
+        bound_held, bound_after = (
+            aposteriori_bound(P, spec.d, spec.k, trace.constants)
+            for P in (even[start], even[start + held + 1])
+        )
+        eps = (bound_held + bound_after) / 2
+        assert bound_after < eps < bound_held
+        _, stopped_at, _ = run_with_stop(
+            spec, x0, StopRule(StopKind.APOSTERIORI, eps, max_steps=20_000),
+            store_iterates=False,
+        )
+        assert stopped_at == breaks_at
+
+    def test_span_is_ten_half_lives_of_the_declared_k(self):
+        assert stall_span(0.9) == 33
+        assert stall_span(0.995) == 692
+        assert stall_span(mp.mpf(0.9)) == 33
+        # a declared k that rounds to 1 in float64 never gives up, and one
+        # that rounds to 0 gives up at the first repeat
+        assert stall_span(1 - mp.mpf(10) ** -30) == math.inf
+        assert stall_span(mp.mpf(10) ** -400) == stall_span(1e-300) == 1
 
 
 def _inline_certificate(X, d, k, consts, m):
