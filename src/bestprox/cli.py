@@ -20,6 +20,7 @@ Configuration comes from flags only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import oracle
@@ -67,7 +68,7 @@ def _build_map(args) -> CyclicMapSpec:
 # ---------------------------------------------------------------------------
 
 
-def _trace_rows(trace: IterationTrace):
+def _trace_rows(space, trace: IterationTrace):
     dim = len(trace.x0)
     header = (
         ["step", "side"]
@@ -76,8 +77,9 @@ def _trace_rows(trace: IterationTrace):
     )
     budgets = {b.step: b for b in trace.budgets}
     rows = [header]
-    for i, point in enumerate(trace.iterates):
-        disp = _g17(trace.displacements[i]) if i < len(trace.displacements) else ""
+    points = trace.iterates
+    for i, point in enumerate(points):
+        disp = _g17(dist(space, point, points[i + 1])) if i < trace.steps else ""
         budget = budgets.get(i)
         rows.append(
             [str(i), "A" if i % 2 == 0 else "B"]
@@ -136,9 +138,14 @@ def cmd_solve(args) -> int:
     print(f"approximation: {_fmt_point(approx)}")
     if trace.steps >= 2:
         final = error_budget_at(trace, trace.steps // 2)
+        apriori = (
+            f"apriori = {_g6(final.apriori)}"
+            if math.isfinite(final.apriori)
+            else f"apriori: not finite at D={_g6(trace.displacements[0])}"
+        )
         print(
             f"final budgets at step {final.step}: "
-            f"apriori = {_g6(final.apriori)}, aposteriori = {_g6(final.aposteriori)}"
+            f"{apriori}, aposteriori = {_g6(final.aposteriori)}"
         )
     if not args.no_oracle:
         ref = oracle.reference_best_proximity(spec, x0)
@@ -146,7 +153,7 @@ def cmd_solve(args) -> int:
         print(f"reference point: {_fmt_point(ref.xi)} ({ref.method.value})")
         print(f"true error: {_g6(true_error)}")
     if args.out:
-        _emit(_render_rows(_trace_rows(trace), args.format), args.out)
+        _emit(_render_rows(_trace_rows(spec.space, trace), args.format), args.out)
         print(f"trace written to {args.out}")
     return 0
 

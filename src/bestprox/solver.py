@@ -17,16 +17,18 @@ A, and two computable bounds certify the remaining error:
 Both are one expression, built by `certificate_evaluator` and evaluated
 in one shot by `certificate`.  The a posteriori form is a direct stopping
 criterion: halt at the first even step whose bound falls below the target
-eps; `run_with_stop` builds its evaluator once per run, so an even step
-pays one power rather than three.  The bound can fire only while the
-computed excess P - d keeps shrinking: once the even-step displacement
-has held still for STALL_HALF_LIVES half-lives of the excess decay, the
-run is at the resolution floor of its arithmetic and raises
+eps.  For integral q, `run_with_stop` decides that test in the q-th power
+domain (`powered_stop_test`), with integer powers only, and evaluates the
+certificate just where that comparison is too close to call, so an even
+step pays no fractional power and takes one norm, P.  The bound can fire
+only while the computed excess P - d keeps shrinking: once the even-step
+displacement has held still for STALL_HALF_LIVES half-lives of the excess
+decay, the run is at the resolution floor of its arithmetic and raises
 ResolutionFloorError rather than stepping on to the cap.  The a priori
 form predicts the required step count before iterating.  A run records
-only its orbit and displacements; the per-even-step budgets of a trace
-are derived from the displacements when read (`IterationTrace.budgets`,
-`error_budget_at`).
+only its orbit, D and the even-step displacements P; the per-even-step
+budgets of a trace are derived from those when read
+(`IterationTrace.budgets`, `error_budget_at`).
 
 Bound evaluators and the iteration engine use only `**`, `abs` and
 comparisons, so they run unchanged on higher-precision number types
@@ -38,6 +40,7 @@ runs may proceed concurrently; everything here is reentrant.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,6 +58,18 @@ GAP_CLAMP = 1e-12
 #: (lam 0.6-0.999, p 1.01-20); one repeat alone is not a floor.
 STALL_HALF_LIVES = 10
 
+#: Relative half-width, per unit of q, of the band around C*d inside which
+#: `powered_stop_test` does not trust its q-th power comparison.  The two
+#: forms of the test differ there by their roundings, about 8q units, plus
+#: the rounding of the exponent 1/q times |log(gap / (C d))|, at most about
+#: 1500 units in float64: under q * 1e-12 relative in float64, and under
+#: q * 1e-9 in any arithmetic of at least 41 bits, far inside q * 2^-20.
+STOP_MARGIN = 2.0 ** -20
+
+#: Smallest normal float64; q-th power intermediates below it have lost
+#: relative precision to gradual underflow.
+_FLOAT_MIN = sys.float_info.min
+
 
 def check_target(eps):
     """Raise InputError, naming eps, unless eps is a finite target > 0."""
@@ -65,7 +80,6 @@ def check_target(eps):
 class StopKind(Enum):
     APRIORI = "apriori"
     APOSTERIORI = "aposteriori"
-    MAX_STEPS = "max-steps"
 
 
 @dataclass(frozen=True)
@@ -93,14 +107,20 @@ class ErrorBudget:
 
 @dataclass
 class IterationTrace:
-    """Record of a Picard run: orbit and displacements.
+    """Record of a Picard run: orbit and the displacements the bounds read.
 
-    `displacements[i]` is ||x_i - x_{i+1}||.  When `store_iterates` is
-    False only x0 is kept in `iterates` (long runs); `last` always holds
-    the final point.  The declared (k, d) and power-type constants are
-    carried so that `budgets` can be derived from the displacements when
-    read; on mpmath numbers they are evaluated at the working precision
-    in force at the time of reading.
+    `displacements` is [D, P_1, P_2, ...]: `displacements[0]` is
+    D = ||x_0 - x_1|| and `displacements[n]` is P = ||x_{2n-1} - x_{2n}||,
+    so `displacements[-1]` is the latest P.  The norms of even-to-odd
+    steps are not taken; with stored iterates, `norms.dist` gives any
+    step's displacement.  When `store_iterates` is False only x0 is kept
+    in `iterates` (long runs); `last` always holds the final point.
+    `confirmations` counts the even steps of an a posteriori stop whose
+    decision needed the certificate itself (see `powered_stop_test`).
+    The declared (k, d) and power-type constants are carried so that
+    `budgets` can be derived from the displacements when read; on mpmath
+    numbers they are evaluated at the working precision in force at the
+    time of reading.
     """
 
     x0: Vector
@@ -111,10 +131,8 @@ class IterationTrace:
     displacements: list = field(default_factory=list)
     last: Vector = None
     store_iterates: bool = True
-
-    @property
-    def steps(self) -> int:
-        return len(self.displacements)
+    steps: int = 0
+    confirmations: int = 0
 
     @property
     def budgets(self) -> list:
@@ -125,6 +143,16 @@ class IterationTrace:
 def _check_distance(d):
     if not d > 0:
         raise InputError(f"finite bounds require dist(A, B) > 0, got d={d}")
+
+
+def _run_constants(d, k, consts: PowerTypeConstants, m):
+    """(1 - k^(2/q), C d, k^(m/q)) at the working precision in force now,
+    after checking k in (0, 1) and d > 0."""
+    if not (0 < k < 1):
+        raise InputError(f"k must lie in (0, 1), got {k}")
+    _check_distance(d)
+    q = consts.q
+    return 1 - k ** (2.0 / q), consts.C * d, k ** (m / q)
 
 
 def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
@@ -145,14 +173,8 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
     operations in the same order as the full expression, so its value
     is the same to the bit.
     """
-    if not (0 < k < 1):
-        raise InputError(f"k must lie in (0, 1), got {k}")
-    _check_distance(d)
-    C, q = consts.C, consts.q
-    denom = 1 - k ** (2.0 / q)
-    Cd = C * d
-    root = 1.0 / q
-    tail = k ** (m / q)
+    denom, Cd, tail = _run_constants(d, k, consts, m)
+    root = 1.0 / consts.q
 
     def evaluate(X):
         gap = X - d
@@ -165,6 +187,56 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
         return X / denom * (gap / Cd) ** root * tail
 
     return evaluate
+
+
+def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
+    """The a posteriori stop test bound(P) < eps with integer powers only,
+    as a one-argument function of P returning True, False, or None when
+    it cannot decide and the caller must evaluate the certificate.
+
+    With a = k^(1/q) / (1 - k^(2/q)) the bound is P a ((P - d)/(C d))^(1/q),
+    so for P > d the test is (P a / eps)^q (P - d) < C d.  For integral q
+    that power is a product (mpmath's `mpf_pow_int`), where the bound
+    needs an exp and a log.  The comparison is trusted only outside the
+    band C d (1 +- q STOP_MARGIN), which is wider than the rounding of
+    both forms, so a decision it returns is that of the certificate.
+    None is returned for every P when q is not integral, when the
+    arithmetic resolves less than 2^-40 relative, or when the run
+    constants leave the normal float64 range; and for a P with P - d <= 0
+    or whose power is not finite or underflows (float64 overflow or
+    underflow).  Built, like `certificate_evaluator`, at the precision it
+    is evaluated at.
+    """
+    denom, Cd, tail = _run_constants(d, k, consts, 1)
+    q = consts.q
+    width = q * STOP_MARGIN
+    lo, hi = Cd * (1 - width), Cd * (1 + width)
+    scale = tail / denom / eps
+    if not (
+        q == int(q)
+        and Cd * (1 + 2.0 ** -40) > Cd
+        and _FLOAT_MIN < lo
+        and _FLOAT_MIN < scale < math.inf
+    ):
+        return lambda P: None
+    n = int(q)
+
+    def decide(P):
+        gap = P - d
+        if not gap > 0:
+            return None
+        try:
+            power = (P * scale) ** n
+        except OverflowError:  # float ** int beyond the float64 range
+            return None
+        lhs = power * gap
+        if lhs > hi:
+            return False if lhs - lhs == 0 else None
+        if lhs < lo and _FLOAT_MIN < power and _FLOAT_MIN < lhs:
+            return True
+        return None
+
+    return decide
 
 
 def certificate(X, d, k, consts: PowerTypeConstants, m, name: str):
@@ -252,13 +324,16 @@ def _start_trace(spec: CyclicMapSpec, x0: Vector, store_iterates: bool) -> Itera
 
 
 def _advance(spec: CyclicMapSpec, trace: IterationTrace, current: Vector):
-    """One Picard step: record the displacement and the image, return the image."""
+    """One Picard step: record the image and, at step 1 (D) and at even
+    steps (P), the displacement; return the image."""
     nxt = apply_map(spec, current)
-    # Not norms.dist: on this per-step path one more Python call per step
-    # is a measurable slowdown of long float64 runs.
-    trace.displacements.append(
-        lp_norm(spec.space, [a - b for a, b in zip(current, nxt)])
-    )
+    step = trace.steps = trace.steps + 1
+    if step % 2 == 0 or step == 1:
+        # Not norms.dist: on this per-step path one more Python call per
+        # step is a measurable slowdown of long float64 runs.
+        trace.displacements.append(
+            lp_norm(spec.space, [a - b for a, b in zip(current, nxt)])
+        )
     if trace.store_iterates:
         trace.iterates.append(nxt)
     trace.last = nxt
@@ -271,8 +346,8 @@ def picard_iterate(
     """Run exactly `steps` Picard steps from x0 in A.
 
     The trace holds steps + 1 points (or just x0 in displacement-only
-    mode) and all step displacements; its `budgets` derive an ErrorBudget
-    for every even step >= 2 from them.
+    mode) and the displacements D and P of every even step; its `budgets`
+    derive an ErrorBudget for every even step >= 2 from them.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -292,12 +367,14 @@ def run_with_stop(
     is strictly below eps.  When instead the displacement of
     `stall_span(k)` consecutive even steps equals that of the even step
     before each, it raises ResolutionFloorError carrying the trace and the
-    stalled bound as `floor`.  APRIORI predicts the step count from the
-    initial displacement and runs exactly that many steps; a prediction
-    above the cap raises BudgetExhaustedError at once, carrying the
-    one-step trace the prediction was read from.  MAX_STEPS runs to the
-    cap.  Hitting the cap before a criterion fires raises
-    BudgetExhaustedError carrying the partial trace.
+    stalled bound as `floor`.  The test is decided by `powered_stop_test`
+    where it can and by the certificate where it cannot; the trace counts
+    the latter as `confirmations`.  APRIORI predicts the step count from
+    the initial displacement and runs exactly that many steps; a
+    prediction above the cap raises BudgetExhaustedError at once,
+    carrying the one-step trace the prediction was read from.  Hitting
+    the cap before a criterion fires raises BudgetExhaustedError carrying
+    the partial trace.
     """
     trace = _start_trace(spec, x0, store_iterates)
     current = trace.x0
@@ -316,44 +393,43 @@ def run_with_stop(
             current = _advance(spec, trace, current)
         return current, target, trace
 
-    if rule.kind is StopKind.APOSTERIORI:
-        # aposteriori_bound with its run constants formed once, at the
-        # working precision of this run.
-        bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")
-        span = stall_span(spec.k)
-        held, previous = 0, None
-        while trace.steps < rule.max_steps:
-            current = _advance(spec, trace, current)
-            step = trace.steps
-            if step % 2 == 0:
-                P = trace.displacements[-1]
-                value = bound(P)
-                if value < rule.epsilon:
-                    return current, step, trace
-                held = held + 1 if P == previous else 0
-                if held >= span:
-                    raise ResolutionFloorError(
-                        f"a posteriori bound stalled at its resolution floor "
-                        f"{value} >= eps={rule.epsilon}: the displacement has not "
-                        f"changed since step {step - 2 * held} ({held} even steps)",
-                        trace=trace,
-                        floor=value,
-                    )
-                previous = P
-        raise BudgetExhaustedError(
-            f"a posteriori bound did not reach eps={rule.epsilon} "
-            f"within {rule.max_steps} steps",
-            trace=trace,
-        )
-
-    # MAX_STEPS: run to the cap by design.
-    for _ in range(rule.max_steps):
+    # APOSTERIORI: aposteriori_bound and its powered test, with their run
+    # constants formed once, at the working precision of this run.
+    eps = rule.epsilon
+    bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")
+    below = powered_stop_test(spec.d, spec.k, trace.constants, eps)
+    span = stall_span(spec.k)
+    held, previous = 0, None
+    while trace.steps < rule.max_steps:  # max_steps is even: step in pairs
         current = _advance(spec, trace, current)
-    return current, rule.max_steps, trace
+        current = _advance(spec, trace, current)
+        P = trace.displacements[-1]
+        fires = below(P)
+        if fires is None:
+            trace.confirmations += 1
+            fires = bound(P) < eps
+        if fires:
+            return current, trace.steps, trace
+        held = held + 1 if P == previous else 0
+        if held >= span:
+            floor = bound(P)
+            raise ResolutionFloorError(
+                f"a posteriori bound stalled at its resolution floor "
+                f"{floor} >= eps={eps}: the displacement has not "
+                f"changed since step {trace.steps - 2 * held} ({held} even steps)",
+                trace=trace,
+                floor=floor,
+            )
+        previous = P
+    raise BudgetExhaustedError(
+        f"a posteriori bound did not reach eps={eps} within {rule.max_steps} steps",
+        trace=trace,
+    )
 
 
 def error_budget_at(trace: IterationTrace, n: int) -> ErrorBudget:
-    """Both bounds at even step 2n, derived from the stored displacements."""
+    """Both bounds at even step 2n, derived from D = `displacements[0]`
+    and P = `displacements[n]`."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     if trace.steps < 2 * n:
@@ -362,6 +438,6 @@ def error_budget_at(trace: IterationTrace, n: int) -> ErrorBudget:
         step=2 * n,
         apriori=apriori_bound(trace.displacements[0], trace.d, trace.k, trace.constants, n),
         aposteriori=aposteriori_bound(
-            trace.displacements[2 * n - 1], trace.d, trace.k, trace.constants
+            trace.displacements[n], trace.d, trace.k, trace.constants
         ),
     )

@@ -1,8 +1,11 @@
 import re
+from pathlib import Path
 
 import pytest
 
 from bestprox.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +60,26 @@ class TestSolve:
         assert even[1] == "A" and even[5] != "" and even[6] != ""
         # 17 significant digits round-trip
         assert float(lines[1].split(",")[4]) == pytest.approx(1500.5479832381238, abs=1e-9)
+
+    def test_trace_csv_matches_golden_bytes(self, capsys, tmp_path):
+        # every column of every row, odd-step displacements included
+        path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "solve", "--x0", "1000,8", "--eps", "1e-2",
+            "--format", "csv", "--out", str(path),
+        )
+        assert code == 0
+        assert path.read_bytes() == (DATA / "solve_x0_1000_8_eps_1e-2.csv").read_bytes()
+
+    def test_overflowed_apriori_budget_is_named(self, capsys):
+        # the a posteriori stop certifies, so the run succeeds, but its
+        # a priori certificate at D = 1.5e308 overflows float64
+        code, out, _ = run_cli(capsys, "solve", "--x0", "1e308,0", "--no-oracle")
+        assert code == 0
+        assert (
+            "final budgets at step 1070: apriori: not finite at D=1.5e+308, "
+            "aposteriori = 8.76006e-07" in out
+        )
 
     def test_csv_deterministic(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -220,7 +220,7 @@ class TestReproduceTable:
 
     def test_input_validation(self):
         with pytest.raises(InputError):
-            reproduce_table(StopKind.MAX_STEPS)
+            reproduce_table("max-steps")
         with pytest.raises(InputError):
             reproduce_table(StopKind.APRIORI, lam=1.0)
         with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -20,14 +21,22 @@ from bestprox import (
     apriori_steps_needed,
     dist,
     error_budget_at,
+    lp_norm,
     make_example1,
     picard_iterate,
     power_type_constants,
     reproduce_table,
     run_with_stop,
 )
+from bestprox import solver
 from bestprox.oracle import _working_dps
-from bestprox.solver import apriori_prefactor, certificate, certificate_evaluator, stall_span
+from bestprox.solver import (
+    apriori_prefactor,
+    certificate,
+    certificate_evaluator,
+    powered_stop_test,
+    stall_span,
+)
 
 E1 = (1.0, 0.0)
 C18_Q2 = PowerTypeConstants(C=0.125, q=2)
@@ -185,10 +194,16 @@ class TestPicardIterate:
         assert trace.budgets == []
 
     def test_displacements_respect_set_distance(self):
-        trace = picard_iterate(benchmark_map(lam=0.9, p=1.5), (400.0, -100.0), steps=80)
-        assert all(d >= 2.0 - 1e-9 for d in trace.displacements)
-        gaps = [d - 2.0 for d in trace.displacements]
+        spec = benchmark_map(lam=0.9, p=1.5)
+        trace = picard_iterate(spec, (400.0, -100.0), steps=80)
+        pts = trace.iterates
+        every = [dist(spec.space, a, b) for a, b in zip(pts, pts[1:])]
+        assert len(every) == 80
+        assert all(d >= 2.0 - 1e-9 for d in every)
+        gaps = [d - 2.0 for d in every]
         assert all(b <= a + 1e-9 for a, b in zip(gaps, gaps[1:]))
+        # the trace records D and the even-step displacements, bit for bit
+        assert trace.displacements == [every[0]] + every[1::2]
 
     def test_even_iterates_converge_monotonically(self):
         spec = benchmark_map(lam=0.7, p=3)
@@ -205,7 +220,30 @@ class TestPicardIterate:
                                store_iterates=False)
         assert trace.iterates == [(1000.0, 8.0)]
         assert trace.last is not None
-        assert len(trace.displacements) == 10
+        assert trace.steps == 10
+        assert len(trace.displacements) == 1 + 10 // 2
+
+    def test_runs_exactly_the_given_steps(self):
+        trace = picard_iterate(benchmark_map(), (1000.0, 8.0), steps=12)
+        assert trace.steps == 12
+        assert len(trace.iterates) == 13 and trace.last == trace.iterates[12]
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 12])
+    def test_norms_taken_are_d_and_the_even_steps(self, monkeypatch, steps):
+        calls = []
+
+        def counted(space, v):
+            calls.append(v)
+            return lp_norm(space, v)
+
+        monkeypatch.setattr(solver, "lp_norm", counted)
+        picard_iterate(benchmark_map(), (1000.0, 8.0), steps=steps)
+        assert len(calls) == 1 + steps // 2
+        calls.clear()
+        _, stopped_at, _ = run_with_stop(
+            benchmark_map(), (1000.0, 8.0), StopRule(StopKind.APOSTERIORI, 1e-2)
+        )
+        assert len(calls) == 1 + stopped_at // 2
 
     def test_start_outside_a_rejected(self):
         with pytest.raises(InputError):
@@ -264,13 +302,6 @@ class TestRunWithStop:
         assert trace.steps == 50
         err = dist(benchmark_map().space, approx, E1)
         assert err < 1e-2
-
-    def test_max_steps_kind_runs_to_cap(self):
-        _, stopped_at, trace = run_with_stop(
-            benchmark_map(), (1000.0, 8.0), StopRule(StopKind.MAX_STEPS, 1.0, max_steps=12)
-        )
-        assert stopped_at == 12
-        assert trace.steps == 12
 
     def test_cap_exhaustion_carries_partial_trace(self):
         with pytest.raises(BudgetExhaustedError) as excinfo:
@@ -375,8 +406,10 @@ class TestResolutionFloor:
         P = dist(spec.space, trace.iterates[-2], trace.iterates[-1])
         assert exc.floor == aposteriori_bound(P, spec.d, spec.k, trace.constants)
         assert exc.floor >= 1e-10
-        held = trace.displacements[-1 - 2 * stall_span(spec.k) :: 2]
+        held = trace.displacements[-1 - stall_span(spec.k) :]
         assert len(set(held)) == 1
+        # the powered test decided every even step on its own
+        assert trace.confirmations == 0
 
     def test_stalled_run_at_working_precision_raises_too(self):
         # 20 digits resolve excesses down to about 1e-19, far above 1e-30
@@ -395,7 +428,7 @@ class TestResolutionFloor:
         spec = benchmark_map(lam=0.995, p=1.01)
         x0 = (536.3461223023825, -268.622166174829)
         trace = picard_iterate(spec, x0, steps=8400, store_iterates=False)
-        even = trace.displacements[1::2]  # even[n - 1] is P at step 2n
+        even = trace.displacements[1:]  # even[n - 1] is P at step 2n
         runs, start = [], 0
         for i in range(1, len(even)):
             if even[i] != even[i - 1]:
@@ -463,6 +496,156 @@ class TestCertificateEvaluator:
         evaluate = certificate_evaluator(2.0, 0.5, C18_Q2, 1, "P")
         with pytest.raises(InputError, match="P=1.5 is below d=2.0"):
             evaluate(1.5)
+
+
+#: (p, q) of the powered stop tests: q = 2 below p = 2, q = p above, and
+#: one non-integral q, which the powered test never decides.
+POWER_CASES = [(1.5, 2), (2, 2), (3, 3), (5, 5), (20, 20), (2.5, 2.5)]
+
+
+def _ulp(x):
+    """Spacing of the working arithmetic at x > 0."""
+    if isinstance(x, float):
+        return math.ulp(x)
+    return mp.ldexp(1, mp.frexp(x)[1] - mp.mp.prec)
+
+
+def _stop_threshold(bound, d, k, consts, eps):
+    """The largest P whose bound is below eps, to the last ulp: solved in
+    the q-th power domain at 20 extra digits, then stepped by ulps."""
+    num = type(d)
+    with mp.workdps(mp.mp.dps + 20):
+        D, K, C, q = (mp.mpf(x) for x in (d, k, consts.C, consts.q))
+        a = K ** (1 / q) / (1 - K ** (2 / q))
+        # log of (P a / eps)^q (P - d) / (C d) at P = d + e^t, increasing in t
+        excess = lambda t: q * mp.log((D + mp.exp(t)) * a / eps) + t - mp.log(C * D)
+        t = mp.findroot(excess, mp.log(C * D) - q * mp.log(D * a / eps))
+        P = D + mp.exp(t)
+    P = num(P)
+    while bound(P) >= eps:
+        P -= _ulp(P)
+    while bound(P + _ulp(P)) < eps:
+        P += _ulp(P)
+    return P
+
+
+def _stop_case(p, k, num):
+    consts = power_type_constants(num(p))
+    return num(2), num(k), consts
+
+
+def _decided_right(decide, bound, P, eps):
+    """The powered decision at P is None or that of the certificate."""
+    fast = decide(P)
+    return fast is None or fast == (bound(P) < eps)
+
+
+class TestPoweredStopTest:
+    @pytest.mark.parametrize("p, q", POWER_CASES)
+    @pytest.mark.parametrize("dps", [None, 60, 300])
+    @pytest.mark.parametrize("k", [0.5, 0.9])
+    def test_agrees_with_the_certificate_at_the_threshold(self, k, dps, p, q):
+        with mp.workdps(dps or mp.mp.dps):
+            num = float if dps is None else mp.mpf
+            d, k, consts = _stop_case(p, k, num)
+            assert consts.q == q
+            # at eps = 1e3 the threshold excess is of the size of P, so
+            # one ulp of P moves both forms by about their rounding
+            for eps in (1e3, 1e-2, 1e-6, 1e-10):
+                bound = certificate_evaluator(d, k, consts, 1, "P")
+                decide = powered_stop_test(d, k, consts, eps)
+                edge = _stop_threshold(bound, d, k, consts, eps)
+                assert bound(edge) < eps <= bound(edge + _ulp(edge))
+                near = [edge + j * _ulp(edge) for j in range(-8, 9)] + [d]
+                for P in near:
+                    assert _decided_right(decide, bound, P, eps)
+                assert decide(d) is None
+                # a P with 4 times or a quarter of the threshold's excess,
+                # where the arithmetic resolves it, is decided without the
+                # certificate when q is integral
+                far = [(P, P < edge) for P in (d + (edge - d) / 4, d + 4 * (edge - d))]
+                for P, fires in far:
+                    if P > d:
+                        assert decide(P) is (fires if q == int(q) else None)
+
+    @given(
+        st.sampled_from(POWER_CASES),
+        st.floats(min_value=-300, max_value=-0.01),
+        st.floats(min_value=-300, max_value=300),
+        st.floats(min_value=-300, max_value=300),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_agrees_with_the_certificate_in_float64(self, case, log_k, log_eps, log_gap):
+        d, k, consts = _stop_case(case[0], 10.0 ** log_k, float)
+        eps, P = 10.0 ** log_eps, d + 10.0 ** log_gap
+        bound = certificate_evaluator(d, k, consts, 1, "P")
+        assert _decided_right(powered_stop_test(d, k, consts, eps), bound, P, eps)
+
+    @given(
+        st.sampled_from(POWER_CASES),
+        st.floats(min_value=-30, max_value=-0.01),
+        st.floats(min_value=-30, max_value=5),
+        st.floats(min_value=-55, max_value=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_the_certificate_at_60_digits(self, case, log_k, log_eps, log_gap):
+        with mp.workdps(60):
+            d, k, consts = _stop_case(case[0], mp.mpf(10) ** log_k, mp.mpf)
+            eps, P = 10.0 ** log_eps, d + mp.mpf(10) ** log_gap
+            bound = certificate_evaluator(d, k, consts, 1, "P")
+            assert _decided_right(powered_stop_test(d, k, consts, eps), bound, P, eps)
+
+    def test_float64_overflow_and_underflow_go_to_the_certificate(self):
+        d, k, consts = _stop_case(20, 0.5, float)
+        bound = certificate_evaluator(d, k, consts, 1, "P")
+        # (P a / eps)^20 overflows: float ** int raises
+        decide = powered_stop_test(d, k, consts, 1e-300)
+        P = math.nextafter(d, math.inf)
+        assert decide(P) is None and bound(P) >= 1e-300
+        # (P a / eps)^20 underflows to 0 at a target far above every bound
+        decide = powered_stop_test(d, k, consts, 1e300)
+        assert (P * 0.5 ** 0.05 / (1 - 0.5 ** 0.1) / 1e300) ** 20 == 0.0
+        assert decide(P) is None and bound(P) < 1e300
+        # with k = 1e-300 the product (P a / eps)^2 (P - d) lands in the
+        # subnormal range, where it has lost its relative precision
+        d, k, consts = _stop_case(2, 1e-300, float)
+        decide = powered_stop_test(d, k, consts, 1e-2)
+        assert 0 < (P * k ** 0.5 / 1e-2) ** 2 * (P - d) < sys.float_info.min
+        assert decide(P) is None
+        # a non-finite P and a P below d
+        assert decide(math.inf) is None and decide(d - 1e-13) is None
+
+    def test_run_constants_outside_float64_disable_it(self):
+        # a / eps subnormal (k tiny, eps huge), where a P of 1e300 still
+        # makes P a / eps normal; a band C d below the smallest normal
+        # (d = 1e-300, q = 30), where P = 1 gives a finite product far
+        # above it; and an arithmetic coarser than 2^-40
+        for d, k, q, eps in ((2.0, 1e-300, 2, 1e170), (1e-300, 0.5, 30, 1e-2)):
+            consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
+            assert (consts.C * d < sys.float_info.min) is (d < 1)
+            decide = powered_stop_test(d, k, consts, eps)
+            assert all(decide(P) is None for P in (d * 1.5, d * 10, 1.0, 1e300))
+        with mp.workprec(30):
+            d, k, consts = _stop_case(2, 0.5, mp.mpf)
+            assert powered_stop_test(d, k, consts, 1e-2)(mp.mpf(1000)) is None
+        with mp.workprec(53):
+            d, k, consts = _stop_case(2, 0.5, mp.mpf)
+            assert powered_stop_test(d, k, consts, 1e-2)(mp.mpf(1000)) is False
+
+    @pytest.mark.parametrize("p", [2.0, 20.0, 2.5])
+    def test_a_run_confirms_only_near_the_threshold(self, p):
+        # integral q: the certificate is evaluated at most at the stopping
+        # step; non-integral q: at every even step
+        with mp.workdps(80):
+            spec = make_example1(Example1Params(lam=mp.mpf(0.5), p=mp.mpf(p)))
+            start = (mp.mpf(1000), mp.mpf(8))
+            _, stopped_at, trace = run_with_stop(
+                spec, start, StopRule(StopKind.APOSTERIORI, 1e-6), store_iterates=False
+            )
+        if p == int(p):
+            assert trace.confirmations <= 1 < stopped_at // 2
+        else:
+            assert trace.confirmations == stopped_at // 2
 
 
 class TestTargetCheck:
