@@ -42,6 +42,10 @@ def _g17(value) -> str:
     return format(float(value), ".17g")
 
 
+def _budget_cell(value) -> str:
+    return _g17(value) if math.isfinite(value) else "not finite"
+
+
 def _g6(value) -> str:
     return format(float(value), ".6g")
 
@@ -86,8 +90,8 @@ def _trace_rows(space, trace: IterationTrace):
             + [_g17(c) for c in point]
             + [
                 disp,
-                _g17(budget.apriori) if budget else "",
-                _g17(budget.aposteriori) if budget else "",
+                _budget_cell(budget.apriori) if budget else "",
+                _budget_cell(budget.aposteriori) if budget else "",
             ]
         )
     return rows

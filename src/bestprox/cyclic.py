@@ -157,7 +157,7 @@ def sample_points(
     points = []
     for _ in range(count):
         for _attempt in range(SAMPLER_RETRY_CAP):
-            candidate = tuple(rng.uniform(lo, hi) for lo, hi in box)
+            candidate = tuple([rng.uniform(lo, hi) for lo, hi in box])
             if predicate(candidate):
                 points.append(candidate)
                 break

@@ -77,10 +77,13 @@ def lp_norm(space: LpSpace, v: Vector):
     # p-th powers; 1/p is formed in the same arithmetic as p so that
     # higher-precision spaces do not get a float64-rounded exponent.
     p = space.p
-    scale = max(abs(c) for c in v)
+    mags = [abs(c) for c in v]
+    scale = max(mags)
     if scale == 0:
-        return 0.0
-    total = sum((abs(c) / scale) ** p for c in v)
+        # max skips a NaN that follows a zero; the sum carries it
+        total = sum(mags)
+        return 0.0 if total == 0 else total
+    total = sum([(c / scale) ** p for c in mags])
     return scale * total ** (1 / p)
 
 
@@ -155,6 +158,16 @@ def inverse_modulus_bound(t, consts: PowerTypeConstants):
     return (t / consts.C) ** (1.0 / consts.q)
 
 
+def _hypothesis_error(distance, u_name, u, v_name, v, claim):
+    label = f"||{u_name} - {v_name}||"
+    if distance == distance:
+        return PreconditionError(f"{label} = {distance} {claim}")
+    return InputError(
+        f"{label} is NaN: coordinates and their differences must be finite, "
+        f"got {u_name}={u}, {v_name}={v}"
+    )
+
+
 def check_convexity_inequality(
     space: LpSpace,
     x: Vector,
@@ -170,13 +183,15 @@ def check_convexity_inequality(
 
         ||(x + y)/2 - z|| <= (1 - delta_p(r/R)) * R.
 
-    The hypotheses are re-verified first; a violation raises
-    PreconditionError so it can never be mistaken for a failure of the
-    inequality itself.  Returns True iff the displayed inequality holds
-    within relative tolerance 1e-9 (scaled by R).
+    The hypotheses are re-verified first, up to an absolute slack of
+    1e-12 * max(R, 1); a violation raises PreconditionError so it can never
+    be mistaken for a failure of the inequality itself, and a non-finite R
+    or coordinate raises InputError.  Returns True iff the displayed
+    inequality, taken at that slack, holds within relative tolerance 1e-9
+    (scaled by R).
     """
-    if not R > 0:
-        raise InputError(f"R must be positive, got {R}")
+    if not (R > 0 and R - R == 0):
+        raise InputError(f"R must be finite and positive, got R={R}")
     if not (0 <= r <= 2 * R):
         raise InputError(f"r must lie in [0, 2R]=[0, {2 * R}], got {r}")
 
@@ -184,17 +199,22 @@ def check_convexity_inequality(
     dxz = dist(space, x, z)
     dyz = dist(space, y, z)
     dxy = dist(space, x, y)
-    if dxz > R + slack:
-        raise PreconditionError(f"||x - z|| = {dxz} exceeds R = {R}")
-    if dyz > R + slack:
-        raise PreconditionError(f"||y - z|| = {dyz} exceeds R = {R}")
-    if dxy < r - slack:
-        raise PreconditionError(f"||x - y|| = {dxy} is below r = {r}")
+    # A NaN distance fails each test below; it means a non-finite coordinate.
+    if not dxz <= R + slack:
+        raise _hypothesis_error(dxz, "x", x, "z", z, f"exceeds R = {R}")
+    if not dyz <= R + slack:
+        raise _hypothesis_error(dyz, "y", y, "z", z, f"exceeds R = {R}")
+    if not dxy >= r - slack:
+        raise _hypothesis_error(dxy, "x", x, "y", y, f"is below r = {r}")
 
-    # Round-off at the boundary can push r/R marginally outside [0, 2].
-    ratio = min(max(r / R, 0.0), 2.0)
+    # The hypotheses hold only up to the slack, plus the far smaller
+    # round-off of the distances, so the inequality is applied to radius
+    # R + 2 slack and separation r - 2 slack: near r = 2R delta is so steep
+    # that one ulp of r moves it by a few hundredths (delta_10: 1 -> 0.968).
+    wide = 2 * slack
+    ratio = min(max((r - wide) / (R + wide), 0.0), 2.0)
     delta = 0.0 if ratio == 0 else modulus_of_convexity(space.p, ratio)
     mid = [(a + b) / 2.0 - c for a, b, c in zip(x, y, z)]
     lhs = lp_norm(space, mid)
-    rhs = (1.0 - delta) * R
+    rhs = (1.0 - delta) * (R + wide)
     return lhs <= rhs + 1e-9 * max(R, 1.0)

@@ -81,6 +81,22 @@ class TestSolve:
             "aposteriori = 8.76006e-07" in out
         )
 
+    def test_overflowed_budgets_in_the_trace_csv_are_named(self, capsys, tmp_path):
+        path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "solve", "--x0", "1e308,0", "--no-oracle",
+            "--format", "csv", "--out", str(path),
+        )
+        assert code == 0
+        text = path.read_text()
+        assert "inf" not in text
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert rows[2][5:] == ["not finite", "not finite"]
+        even = [row for row in rows if int(row[0]) % 2 == 0 and row[0] != "0"]
+        assert all(row[5] == "not finite" for row in even)
+        # the a posteriori certificate comes back into range and certifies
+        assert float(even[-1][6]) < 1e-6
+
     def test_csv_deterministic(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

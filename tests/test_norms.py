@@ -1,3 +1,4 @@
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,67 @@ def bisect_modulus(p, eps, tol=1e-14):
         else:
             hi = mid
     return (lo + hi) / 2
+
+
+def reference_lp_norm(space, v):
+    """The two-pass generator form of lp_norm, the reference that lp_norm
+    must match bit for bit."""
+    p = space.p
+    scale = max(abs(c) for c in v)
+    if scale == 0:
+        return 0.0
+    return scale * sum((abs(c) / scale) ** p for c in v) ** (1 / p)
+
+
+BIT_EXPONENTS = [1.1, 1.5, 2, 3, 5, 20]
+EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+               1e300, -1e300]
+# Differences of these never overflow, so dist stays finite.
+BOUNDED_COORDS = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300), st.sampled_from(EDGE_COORDS)
+)
+
+
+class TestLpNormBits:
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    @given(st.lists(
+        st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_COORDS)),
+        min_size=1, max_size=5,
+    ))
+    @settings(max_examples=150)
+    def test_float_norm_is_bit_identical(self, p, coords):
+        space = LpSpace(len(coords), p)
+        assert lp_norm(space, coords) == reference_lp_norm(space, coords)
+
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    @given(st.lists(st.tuples(BOUNDED_COORDS, BOUNDED_COORDS), min_size=1, max_size=5))
+    @settings(max_examples=150)
+    def test_float_dist_is_bit_identical(self, p, pairs):
+        space = LpSpace(len(pairs), p)
+        u, v = [a for a, _ in pairs], [b for _, b in pairs]
+        assert dist(space, u, v) == reference_lp_norm(space, [a - b for a, b in pairs])
+
+    @pytest.mark.parametrize("dps", [50, 300])
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    @given(st.lists(st.tuples(BOUNDED_COORDS, BOUNDED_COORDS), min_size=1, max_size=5))
+    @settings(max_examples=20, deadline=None)
+    def test_mpf_norm_and_dist_are_bit_identical(self, dps, p, pairs):
+        with mp.workdps(dps):
+            space = LpSpace(len(pairs), mp.mpf(p))
+            # thirds and sevenths are not float64 numbers: every digit is used
+            u = [mp.mpf(a) / 3 for a, _ in pairs]
+            v = [mp.mpf(b) / 7 for _, b in pairs]
+            assert lp_norm(space, u) == reference_lp_norm(space, u)
+            assert dist(space, u, v) == reference_lp_norm(
+                space, [a - b for a, b in zip(u, v)]
+            )
+
+    @pytest.mark.parametrize("space", [LpSpace(2, 2), LpSpace(2, mp.mpf(3))])
+    def test_nan_after_a_zero_is_not_a_zero_norm(self, space):
+        nan = mp.mpf("nan") if isinstance(space.p, mp.mpf) else float("nan")
+        for v in [(0.0, nan), (nan, 0.0), (1.0, nan)]:
+            norm = lp_norm(space, v)
+            assert norm != norm
 
 
 class TestLpNorm:
@@ -208,6 +270,15 @@ class TestConvexityInequality:
             space, (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), R=1.0, r=2.0
         )
 
+    def test_one_ulp_of_r_at_the_diameter_is_not_a_violation(self):
+        # ||y|| = (2^-50 + 1)^(1/10) rounds to 1 and ||x - y|| rounds to 2R,
+        # where delta_10 = 1; one ulp below 2R it is 0.968.  The check applies
+        # the inequality at its slack, so the rounding cannot fail it.
+        space = LpSpace(2, 10.0)
+        x, y, z = (0.0, -1.0), (0.03125, 1.0), (0.0, 0.0)
+        assert dist(space, x, y) == 2.0
+        assert check_convexity_inequality(space, x, y, z, R=1.0, r=2.0)
+
     def test_precondition_violation_is_distinct(self):
         space = LpSpace(2, 2)
         with pytest.raises(PreconditionError):
@@ -221,6 +292,26 @@ class TestConvexityInequality:
             check_convexity_inequality(space, (0, 0), (0, 0), (0, 0), R=0.0, r=0.0)
         with pytest.raises(InputError):
             check_convexity_inequality(space, (0, 0), (0, 0), (0, 0), R=1.0, r=2.5)
+
+    @pytest.mark.parametrize("R", [float("inf"), float("nan")])
+    def test_non_finite_radius_is_an_input_error_naming_it(self, R):
+        space = LpSpace(2, 2)
+        with pytest.raises(InputError, match=f"R={R}"):
+            check_convexity_inequality(space, (0, 0), (0, 0), (0, 0), R=R, r=0.0)
+
+    @pytest.mark.parametrize("x, y, z", [
+        ((float("nan"), 0.0), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0, 0.0), (0.0, float("nan")), (0.0, 0.0)),
+        ((0.0, 0.0), (0.0, 0.0), (float("nan"), 0.0)),
+        # a NaN behind a zero coordinate, which max() alone would skip
+        ((0.0, float("nan")), (0.0, float("nan")), (0.0, 0.0)),
+        ((float("inf"), 0.0), (0.0, 0.0), (0.0, 0.0)),
+        ((0.0, 0.0), (float("-inf"), 0.0), (0.0, 0.0)),
+    ])
+    def test_non_finite_coordinate_is_an_input_error_naming_it(self, x, y, z):
+        space = LpSpace(2, 2)
+        with pytest.raises(InputError, match=r"must be finite, got .*(nan|inf)"):
+            check_convexity_inequality(space, x, y, z, R=1.0, r=0.0)
 
     @given(
         st.floats(min_value=1.05, max_value=25),

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import random
 
 import pytest
 
@@ -17,6 +19,7 @@ from bestprox import (
     reference_best_proximity,
     reproduce_table,
 )
+from bestprox import oracle
 from bestprox.oracle import (
     DEFAULT_EPS_LIST,
     DEFAULT_P_LIST,
@@ -24,6 +27,7 @@ from bestprox.oracle import (
     apriori_dominates,
     columns_monotone,
     load_reference_counts,
+    midpoint_inequality_holds,
     stop_with_escalation,
 )
 
@@ -133,6 +137,15 @@ class TestRederiveDistance:
         second = rederive_distance(spec, sample_count=100, seed=21)
         assert first == second
 
+    @pytest.mark.parametrize("p, expected", [
+        (1.5, 2.0000000002566827),
+        (2.0, 2.000000000196815),
+        (20.0, 2.0000000002762066),
+    ])
+    def test_estimate_is_pinned(self, p, expected):
+        # recorded from the generator-built pattern search: same bits
+        assert rederive_distance(benchmark_map(p=p), sample_count=100, seed=21) == expected
+
     def test_overdeclared_distance_is_flagged(self):
         spec = dataclasses.replace(benchmark_map(), d=3.0)
         with pytest.raises(DeclarationError):
@@ -142,6 +155,30 @@ class TestRederiveDistance:
         spec = dataclasses.replace(benchmark_map(), box_a=None)
         with pytest.raises(ConfigurationError, match="no sampling boxes"):
             rederive_distance(spec, sample_count=10, seed=7)
+
+
+class TestMidpointInequalityHolds:
+    @pytest.mark.parametrize("p, digest", [
+        (1.1, "ab99775dc0234f995827d5bf79537fa8adb6871014c0b07f43e9940a64b29416"),
+        (2.0, "180d36713fb81ee25ac8f78df92677ae98f7dd96a7f1e287c97e74b74cfc3369"),
+        (20.0, "92cbbb40e6a4c09a67bd4a0c956a18ec43ba0e726899959c4f89354a4ad14d58"),
+    ])
+    def test_draws_and_triples_are_pinned(self, monkeypatch, p, digest):
+        # the next draw and a digest of every checked triple were recorded from
+        # the generator-built sweep; criterion 5 and the verify fingerprint
+        # depend on the draws staying in order and the points keeping their bits
+        seen = hashlib.sha256()
+        check = oracle.check_convexity_inequality
+
+        def recording_check(space, x, y, z, R, r):
+            seen.update(repr((x, y, z, R, r)).encode())
+            return check(space, x, y, z, R, r)
+
+        monkeypatch.setattr(oracle, "check_convexity_inequality", recording_check)
+        rng = random.Random(1)
+        assert midpoint_inequality_holds(p, rng) == (True, "")
+        assert rng.random() == 0.010934935118938616
+        assert seen.hexdigest() == digest
 
 
 class TestStopWithEscalation:
