@@ -68,7 +68,8 @@ class PowerTypeConstants:
 
 
 def lp_norm(space: LpSpace, v: Vector):
-    """Return (sum |v_i|^p)^(1/p); zero exactly when v is the zero vector."""
+    """Return (sum |v_i|^p)^(1/p); zero exactly when v is the zero vector,
+    inf when a coordinate is infinite, NaN when one is NaN."""
     if len(v) != space.dim:
         raise InputError(
             f"vector has {len(v)} coordinates, space has dim {space.dim}"
@@ -83,7 +84,11 @@ def lp_norm(space: LpSpace, v: Vector):
         # max skips a NaN that follows a zero; the sum carries it
         total = sum(mags)
         return 0.0 if total == 0 else total
-    total = sum([(c / scale) ** p for c in mags])
+    # The term of a largest coordinate is exactly 1, in float64 and in
+    # mpmath alike, so 1.0 takes its place in the sum without its division
+    # and power; an infinite coordinate then gives inf, where inf / inf
+    # would give NaN.
+    total = sum([1.0 if c == scale else (c / scale) ** p for c in mags])
     return scale * total ** (1 / p)
 
 
@@ -160,11 +165,11 @@ def inverse_modulus_bound(t, consts: PowerTypeConstants):
 
 def _hypothesis_error(distance, u_name, u, v_name, v, claim):
     label = f"||{u_name} - {v_name}||"
-    if distance == distance:
+    if distance - distance == 0:
         return PreconditionError(f"{label} = {distance} {claim}")
     return InputError(
-        f"{label} is NaN: coordinates and their differences must be finite, "
-        f"got {u_name}={u}, {v_name}={v}"
+        f"{label} = {distance}: coordinates and their differences must be "
+        f"finite, got {u_name}={u}, {v_name}={v}"
     )
 
 
@@ -199,7 +204,8 @@ def check_convexity_inequality(
     dxz = dist(space, x, z)
     dyz = dist(space, y, z)
     dxy = dist(space, x, y)
-    # A NaN distance fails each test below; it means a non-finite coordinate.
+    # A non-finite distance means a non-finite coordinate or difference; a
+    # NaN fails each test below and inf the first two.
     if not dxz <= R + slack:
         raise _hypothesis_error(dxz, "x", x, "z", z, f"exceeds R = {R}")
     if not dyz <= R + slack:

@@ -17,10 +17,14 @@ A, and two computable bounds certify the remaining error:
 Both are one expression, built by `certificate_evaluator` and evaluated
 in one shot by `certificate`.  The a posteriori form is a direct stopping
 criterion: halt at the first even step whose bound falls below the target
-eps.  For integral q, `run_with_stop` decides that test in the q-th power
-domain (`powered_stop_test`), with integer powers only, and evaluates the
-certificate just where that comparison is too close to call, so an even
-step pays no fractional power and takes one norm, P.  The bound can fire
+eps.  The bound grows with the excess P - d, so `run_with_stop` solves
+once per run for the excess g* at which it equals eps, the root of
+g = C d (eps / (a (d + g)))^q with a = k^(1/q) / (1 - k^(2/q)), and
+decides each even step by comparing P - d with g*
+(`powered_stop_test`), for integral and non-integral q alike.  It
+evaluates the certificate just where that comparison is too close to
+call, so an even step pays one subtraction and two comparisons besides
+its one norm, P.  The bound can fire
 only while the computed excess P - d keeps shrinking: once the even-step
 displacement has held still for STALL_HALF_LIVES half-lives of the excess
 decay, the run is at the resolution floor of its arithmetic and raises
@@ -58,17 +62,24 @@ GAP_CLAMP = 1e-12
 #: (lam 0.6-0.999, p 1.01-20); one repeat alone is not a floor.
 STALL_HALF_LIVES = 10
 
-#: Relative half-width, per unit of q, of the band around C*d inside which
-#: `powered_stop_test` does not trust its q-th power comparison.  The two
-#: forms of the test differ there by their roundings, about 8q units, plus
-#: the rounding of the exponent 1/q times |log(gap / (C d))|, at most about
-#: 1500 units in float64: under q * 1e-12 relative in float64, and under
-#: q * 1e-9 in any arithmetic of at least 41 bits, far inside q * 2^-20.
+#: Relative half-width, per unit of q, of the band around the threshold
+#: excess g* inside which `powered_stop_test` does not trust its comparison
+#: of P - d with g*.  Outside the band the bound differs from eps by at
+#: least STOP_MARGIN relative, since it grows at least like (P - d)^(1/q);
+#: the certificate's rounding, a few units plus the rounding of the
+#: exponent 1/q times |log(gap / (C d))|, is under 1e-13 relative in
+#: float64, and g* is formed to within a quarter of the band.
 STOP_MARGIN = 2.0 ** -20
 
-#: Smallest normal float64; q-th power intermediates below it have lost
-#: relative precision to gradual underflow.
+#: Smallest normal float64; a C d below it has lost relative precision to
+#: gradual underflow.
 _FLOAT_MIN = sys.float_info.min
+
+#: Newton steps of `_threshold_excess`: it stops after a step below the
+#: tolerance, which leaves an error near q/8 times its square; the cap is
+#: never reached on finite input.
+_NEWTON_TOL = 2.0 ** -26
+_NEWTON_CAP = 100
 
 
 def check_target(eps):
@@ -116,7 +127,11 @@ class IterationTrace:
     step's displacement.  When `store_iterates` is False only x0 is kept
     in `iterates` (long runs); `last` always holds the final point.
     `confirmations` counts the even steps of an a posteriori stop whose
-    decision needed the certificate itself (see `powered_stop_test`).
+    decision needed the certificate itself: an excess P - d within the band
+    g* (1 +- q STOP_MARGIN) around the threshold excess, P - d <= 0, a P
+    that is not finite, or a run whose threshold is not formed (see
+    `powered_stop_test`).  A run usually confirms once, at its stop, or
+    not at all.
     The declared (k, d) and power-type constants are carried so that
     `budgets` can be derived from the displacements when read; on mpmath
     numbers they are evaluated at the working precision in force at the
@@ -189,50 +204,81 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
     return evaluate
 
 
+def _threshold_excess(d, Cd, a, eps, q, tol):
+    """The excess g* at which the a posteriori bound equals eps: the root of
+    g = C d (eps / (a (d + g)))^q.  None when a run constant or the root
+    lies outside the float64 range, or when the arithmetic does not resolve
+    g* or its power factor to tol relative (float64 underflow).
+
+    The root is located in float64, in t = log(g / d), where the equation
+    reads F(t) = t + q log(1 + e^t) - L with L = log(C (eps / (a d))^q).  F
+    is increasing and convex, so Newton's method from its upper bound
+    min(L, L / (q + 1)) descends to the root monotonically, quadratically
+    near it: at most 6 steps for q <= 20, one when g* << d.  The excess is
+    then formed in the working arithmetic by one evaluation of the
+    equation at P = d (1 + e^t), which keeps its relative error near q
+    times that of the float64 root.
+    """
+    qf = float(q)
+    try:
+        L = math.log(float(Cd / d)) + qf * math.log(float(eps / (a * d)))
+        if not math.isfinite(L):
+            return None
+        t = min(L, L / (qf + 1))
+        for _ in range(_NEWTON_CAP):
+            e = math.exp(t)
+            step = (t + qf * math.log1p(e) - L) / (1 + qf * e / (1 + e))
+            t -= step
+            if abs(step) < _NEWTON_TOL:
+                break
+        else:
+            return None
+        power = (eps / (a * (d + d * math.exp(t)))) ** q
+    except (ValueError, OverflowError):  # beyond the float64 range
+        return None
+    g_star = Cd * power
+    # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
+    if power * (1 + tol) > power and g_star * (1 + tol) > g_star:
+        return g_star
+    return None
+
+
 def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
-    """The a posteriori stop test bound(P) < eps with integer powers only,
-    as a one-argument function of P returning True, False, or None when
-    it cannot decide and the caller must evaluate the certificate.
+    """The a posteriori stop test bound(P) < eps as a comparison of the
+    excess P - d with a threshold formed once, as a one-argument function
+    of P returning True, False, or None when it cannot decide and the
+    caller must evaluate the certificate.
 
     With a = k^(1/q) / (1 - k^(2/q)) the bound is P a ((P - d)/(C d))^(1/q),
-    so for P > d the test is (P a / eps)^q (P - d) < C d.  For integral q
-    that power is a product (mpmath's `mpf_pow_int`), where the bound
-    needs an exp and a log.  The comparison is trusted only outside the
-    band C d (1 +- q STOP_MARGIN), which is wider than the rounding of
-    both forms, so a decision it returns is that of the certificate.
-    None is returned for every P when q is not integral, when the
-    arithmetic resolves less than 2^-40 relative, or when the run
-    constants leave the normal float64 range; and for a P with P - d <= 0
-    or whose power is not finite or underflows (float64 overflow or
-    underflow).  Built, like `certificate_evaluator`, at the precision it
-    is evaluated at.
+    so for P > d the test is (P a / eps)^q (P - d) < C d, whose left side
+    increases with the excess g = P - d.  It holds exactly below the g*
+    that solves g = C d (eps / (a (d + g)))^q (`_threshold_excess`), for
+    integral and non-integral q alike.  The comparison is trusted only
+    outside the band g* (1 +- q STOP_MARGIN), which is wider than the
+    rounding of the certificate and, since g* is resolved to an eighth of
+    the band, of g*; so a decision it returns is that of the certificate.
+    None is returned for every P when C d is not a normal float64 number
+    or the arithmetic resolves less than 2^-40 relative; when g* is not
+    formed (`_threshold_excess`); or when g* no longer resolves d (d + g*
+    rounds to g*, a target met at every P below about 2^53 d in float64);
+    and for a P with P - d <= 0 or not finite.  Built, like
+    `certificate_evaluator`, at the precision it is evaluated at.
     """
     denom, Cd, tail = _run_constants(d, k, consts, 1)
     q = consts.q
     width = q * STOP_MARGIN
-    lo, hi = Cd * (1 - width), Cd * (1 + width)
-    scale = tail / denom / eps
-    if not (
-        q == int(q)
-        and Cd * (1 + 2.0 ** -40) > Cd
-        and _FLOAT_MIN < lo
-        and _FLOAT_MIN < scale < math.inf
-    ):
+    g_star = None
+    if _FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd:
+        g_star = _threshold_excess(d, Cd, tail / denom, eps, q, width / 8)
+    if g_star is None or not d + g_star > g_star:
         return lambda P: None
-    n = int(q)
+    lo, hi = g_star * (1 - width), g_star * (1 + width)
 
     def decide(P):
         gap = P - d
-        if not gap > 0:
-            return None
-        try:
-            power = (P * scale) ** n
-        except OverflowError:  # float ** int beyond the float64 range
-            return None
-        lhs = power * gap
-        if lhs > hi:
-            return False if lhs - lhs == 0 else None
-        if lhs < lo and _FLOAT_MIN < power and _FLOAT_MIN < lhs:
+        if hi < gap < math.inf:
+            return False
+        if 0 < gap < lo:
             return True
         return None
 
@@ -277,7 +323,9 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
 
     Solved in closed form from the logarithm of the geometric tail, then
     verified by direct evaluation at n and n - 1 to absorb floating-point
-    drift.  Returns 2 when the bound at n = 1 is already below eps.
+    drift.  Returns 2 when the bound at n = 1 is already below eps.  The
+    guess takes log(prefactor) - log(eps), so a subnormal eps, whose
+    quotient would overflow, is solved too.
     """
     check_target(eps)
     prefactor = apriori_prefactor(D, d, k, consts)
@@ -288,7 +336,8 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
 
     if bound(1) < eps:
         return 2
-    n = math.floor(q * math.log(float(prefactor / eps)) / (2.0 * math.log(1.0 / float(k)))) + 1
+    log_ratio = math.log(float(prefactor)) - math.log(float(eps))
+    n = math.floor(q * log_ratio / (2.0 * math.log(1.0 / float(k)))) + 1
     n = max(n, 1)
     while bound(n) >= eps:
         n += 1
@@ -367,9 +416,10 @@ def run_with_stop(
     is strictly below eps.  When instead the displacement of
     `stall_span(k)` consecutive even steps equals that of the even step
     before each, it raises ResolutionFloorError carrying the trace and the
-    stalled bound as `floor`.  The test is decided by `powered_stop_test`
-    where it can and by the certificate where it cannot; the trace counts
-    the latter as `confirmations`.  APRIORI predicts the step count from
+    stalled bound as `floor`.  The test is decided by comparing P - d with
+    the threshold excess (`powered_stop_test`) where it can and by the
+    certificate where it cannot; the trace counts the latter as
+    `confirmations`.  APRIORI predicts the step count from
     the initial displacement and runs exactly that many steps; a
     prediction above the cap raises BudgetExhaustedError at once,
     carrying the one-step trace the prediction was read from.  Hitting
@@ -393,8 +443,9 @@ def run_with_stop(
             current = _advance(spec, trace, current)
         return current, target, trace
 
-    # APOSTERIORI: aposteriori_bound and its powered test, with their run
-    # constants formed once, at the working precision of this run.
+    # APOSTERIORI: aposteriori_bound and its threshold test, with their run
+    # constants and the threshold excess formed once, at the working
+    # precision of this run.
     eps = rule.epsilon
     bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")
     below = powered_stop_test(spec.d, spec.k, trace.constants, eps)

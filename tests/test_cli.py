@@ -41,6 +41,12 @@ class TestSolve:
         match = re.search(r"true error: ([0-9.e+-]+)", out)
         assert match and float(match.group(1)) < 1e-4
 
+    @pytest.mark.parametrize("command", ["solve", "table"])
+    def test_apriori_subnormal_eps_is_solved(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--criterion", "apriori", "--eps", "1e-310")
+        assert code == 0 and "Traceback" not in err
+        assert "1e-310" in out
+
     def test_trace_csv_format(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run_cli(

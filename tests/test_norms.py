@@ -53,6 +53,26 @@ BOUNDED_COORDS = st.one_of(
 )
 
 
+@st.composite
+def _tied_vectors(draw):
+    """Vectors of dim 1-5 whose largest magnitude M appears at least twice
+    (once in dim 1), with both signs, beside smaller coordinates."""
+    m = draw(st.one_of(
+        st.floats(min_value=5e-324, max_value=1e300), st.sampled_from(EDGE_COORDS[2:])
+    ))
+    m = abs(m)
+    dim = draw(st.integers(min_value=1, max_value=5))
+    ties = min(dim, draw(st.integers(min_value=2, max_value=5)))
+    rest = draw(st.lists(st.floats(min_value=0, max_value=1), min_size=dim - ties,
+                         max_size=dim - ties))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim))
+    coords = [m] * ties + [m * f for f in rest]
+    return draw(st.permutations([s * c for s, c in zip(signs, coords)]))
+
+
+TIED_VECTORS = _tied_vectors()
+
+
 class TestLpNormBits:
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
     @given(st.lists(
@@ -86,6 +106,55 @@ class TestLpNormBits:
             assert dist(space, u, v) == reference_lp_norm(
                 space, [a - b for a, b in zip(u, v)]
             )
+
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    @given(TIED_VECTORS)
+    @settings(max_examples=150)
+    def test_float_norm_with_a_tied_maximum_is_bit_identical(self, p, coords):
+        space = LpSpace(len(coords), p)
+        assert lp_norm(space, coords) == reference_lp_norm(space, coords)
+        assert dist(space, coords, [0.0] * len(coords)) == reference_lp_norm(space, coords)
+
+    @pytest.mark.parametrize("dps", [50, 300])
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    @given(TIED_VECTORS)
+    @settings(max_examples=20, deadline=None)
+    def test_mpf_norm_with_a_tied_maximum_is_bit_identical(self, dps, p, coords):
+        with mp.workdps(dps):
+            space = LpSpace(len(coords), mp.mpf(p))
+            # thirds are not float64 numbers; ties stay exact ties
+            u = [mp.mpf(c) / 3 for c in coords]
+            v = [mp.mpf(c) / 7 for c in coords]
+            w = [a + b for a, b in zip(u, v)]
+            assert lp_norm(space, u) == reference_lp_norm(space, u)
+            assert dist(space, w, v) == reference_lp_norm(
+                space, [a - b for a, b in zip(w, v)]
+            )
+
+    @pytest.mark.parametrize("v", [(2.0, -2.0, 1 / 3), (-1e300, 1e300), (5e-324, -5e-324, 0.0)])
+    def test_listed_ties_are_bit_identical(self, v):
+        for p in BIT_EXPONENTS:
+            space = LpSpace(len(v), p)
+            assert lp_norm(space, v) == reference_lp_norm(space, v)
+            with mp.workdps(50):
+                space = LpSpace(len(v), mp.mpf(p))
+                u = [mp.mpf(c) for c in v]
+                assert lp_norm(space, u) == reference_lp_norm(space, u)
+
+    @pytest.mark.parametrize("num", [float, mp.mpf])
+    def test_infinite_coordinate_gives_inf(self, num):
+        inf = num("inf")
+        with mp.workdps(50):
+            for v in [(inf, 0.0), (0.0, -inf), (inf, -inf), (inf, 1e300)]:
+                v = tuple(num(c) for c in v)
+                assert lp_norm(LpSpace(2, num(2)), v) == inf
+                assert lp_norm(LpSpace(2, num(20)), v) == inf
+            # a difference that overflows float64 is an infinite coordinate
+            if num is float:
+                assert dist(LpSpace(2, 2), (1e308, 0.0), (-1e308, 0.0)) == inf
+            for v in [(inf, num("nan")), (num("nan"), inf), (num("nan"), 1.0)]:
+                norm = lp_norm(LpSpace(2, num(2)), tuple(num(c) for c in v))
+                assert norm != norm
 
     @pytest.mark.parametrize("space", [LpSpace(2, 2), LpSpace(2, mp.mpf(3))])
     def test_nan_after_a_zero_is_not_a_zero_norm(self, space):
@@ -312,6 +381,15 @@ class TestConvexityInequality:
         space = LpSpace(2, 2)
         with pytest.raises(InputError, match=r"must be finite, got .*(nan|inf)"):
             check_convexity_inequality(space, x, y, z, R=1.0, r=0.0)
+
+    def test_overflowing_difference_is_an_input_error_naming_it(self):
+        # finite coordinates whose difference overflows give an infinite
+        # distance, named as an input error rather than a violated hypothesis
+        space = LpSpace(2, 2)
+        with pytest.raises(InputError, match=r"\|\|x - z\|\| = inf.*must be finite"):
+            check_convexity_inequality(
+                space, (1e308, 0.0), (0.0, 0.0), (-1e308, 0.0), R=1.0, r=0.0
+            )
 
     @given(
         st.floats(min_value=1.05, max_value=25),
