@@ -24,7 +24,7 @@ import math
 import sys
 
 from . import oracle
-from .cyclic import CyclicMapSpec, Example1Params, make_example1
+from .cyclic import Example1Params, make_example1
 from .errors import (
     BudgetExhaustedError,
     ConfigurationError,
@@ -59,12 +59,6 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse number list {text!r}: {exc}") from None
-
-
-def _build_map(args) -> CyclicMapSpec:
-    if args.map != "example1":
-        raise InputError(f"unknown map {args.map!r}")
-    return make_example1(Example1Params(lam=args.lam, p=args.p))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +123,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_solve(args) -> int:
-    spec = _build_map(args)
+    spec = make_example1(Example1Params(lam=args.lam, p=args.p))
     x0 = _parse_floats(args.x0)
     rule = StopRule(
         kind=StopKind(args.criterion), epsilon=args.eps, max_steps=args.max_steps
@@ -275,34 +269,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(sp, table_lists=False):
-        sp.add_argument("--map", default="example1", help="built-in map name")
+    def shared(sp):
         sp.add_argument("--lambda", dest="lam", type=float, default=0.5,
                         help="contraction factor in (0, 1)")
-        if table_lists:
-            sp.add_argument("--p", default=None,
-                            help="comma-separated norm exponents (default: benchmark grid)")
-            sp.add_argument("--eps", default=None,
-                            help="comma-separated targets (default: benchmark grid)")
-        else:
-            sp.add_argument("--p", type=float, default=2.0, help="norm exponent, p > 1")
-            sp.add_argument("--eps", type=float, default=1e-6, help="target accuracy")
         sp.add_argument("--x0", default="1000,8", help="start point, e.g. 1000,8")
         sp.add_argument("--criterion", choices=["apriori", "aposteriori"],
                         default="aposteriori", help="which bound drives the run")
         sp.add_argument("--max-steps", type=int, default=1_000_000, help="even step cap")
-        sp.add_argument("--seed", type=int, default=42, help="PRNG seed")
         sp.add_argument("--out", default=None, help="write output to this path")
         sp.add_argument("--format", choices=_FORMATS, default="plain")
 
     solve = sub.add_parser("solve", help="run one scenario with a stopping rule")
     shared(solve)
+    solve.add_argument("--p", type=float, default=2.0, help="norm exponent, p > 1")
+    solve.add_argument("--eps", type=float, default=1e-6, help="target accuracy")
     solve.add_argument("--no-oracle", action="store_true",
                        help="skip the reference point and true-error report")
     solve.set_defaults(handler=cmd_solve)
 
     table = sub.add_parser("table", help="reproduce iteration-count grids")
-    shared(table, table_lists=True)
+    shared(table)
+    table.add_argument("--p", default=None,
+                       help="comma-separated norm exponents (default: benchmark grid)")
+    table.add_argument("--eps", default=None,
+                       help="comma-separated targets (default: benchmark grid)")
     table.add_argument("--compare-paper", action="store_true",
                        help="diff against the published reference grids")
     table.set_defaults(handler=cmd_table)

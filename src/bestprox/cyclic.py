@@ -177,7 +177,6 @@ def _require_boxes(spec: CyclicMapSpec):
 @dataclass
 class CyclicityReport:
     passed: bool
-    samples_per_set: int
     #: (source set, point, image) for every point whose image landed outside
     #: the opposite set.
     violations: list[tuple[str, Vector, Vector]] = field(default_factory=list)
@@ -200,7 +199,6 @@ def verify_cyclicity(spec: CyclicMapSpec, sample_count: int, seed: int) -> Cycli
                 violations.append((label, point, image))
     return CyclicityReport(
         passed=not violations,
-        samples_per_set=sample_count,
         violations=violations,
     )
 
@@ -208,7 +206,6 @@ def verify_cyclicity(spec: CyclicMapSpec, sample_count: int, seed: int) -> Cycli
 @dataclass
 class ContractionReport:
     passed: bool
-    pairs: int
     #: Largest value of ||Tx - Ty|| - (k ||x - y|| + (1 - k) d) over the sample.
     max_violation: float
     worst_pair: tuple[Vector, Vector] | None
@@ -241,7 +238,6 @@ def verify_contraction(spec: CyclicMapSpec, sample_count: int, seed: int) -> Con
             passed = False
     return ContractionReport(
         passed=passed,
-        pairs=sample_count,
         max_violation=max_violation,
         worst_pair=worst,
     )
@@ -250,7 +246,6 @@ def verify_contraction(spec: CyclicMapSpec, sample_count: int, seed: int) -> Con
 @dataclass
 class DisplacementDecayReport:
     passed: bool
-    steps_checked: int
     #: Largest excess of (disp_n - d) over the geometric envelope k^n (disp_0 - d).
     max_envelope_excess: float
     min_displacement: float
@@ -288,7 +283,6 @@ def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int) -> Dis
             passed = False
     return DisplacementDecayReport(
         passed=passed,
-        steps_checked=n_max + 1,
         max_envelope_excess=max_excess,
         min_displacement=min(disps),
     )

@@ -172,7 +172,6 @@ def reference_best_proximity(
 @dataclass
 class SoundnessReport:
     passed: bool
-    steps: int
     #: (step, true_error, apriori, aposteriori) for every violated step.
     failures: list = field(default_factory=list)
     #: (step, apriori/true, aposteriori/true); ratios are inf when the true
@@ -191,7 +190,7 @@ def audit_soundness(spec: CyclicMapSpec, x0: Vector, steps: int) -> SoundnessRep
         raise InputError(f"steps must be an even integer >= 2, got {steps}")
     ref = reference_best_proximity(spec, x0)
     trace = picard_iterate(spec, x0, steps)
-    report = SoundnessReport(passed=True, steps=steps)
+    report = SoundnessReport(passed=True)
     for budget in trace.budgets:
         true_error = dist(spec.space, trace.iterates[budget.step], ref.xi)
         if true_error > budget.apriori + 1e-9 or true_error > budget.aposteriori + 1e-9:
@@ -211,7 +210,6 @@ def audit_soundness(spec: CyclicMapSpec, x0: Vector, steps: int) -> SoundnessRep
 @dataclass
 class ProofChainReport:
     passed: bool
-    steps: int
     #: (step, l, which, lhs, rhs) for each violated inequality.
     failures: list = field(default_factory=list)
     checks: int = 0
@@ -236,7 +234,7 @@ def audit_proof_chain(spec: CyclicMapSpec, x0: Vector, steps: int) -> ProofChain
     pts = trace.iterates
     space, k, d = spec.space, spec.k, spec.d
     consts = trace.constants
-    report = ProofChainReport(passed=True, steps=steps)
+    report = ProofChainReport(passed=True)
     for step in range(2, steps - 1, 2):
         even_move = dist(space, pts[step], pts[step + 2])
         for lookback in {1, 2, step}:

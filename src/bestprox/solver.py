@@ -259,10 +259,9 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     the band, of g*; so a decision it returns is that of the certificate.
     None is returned for every P when C d is not a normal float64 number
     or the arithmetic resolves less than 2^-40 relative; when g* is not
-    formed (`_threshold_excess`); or when g* no longer resolves d (d + g*
-    rounds to g*, a target met at every P below about 2^53 d in float64);
-    and for a P with P - d <= 0 or not finite.  Built, like
-    `certificate_evaluator`, at the precision it is evaluated at.
+    formed (`_threshold_excess`); and for a P with P - d <= 0 or not
+    finite.  Built, like `certificate_evaluator`, at the precision it is
+    evaluated at.
     """
     denom, Cd, tail = _run_constants(d, k, consts, 1)
     q = consts.q
@@ -270,7 +269,7 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     g_star = None
     if _FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd:
         g_star = _threshold_excess(d, Cd, tail / denom, eps, q, width / 8)
-    if g_star is None or not d + g_star > g_star:
+    if g_star is None:
         return lambda P: None
     lo, hi = g_star * (1 - width), g_star * (1 + width)
 
@@ -331,8 +330,8 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     prefactor = apriori_prefactor(D, d, k, consts)
     q = consts.q
 
-    def bound(m: int):
-        return prefactor * k ** (2.0 * m / q)
+    def bound(n: int):
+        return apriori_bound(D, d, k, consts, n)
 
     if bound(1) < eps:
         return 2

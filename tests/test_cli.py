@@ -1,11 +1,13 @@
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from bestprox.cli import main
+from bestprox.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -17,7 +19,7 @@ def run_cli(capsys, *argv):
 class TestSolve:
     def test_benchmark_cell(self, capsys):
         code, out, _ = run_cli(
-            capsys, "solve", "--map", "example1", "--lambda", "0.5", "--p", "2",
+            capsys, "solve", "--lambda", "0.5", "--p", "2",
             "--x0", "1000,8", "--criterion", "aposteriori", "--eps", "1e-2",
         )
         assert code == 0
@@ -108,7 +110,7 @@ class TestSolve:
         for path in paths:
             run_cli(
                 capsys, "solve", "--x0", "1000,8", "--eps", "1e-4",
-                "--out", str(path), "--format", "csv", "--seed", "3",
+                "--out", str(path), "--format", "csv",
             )
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -144,10 +146,6 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--p", "inf", "--x0", "1000,8")
         assert code == 2
         assert "p=inf" in err
-
-    def test_unknown_map_is_exit_2(self, capsys):
-        code, _, _ = run_cli(capsys, "solve", "--map", "moebius", "--x0", "1000,8")
-        assert code == 2
 
     def test_wrong_dimension_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--x0", "1000,8,3")
@@ -288,3 +286,30 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "tables")
         assert code == 0
         assert "matches reference exactly" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "table"])
+@pytest.mark.parametrize(
+    "flag", [["--map", "example1"], ["--map", "moebius"], ["--seed", "3"]],
+    ids=lambda flag: f"{flag[0][2:]}={flag[1]}",
+)
+def test_removed_flag_is_exit_2(capsys, command, flag):
+    # one built-in map and no random draws: solve and table take neither flag
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *flag])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("bestprox ")]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README.md CLI example rejected: {line}")
