@@ -132,8 +132,8 @@ def apply_map(spec: CyclicMapSpec, x: Vector) -> Vector:
     return spec.apply(x)
 
 
-def check_start(spec: CyclicMapSpec, x0: Vector):
-    """Raise InputError, naming x0, unless x0 is a finite point of A in the
+def _check_point(spec: CyclicMapSpec, x0: Vector):
+    """Raise InputError, naming x0, unless x0 is a finite point of the
     map's space.  Coordinates may be floats or mpmath numbers."""
     if len(x0) != spec.space.dim:
         raise InputError(
@@ -143,6 +143,12 @@ def check_start(spec: CyclicMapSpec, x0: Vector):
     # (math.isfinite would reject an mpf beyond the float range), nan else.
     if not all(c - c == 0 for c in x0):
         raise InputError(f"x0={tuple(x0)} has a non-finite coordinate")
+
+
+def check_start(spec: CyclicMapSpec, x0: Vector):
+    """Raise InputError, naming x0, unless x0 is a finite point of A in the
+    map's space."""
+    _check_point(spec, x0)
     if not spec.in_a(x0):
         raise InputError(f"x0={tuple(x0)} is not in A (runs must start in A)")
 
@@ -155,9 +161,10 @@ def sample_points(
 ) -> list[Vector]:
     """Rejection-sample `count` points of a predicate set inside a box."""
     points = []
+    lows, highs = zip(*box)
     for _ in range(count):
         for _attempt in range(SAMPLER_RETRY_CAP):
-            candidate = tuple([rng.uniform(lo, hi) for lo, hi in box])
+            candidate = tuple(map(rng.uniform, lows, highs))
             if predicate(candidate):
                 points.append(candidate)
                 break
@@ -264,6 +271,7 @@ def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int) -> Dis
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
+    _check_point(spec, x0)
     if not (spec.in_a(x0) or spec.in_b(x0)):
         raise InputError(f"x0={x0} lies outside A u B")
     orbit = [tuple(x0)]

@@ -6,7 +6,8 @@ l_p is.  Two facts drive everything downstream:
 * for p >= 2 there is a closed form
       delta_p(eps) = 1 - (1 - (eps/2)^p)^(1/p),
   while for 1 < p < 2 delta_p(eps) is the unique root in [0, 1] of
-      (1 - d + eps/2)^p + |1 - d - eps/2|^p = 2;
+      (1 - d + eps/2)^p + |1 - d - eps/2|^p = 2
+  (Hanner, Ark. Mat. 3, 1956), found by Newton's method;
 
 * delta_p is bounded below by a power function C * eps^q (the "power
   type" property), which is what turns the convexity argument into a
@@ -22,16 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .errors import InputError, NumericalError, PreconditionError
 
 Vector = Sequence[float]
 
-#: Absolute tolerance for the implicit-equation root (1 < p < 2 branch).
-BISECTION_TOL = 1e-12
-#: Iteration cap for the bisection; unreachable on [0, 1] at the tolerance above.
-BISECTION_CAP = 200
+#: Newton step below which the implicit-equation root (1 < p < 2 branch)
+#: is taken as found.
+NEWTON_STEP_TOL = 1e-15
+#: Iteration cap for the Newton solve.  It takes at most 28 steps, near
+#: eps = 2 where the root turns double; the cap only guards against a defect.
+NEWTON_CAP = 100
 
 
 def check_exponent(p):
@@ -78,7 +82,7 @@ def lp_norm(space: LpSpace, v: Vector):
     # p-th powers; 1/p is formed in the same arithmetic as p so that
     # higher-precision spaces do not get a float64-rounded exponent.
     p = space.p
-    mags = [abs(c) for c in v]
+    mags = tuple(map(abs, v))
     scale = max(mags)
     if scale == 0:
         # max skips a NaN that follows a zero; the sum carries it
@@ -87,14 +91,16 @@ def lp_norm(space: LpSpace, v: Vector):
     # The term of a largest coordinate is exactly 1, in float64 and in
     # mpmath alike, so 1.0 takes its place in the sum without its division
     # and power; an infinite coordinate then gives inf, where inf / inf
-    # would give NaN.
-    total = sum([1.0 if c == scale else (c / scale) ** p for c in mags])
+    # would give NaN.  The loop adds left to right, as sum() does on 3.11.
+    total = 0.0
+    for c in mags:
+        total += 1.0 if c == scale else (c / scale) ** p
     return scale * total ** (1 / p)
 
 
 def dist(space: LpSpace, u: Vector, v: Vector):
     """Return ||u - v||_p."""
-    return lp_norm(space, [ui - vi for ui, vi in zip(u, v)])
+    return lp_norm(space, tuple(map(sub, u, v)))
 
 
 def power_type_constants(p: float) -> PowerTypeConstants:
@@ -109,17 +115,37 @@ def power_type_constants(p: float) -> PowerTypeConstants:
     return PowerTypeConstants(C=(p - 1) / 8, q=2.0)
 
 
-def _implicit_lhs(delta, p: float, eps: float):
-    return (1.0 - delta + eps / 2.0) ** p + abs(1.0 - delta - eps / 2.0) ** p
+def _implicit_equation(delta, p: float, eps: float):
+    """Return g(delta) and -g'(delta)/p for the defining equation of
+    delta_p(eps), 1 < p < 2:
+
+        g(d) = (w + h)^p + |w - h|^p - 2,   w = 1 - d,  h = eps/2.
+
+    The slope reuses the two powers, a^(p-1) = a^p / a; the signed base
+    w - h carries the sign of its term, which is 0 when w = h.
+    """
+    w = 1.0 - delta
+    h = eps / 2.0
+    a = w + h
+    b = w - h
+    ap = a ** p
+    bp = abs(b) ** p
+    return ap + bp - 2.0, ap / a + (bp / b if b else 0.0)
 
 
 def modulus_of_convexity(p: float, eps: float):
     """delta_p(eps) for eps in (0, 2].
 
-    Closed form for p >= 2.  For 1 < p < 2 the defining equation
-    (1 - d + eps/2)^p + |1 - d - eps/2|^p = 2 is solved by bisection on
-    [0, 1]; the left side is strictly decreasing in d there, so the root
-    is unique and bisection cannot fail.
+    Closed form for p >= 2.  For 1 < p < 2 the root in [0, 1] of
+    g(d) = (1 - d + eps/2)^p + |1 - d - eps/2|^p - 2 is found by Newton's
+    method from d = 0.  On [0, 1] g is convex and strictly decreasing, and
+    g(0) >= 0, so each tangent meets zero between the iterate and the root:
+    the iterates climb monotonically to it and, but for round-off, never
+    overshoot.  They stop once a step is below NEWTON_STEP_TOL or round-off
+    makes g(d) <= 0 (which returns 0 when eps is so small that g(0) rounds
+    to 0).  Each step takes two powers; near eps = 2, where the root turns
+    double, convergence is linear at first, and at eps = 2 the root d = 1
+    is returned exactly.
     """
     check_exponent(p)
     if not (0 < eps <= 2):
@@ -132,22 +158,25 @@ def modulus_of_convexity(p: float, eps: float):
         # machine epsilon (large p, small eps), where the naive form
         # 1 - (1 - u)^(1/p) would round to exactly 0.
         return -math.expm1(math.log1p(-u) / p)
+    if eps == 2:
+        return 1.0
 
-    lo, hi = 0.0, 1.0  # lhs(lo) >= 2 >= lhs(hi)
-    for _ in range(BISECTION_CAP):
-        if hi - lo <= BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _implicit_lhs(mid, p, eps) > 2.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise NumericalError(
-            f"bisection for delta_p did not reach tol={BISECTION_TOL} "
-            f"within {BISECTION_CAP} iterations (p={p}, eps={eps})"
-        )
-    return 0.5 * (lo + hi)
+    delta = 0.0
+    for _ in range(NEWTON_CAP):
+        g, slope = _implicit_equation(delta, p, eps)
+        if g <= 0:
+            return delta
+        step = g / (p * slope)
+        delta += step
+        if delta >= 1.0:
+            # round-off past a root within an ulp-sized eps of 2
+            return 1.0
+        if step <= NEWTON_STEP_TOL:
+            return delta
+    raise NumericalError(
+        f"Newton's method for delta_p did not take a step below "
+        f"{NEWTON_STEP_TOL} within {NEWTON_CAP} iterations (p={p}, eps={eps})"
+    )
 
 
 def inverse_modulus_bound(t, consts: PowerTypeConstants):
@@ -156,8 +185,8 @@ def inverse_modulus_bound(t, consts: PowerTypeConstants):
     Follows from delta(eps) >= C * eps^q: any eps with delta(eps) <= t
     satisfies eps <= (t/C)^(1/q).
     """
-    if t < 0:
-        raise InputError(f"t must be nonnegative, got {t}")
+    if not t >= 0:
+        raise InputError(f"t must be nonnegative, got t={t}")
     if t == 0:
         return 0.0
     return (t / consts.C) ** (1.0 / consts.q)

@@ -69,7 +69,7 @@ from .norms import (
     LpSpace,
     PowerTypeConstants,
     Vector,
-    _implicit_lhs,
+    _implicit_equation,
     check_convexity_inequality,
     check_exponent,
     dist,
@@ -513,7 +513,7 @@ def modulus_increasing(values):
 
 
 def power_type_dominated(p: float, values):
-    """delta_p >= C eps^q on MODULUS_GRID, up to the bisection tolerance
+    """delta_p >= C eps^q on MODULUS_GRID, up to an absolute 1e-12
     (the power bound is asymptotically tight as eps -> 0)."""
     consts = power_type_constants(p)
     return all(
@@ -533,7 +533,7 @@ def inverse_bound_inverts(p: float):
 def implicit_residual_small(p: float, values):
     """For 1 < p < 2, delta_p solves its defining equation to 1e-10."""
     return not any(
-        abs(_implicit_lhs(delta, p, eps) - 2.0) > 1e-10
+        abs(_implicit_equation(delta, p, eps)[0]) > 1e-10
         for eps, delta in zip(MODULUS_GRID, values)
     ), ""
 

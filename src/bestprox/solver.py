@@ -47,6 +47,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import sub
 
 from .cyclic import CyclicMapSpec, apply_map, check_start
 from .errors import BudgetExhaustedError, InputError, ResolutionFloorError
@@ -380,7 +381,7 @@ def _advance(spec: CyclicMapSpec, trace: IterationTrace, current: Vector):
         # Not norms.dist: on this per-step path one more Python call per
         # step is a measurable slowdown of long float64 runs.
         trace.displacements.append(
-            lp_norm(spec.space, [a - b for a, b in zip(current, nxt)])
+            lp_norm(spec.space, tuple(map(sub, current, nxt)))
         )
     if trace.store_iterates:
         trace.iterates.append(nxt)

@@ -198,6 +198,18 @@ class TestDisplacementDecayCheck:
         with pytest.raises(InputError):
             displacement_decay_check(two_cone_map(), (0.0, 0.0), n_max=5)
 
+    # (inf, 0) satisfies the membership test of A, so only the finiteness
+    # check stops it
+    @pytest.mark.parametrize("x0", [(math.inf, 0.0), (math.nan, 0.0), (-math.inf, 0.0)])
+    def test_non_finite_start_rejected_naming_x0(self, x0):
+        with pytest.raises(InputError, match=re.escape(f"x0={x0} has a non-finite")):
+            displacement_decay_check(two_cone_map(), x0, n_max=10)
+
+    @pytest.mark.parametrize("x0", [(1000.0,), (1000.0, 8.0, 1.0)])
+    def test_wrong_dimension_rejected_naming_x0(self, x0):
+        with pytest.raises(InputError, match=re.escape(f"x0={x0} has {len(x0)} coordinates")):
+            displacement_decay_check(two_cone_map(), x0, n_max=10)
+
 
 class TestCheckStart:
     @pytest.mark.parametrize("x0", [(math.inf, 0.0), (math.nan, 0.0), (1000.0, -math.inf)])

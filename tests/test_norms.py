@@ -16,6 +16,12 @@ from bestprox import (
     modulus_of_convexity,
     power_type_constants,
 )
+from bestprox import norms
+from bestprox.oracle import MODULUS_GRID
+
+
+#: Exponents of the 1 < p < 2 branch, from near 1 to near 2.
+MODULUS_PS = [1.01, 1.1, 1.5, 1.9, 1.99]
 
 
 def bisect_modulus(p, eps, tol=1e-14):
@@ -228,6 +234,57 @@ class TestModulusOfConvexity:
         assert got == pytest.approx(bisect_modulus(1.5, 1), abs=1e-11)
         assert got == pytest.approx(0.06712261032901617, abs=1e-10)
 
+    @pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 1.9])
+    def test_exactly_one_at_the_diameter(self, p):
+        assert modulus_of_convexity(p, 2.0) == 1.0
+
+    @pytest.mark.parametrize("p", MODULUS_PS)
+    def test_at_most_the_hilbert_modulus(self, p):
+        # Nordlander (Ark. Mat. 4, 1960): no space is more convex than a
+        # Hilbert space, delta_p <= delta_2, down to eps = 1e-300
+        for k in range(1, 301):
+            eps = 10.0 ** -k
+            assert 0 <= modulus_of_convexity(p, eps) <= modulus_of_convexity(2, eps) + 1e-15
+
+    # The grid ends at eps = 2, where the root is double and bisection
+    # stops short of it; test_exactly_one_at_the_diameter covers that point.
+    @pytest.mark.parametrize("p", MODULUS_PS)
+    def test_agrees_with_independent_bisection_on_the_grid(self, p):
+        for eps in MODULUS_GRID[:-1]:
+            assert modulus_of_convexity(p, eps) == pytest.approx(
+                bisect_modulus(p, eps), abs=1e-12
+            )
+
+    # Near eps = 2 the root turns double, so the round-off of the float64
+    # equation moves it by (round-off) / |slope|: at p = 1.01 and
+    # eps = 2 - 1e-6 the two solvers lie within 2e-12 of a 50-digit root,
+    # on opposite sides of it.  Within 1e-4 of 2 they are held to 1e-11.
+    @given(st.sampled_from(MODULUS_PS), st.floats(min_value=1e-300, max_value=2 - 1e-6))
+    @settings(max_examples=300)
+    def test_agrees_with_independent_bisection(self, p, eps):
+        assert modulus_of_convexity(p, eps) == pytest.approx(
+            bisect_modulus(p, eps), abs=1e-12 if eps <= 2 - 1e-4 else 1e-11
+        )
+
+    def test_newton_step_count_is_bounded(self, monkeypatch):
+        steps = []
+        equation = norms._implicit_equation
+
+        def counted(*args):
+            steps[-1] += 1
+            return equation(*args)
+
+        monkeypatch.setattr(norms, "_implicit_equation", counted)
+        near_two = tuple(2.0 - 2.0 ** -k for k in range(1, 53))
+        for p in MODULUS_PS:
+            for eps in MODULUS_GRID[:-1] + near_two:
+                steps.append(0)
+                modulus_of_convexity(p, eps)
+        # 28 at most, just below eps = 2, where the root turns double and
+        # convergence is linear; bisection to 1e-12 took 40
+        assert max(steps) <= 30
+        assert sum(steps) / len(steps) <= 6
+
     def test_small_p_residual(self):
         for eps in (0.1, 0.5, 1.0, 1.7, 2.0):
             for p in (1.1, 1.5, 1.9):
@@ -268,7 +325,7 @@ class TestModulusOfConvexity:
     @settings(max_examples=200)
     def test_power_type_domination(self, p, eps):
         consts = power_type_constants(p)
-        # absolute slack at the bisection tolerance: the bound is tight as eps -> 0
+        # absolute slack: the bound is tight as eps -> 0
         assert modulus_of_convexity(p, eps) >= consts.C * eps ** consts.q - 1e-12
 
 
@@ -315,6 +372,10 @@ class TestInverseModulusBound:
     def test_negative_rejected(self):
         with pytest.raises(InputError):
             inverse_modulus_bound(-1e-9, PowerTypeConstants(0.125, 2))
+
+    def test_nan_rejected_naming_t(self):
+        with pytest.raises(InputError, match="t=nan"):
+            inverse_modulus_bound(float("nan"), PowerTypeConstants(0.125, 2))
 
     @given(
         st.floats(min_value=1.01, max_value=25),
