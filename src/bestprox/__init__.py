@@ -38,7 +38,6 @@ from .norms import (
     power_type_constants,
 )
 from .oracle import (
-    ReferenceSolution,
     TableResult,
     aposteriori_stop_working_precision,
     audit_proof_chain,
@@ -75,7 +74,6 @@ __all__ = [
     "NumericalError",
     "PowerTypeConstants",
     "PreconditionError",
-    "ReferenceSolution",
     "ResolutionFloorError",
     "StopKind",
     "StopRule",

@@ -145,11 +145,9 @@ def cmd_solve(args) -> int:
             f"final budgets at step {final.step}: "
             f"{apriori}, aposteriori = {_g6(final.aposteriori)}"
         )
-    if not args.no_oracle:
-        ref = oracle.reference_best_proximity(spec, x0)
-        true_error = dist(spec.space, approx, ref.xi)
-        print(f"reference point: {_fmt_point(ref.xi)} ({ref.method.value})")
-        print(f"true error: {_g6(true_error)}")
+    xi = oracle.reference_best_proximity(spec)
+    print(f"reference point: {_fmt_point(xi)}")
+    print(f"true error: {_g6(dist(spec.space, approx, xi))}")
     if args.out:
         _emit(_render_rows(_trace_rows(spec.space, trace), args.format), args.out)
         print(f"trace written to {args.out}")
@@ -178,8 +176,7 @@ def cmd_table(args) -> int:
     p_list = _parse_floats(args.p) if args.p else None
     x0 = _parse_floats(args.x0)
     result = oracle.reproduce_table(
-        kind, lam=args.lam, x0=x0, eps_list=eps_list, p_list=p_list,
-        max_steps=args.max_steps,
+        kind, lam=args.lam, x0=x0, eps_list=eps_list, p_list=p_list
     )
     blocks = [("computed", result.counts)]
     exit_code = 0
@@ -275,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x0", default="1000,8", help="start point, e.g. 1000,8")
         sp.add_argument("--criterion", choices=["apriori", "aposteriori"],
                         default="aposteriori", help="which bound drives the run")
-        sp.add_argument("--max-steps", type=int, default=1_000_000, help="even step cap")
         sp.add_argument("--out", default=None, help="write output to this path")
         sp.add_argument("--format", choices=_FORMATS, default="plain")
 
@@ -283,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared(solve)
     solve.add_argument("--p", type=float, default=2.0, help="norm exponent, p > 1")
     solve.add_argument("--eps", type=float, default=1e-6, help="target accuracy")
-    solve.add_argument("--no-oracle", action="store_true",
-                       help="skip the reference point and true-error report")
+    solve.add_argument("--max-steps", type=int, default=1_000_000, help="even step cap")
     solve.set_defaults(handler=cmd_solve)
 
     table = sub.add_parser("table", help="reproduce iteration-count grids")

@@ -55,7 +55,8 @@ class CyclicMapSpec:
     `apply` must be pure.  `box_a`/`box_b` are per-coordinate bounds used
     by rejection samplers; None disables sampling-based validators.
     `best_proximity` optionally records an exactly known best proximity
-    point in A (used by reference cross-checks).
+    point in A; `oracle.reference_best_proximity` checks it and makes it
+    the reference of every true error.
     """
 
     space: LpSpace

@@ -107,11 +107,21 @@ def power_type_constants(p: float) -> PowerTypeConstants:
     """Power-type constants for the canonical l_p norm.
 
     (C, q) = (1/(p*2^p), p) for p >= 2 and ((p-1)/8, 2) for 1 < p < 2.
-    The two branches agree at p = 2, where both give (1/8, 2).
+    The two branches agree at p = 2, where both give (1/8, 2).  A p whose
+    C is 0 in its arithmetic (float64 p above about 1014) is an InputError
+    naming p.
     """
     check_exponent(p)
     if p >= 2:
-        return PowerTypeConstants(C=1 / (p * 2 ** p), q=p)
+        try:
+            C = 1 / (p * 2 ** p)
+        except OverflowError:  # 2^p beyond the float64 range
+            C = 0.0
+        if C == 0:
+            raise InputError(
+                f"the power-type constant C = 1/(p*2^p) underflows to 0 at p={p}"
+            )
+        return PowerTypeConstants(C=C, q=p)
     return PowerTypeConstants(C=(p - 1) / 8, q=2.0)
 
 

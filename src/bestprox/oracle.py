@@ -2,13 +2,12 @@
 
 Four jobs live here:
 
-* computing an independent reference best proximity point (long
-  iteration at a tolerance far below anything the bounds are tested at,
-  cross-checked against an exactly known answer when the map declares
-  one);
+* the reference best proximity point: the one the map declares, checked
+  to realize the set distance and to be fixed by T^2
+  (`reference_best_proximity`);
 
-* auditing the solver's certificates against that reference: bound
-  soundness at every even step, and the two inner inequalities of the
+* auditing the solver's certificates: bound soundness against that
+  reference at every even step, and the two inner inequalities of the
   convexity argument along traces;
 
 * reproducing the benchmark iteration-count grids and diffing them
@@ -41,7 +40,6 @@ import dataclasses
 import math
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from importlib import resources
 
 import mpmath as mp
@@ -60,9 +58,9 @@ from .cyclic import (
 )
 from .errors import (
     BudgetExhaustedError,
+    ConfigurationError,
     DeclarationError,
     InputError,
-    NumericalError,
     ResolutionFloorError,
 )
 from .norms import (
@@ -95,78 +93,32 @@ DEFAULT_P_LIST = (1.1, 1.5, 2.0, 3.0, 5.0, 20.0)
 DEFAULT_LAMBDA = 0.5
 DEFAULT_X0 = (1000.0, 8.0)
 
-#: Reference iteration tolerance: far below every tested eps so the
-#: reference never contaminates a soundness audit.
-REFERENCE_TOL = 1e-13
-REFERENCE_CAP = 100_000
-
 #: Float64 step cap of `stop_with_escalation`.
 FLOAT64_CAP = 4000
+#: Step cap of the working-precision a posteriori stop.
+WORKING_PRECISION_CAP = 1_000_000
 
 
-class ReferenceMethod(Enum):
-    EXACT = "exact"
-    ITERATED = "iterated-to-precision"
+def reference_best_proximity(spec: CyclicMapSpec) -> Vector:
+    """The map's declared best proximity point xi, the reference of every
+    true error, after checking that ||xi - T xi|| - d and ||xi - T^2 xi||
+    are both within 1e-12 of 0.
 
-
-@dataclass(frozen=True)
-class ReferenceSolution:
-    xi: Vector
-    t_xi: Vector
-    achieved_gap: float
-    method: ReferenceMethod
-    steps_used: int
-
-
-def reference_best_proximity(
-    spec: CyclicMapSpec,
-    x0: Vector,
-    tol: float = REFERENCE_TOL,
-    cap: int = REFERENCE_CAP,
-) -> ReferenceSolution:
-    """Iterate T^2 to convergence and return the limit as the reference.
-
-    Stops when consecutive even iterates agree to tol (relative) and the
-    displacement excess over d is below tol.  When the map declares an
-    exact best proximity point and the limit lands within 1e-10 of it,
-    the exact point is returned with method EXACT.
+    Raises ConfigurationError when the map declares no point, and
+    DeclarationError naming the point when it fails either check.
     """
-    if not tol > 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    check_start(spec, x0)
-    space = spec.space
-    current = tuple(x0)
-    steps = 0
-    while steps < cap:
-        mid = apply_map(spec, current)
-        nxt = apply_map(spec, mid)
-        steps += 2
-        move = dist(space, current, nxt)
-        gap = dist(space, current, mid) - spec.d
-        converged = move < tol * (1 + lp_norm(space, current)) and gap < tol
-        current = nxt
-        if converged:
-            break
-    else:
-        raise NumericalError(f"no convergence within {cap} steps (tol={tol})")
-
-    xi = current
-    method = ReferenceMethod.ITERATED
-    if spec.best_proximity is not None:
-        if dist(space, xi, spec.best_proximity) <= 1e-10:
-            xi = tuple(spec.best_proximity)
-            method = ReferenceMethod.EXACT
-
+    xi = spec.best_proximity
+    if xi is None:
+        raise ConfigurationError("the map declares no best proximity point")
     t_xi = apply_map(spec, xi)
-    achieved_gap = dist(space, xi, t_xi) - spec.d
-    period_residual = dist(space, xi, apply_map(spec, t_xi))
-    if abs(achieved_gap) > 1e-12 or period_residual > 1e-12:
-        raise NumericalError(
-            f"reference rejected: gap={achieved_gap}, ||xi - T^2 xi||={period_residual}"
+    gap = dist(spec.space, xi, t_xi) - spec.d
+    period = dist(spec.space, xi, apply_map(spec, t_xi))
+    if abs(gap) > 1e-12 or period > 1e-12:
+        raise DeclarationError(
+            f"declared best proximity point {xi} is wrong: "
+            f"||xi - T xi|| - d = {gap}, ||xi - T^2 xi|| = {period}"
         )
-    return ReferenceSolution(
-        xi=xi, t_xi=t_xi, achieved_gap=achieved_gap, method=method, steps_used=steps
-    )
+    return tuple(xi)
 
 
 @dataclass
@@ -182,17 +134,18 @@ class SoundnessReport:
 def audit_soundness(spec: CyclicMapSpec, x0: Vector, steps: int) -> SoundnessReport:
     """Check true error <= both bounds at every even step up to `steps`.
 
-    The true error is measured against the independent reference point;
-    1e-9 absolute slack absorbs float round-off in bounds that collapse
-    to zero once the orbit reaches the limit to machine precision.
+    The true error is measured against `reference_best_proximity`, so a
+    wrong declared point raises DeclarationError.  1e-9 absolute slack
+    absorbs float round-off in bounds that collapse to zero once the orbit
+    reaches the limit to machine precision.
     """
     if steps < 2 or steps % 2 != 0:
         raise InputError(f"steps must be an even integer >= 2, got {steps}")
-    ref = reference_best_proximity(spec, x0)
+    xi = reference_best_proximity(spec)
     trace = picard_iterate(spec, x0, steps)
     report = SoundnessReport(passed=True)
     for budget in trace.budgets:
-        true_error = dist(spec.space, trace.iterates[budget.step], ref.xi)
+        true_error = dist(spec.space, trace.iterates[budget.step], xi)
         if true_error > budget.apriori + 1e-9 or true_error > budget.aposteriori + 1e-9:
             report.passed = False
             report.failures.append(
@@ -375,16 +328,15 @@ def _working_dps(D, d, k, consts: PowerTypeConstants, eps) -> int:
     return max(60, int(digits) + 40)
 
 
-def aposteriori_stop_working_precision(
-    lam: float, p: float, x0: Vector, eps: float, max_steps: int = 1_000_000
-):
+def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: float):
     """Run the a posteriori stop rule for the built-in map at working precision.
 
     Displacement excesses decay like k^m, so certifying small eps at large q
     requires resolving excesses far below float64; this sizes the working
     digits from the closed-form decay rate and runs the ordinary solver on
-    mpmath numbers.  Returns (stopped_at, true_error) with the true error
-    measured against the map's exact best proximity point (as a float).
+    mpmath numbers, capped at WORKING_PRECISION_CAP steps.  Returns
+    (stopped_at, true_error) with the true error measured against the
+    map's exact best proximity point (as a float).
     """
     check_target(eps)
     spec = make_example1(Example1Params(lam, p))
@@ -396,7 +348,9 @@ def aposteriori_stop_working_precision(
         # a float64 exponent alone floors displacement excesses near 1e-17.
         spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
         start = tuple(mp.mpf(c) for c in x0)
-        rule = StopRule(kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=max_steps)
+        rule = StopRule(
+            kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=WORKING_PRECISION_CAP
+        )
         approx, stopped_at, _ = run_with_stop(spec, start, rule, store_iterates=False)
         err = dist(spec.space, approx, spec.best_proximity)
     return stopped_at, float(err)
@@ -408,7 +362,6 @@ def reproduce_table(
     x0: Vector = DEFAULT_X0,
     eps_list=None,
     p_list=None,
-    max_steps: int = 1_000_000,
 ) -> TableResult:
     """Fill the (eps, p) grid of even stopping steps for the two-cone map.
 
@@ -440,9 +393,7 @@ def reproduce_table(
                 counts[i][j] = apriori_steps_needed(D, spec.d, spec.k, consts, eps)
         else:
             for i, eps in enumerate(eps_list):
-                counts[i][j], _ = aposteriori_stop_working_precision(
-                    lam, p, x0, eps, max_steps
-                )
+                counts[i][j], _ = aposteriori_stop_working_precision(lam, p, x0, eps)
 
     result = TableResult(
         kind=kind, lam=lam, x0=tuple(x0), eps_list=eps_list, p_list=p_list, counts=counts

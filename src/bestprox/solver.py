@@ -18,13 +18,11 @@ Both are one expression, built by `certificate_evaluator` and evaluated
 in one shot by `certificate`.  The a posteriori form is a direct stopping
 criterion: halt at the first even step whose bound falls below the target
 eps.  The bound grows with the excess P - d, so `run_with_stop` solves
-once per run for the excess g* at which it equals eps, the root of
-g = C d (eps / (a (d + g)))^q with a = k^(1/q) / (1 - k^(2/q)), and
-decides each even step by comparing P - d with g*
-(`powered_stop_test`), for integral and non-integral q alike.  It
-evaluates the certificate just where that comparison is too close to
-call, so an even step pays one subtraction and two comparisons besides
-its one norm, P.  The bound can fire
+once per run for the excess g* at which it equals eps and decides each
+even step by comparing P - d with g*, evaluating the certificate only
+where that comparison is too close to call (`powered_stop_test` gives
+the full account), so an even step pays one subtraction and two
+comparisons besides its one norm, P.  The bound can fire
 only while the computed excess P - d keeps shrinking: once the even-step
 displacement has held still for STALL_HALF_LIVES half-lives of the excess
 decay, the run is at the resolution floor of its arithmetic and raises
@@ -64,12 +62,8 @@ GAP_CLAMP = 1e-12
 STALL_HALF_LIVES = 10
 
 #: Relative half-width, per unit of q, of the band around the threshold
-#: excess g* inside which `powered_stop_test` does not trust its comparison
-#: of P - d with g*.  Outside the band the bound differs from eps by at
-#: least STOP_MARGIN relative, since it grows at least like (P - d)^(1/q);
-#: the certificate's rounding, a few units plus the rounding of the
-#: exponent 1/q times |log(gap / (C d))|, is under 1e-13 relative in
-#: float64, and g* is formed to within a quarter of the band.
+#: excess g* inside which `powered_stop_test` confirms its decision by the
+#: certificate; its docstring says why the band suffices.
 STOP_MARGIN = 2.0 ** -20
 
 #: Smallest normal float64; a C d below it has lost relative precision to
@@ -128,11 +122,9 @@ class IterationTrace:
     step's displacement.  When `store_iterates` is False only x0 is kept
     in `iterates` (long runs); `last` always holds the final point.
     `confirmations` counts the even steps of an a posteriori stop whose
-    decision needed the certificate itself: an excess P - d within the band
-    g* (1 +- q STOP_MARGIN) around the threshold excess, P - d <= 0, a P
-    that is not finite, or a run whose threshold is not formed (see
-    `powered_stop_test`).  A run usually confirms once, at its stop, or
-    not at all.
+    decision needed the certificate itself (the cases `powered_stop_test`
+    leaves undecided).  A run usually confirms once, at its stop, or not
+    at all.
     The declared (k, d) and power-type constants are carried so that
     `budgets` can be derived from the displacements when read; on mpmath
     numbers they are evaluated at the working precision in force at the
@@ -254,10 +246,18 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     so for P > d the test is (P a / eps)^q (P - d) < C d, whose left side
     increases with the excess g = P - d.  It holds exactly below the g*
     that solves g = C d (eps / (a (d + g)))^q (`_threshold_excess`), for
-    integral and non-integral q alike.  The comparison is trusted only
-    outside the band g* (1 +- q STOP_MARGIN), which is wider than the
-    rounding of the certificate and, since g* is resolved to an eighth of
-    the band, of g*; so a decision it returns is that of the certificate.
+    integral and non-integral q alike.
+
+    The comparison is trusted only outside the band g* (1 +- q STOP_MARGIN).
+    Outside it the bound differs from eps by at least STOP_MARGIN
+    relative, since the bound grows at least like (P - d)^(1/q).  That is
+    wider than the rounding of the certificate, a few units plus the
+    rounding of the exponent 1/q times |log(gap / (C d))|, under 1e-13
+    relative in float64; and g* is formed to within an eighth of the band
+    (the tolerance passed to `_threshold_excess`, whose float64 root is far
+    more accurate still).  So a decision the comparison returns is that of
+    the certificate.
+
     None is returned for every P when C d is not a normal float64 number
     or the arithmetic resolves less than 2^-40 relative; when g* is not
     formed (`_threshold_excess`); and for a P with P - d <= 0 or not

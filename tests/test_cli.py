@@ -82,7 +82,7 @@ class TestSolve:
     def test_overflowed_apriori_budget_is_named(self, capsys):
         # the a posteriori stop certifies, so the run succeeds, but its
         # a priori certificate at D = 1.5e308 overflows float64
-        code, out, _ = run_cli(capsys, "solve", "--x0", "1e308,0", "--no-oracle")
+        code, out, _ = run_cli(capsys, "solve", "--x0", "1e308,0")
         assert code == 0
         assert (
             "final budgets at step 1070: apriori: not finite at D=1.5e+308, "
@@ -92,8 +92,7 @@ class TestSolve:
     def test_overflowed_budgets_in_the_trace_csv_are_named(self, capsys, tmp_path):
         path = tmp_path / "trace.csv"
         code, _, _ = run_cli(
-            capsys, "solve", "--x0", "1e308,0", "--no-oracle",
-            "--format", "csv", "--out", str(path),
+            capsys, "solve", "--x0", "1e308,0", "--format", "csv", "--out", str(path),
         )
         assert code == 0
         text = path.read_text()
@@ -124,7 +123,7 @@ class TestSolve:
     def test_stall_at_the_resolution_floor_is_exit_1(self, capsys):
         # gives up within a few hundred steps of its 10**6 default cap
         code, _, err = run_cli(
-            capsys, "solve", "--lambda", "0.9", "--p", "2", "--eps", "1e-10", "--no-oracle"
+            capsys, "solve", "--lambda", "0.9", "--p", "2", "--eps", "1e-10"
         )
         assert code == 1
         assert "stalled" in err and "eps=1e-10" in err
@@ -146,6 +145,11 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "--p", "inf", "--x0", "1000,8")
         assert code == 2
         assert "p=inf" in err
+
+    def test_reference_point_line(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--x0", "1000,8", "--eps", "1e-2")
+        assert code == 0
+        assert "reference point: (1, 0)\n" in out
 
     def test_wrong_dimension_is_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "solve", "--x0", "1000,8,3")
@@ -266,6 +270,23 @@ def test_non_finite_start_or_target_is_exit_2(capsys, argv, named):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p", "1100"],
+        ["solve", "--p", "1100", "--criterion", "apriori"],
+        ["table", "--p", "1100", "--criterion", "apriori"],
+        ["table", "--p", "1100", "--eps", "1e-2"],
+        ["modulus", "--p", "1100", "--eps", "1"],
+    ],
+)
+def test_p_beyond_float64_power_type_constant_is_exit_2(capsys, argv):
+    # C = 1/(p 2^p) is below the float64 range: 2^1100 overflows
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "p=1100" in err
+
+
 class TestVerify:
     def test_cyclic_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "cyclic", "--seed", "42")
@@ -299,6 +320,14 @@ def test_removed_flag_is_exit_2(capsys, command, flag):
         main([command, *flag])
     assert excinfo.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_table_takes_no_step_cap(capsys):
+    # the working-precision cap is fixed; only solve takes --max-steps
+    with pytest.raises(SystemExit) as excinfo:
+        main(["table", "--max-steps", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --max-steps 1" in capsys.readouterr().err
 
 
 def test_readme_cli_examples_parse():

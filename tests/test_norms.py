@@ -357,6 +357,18 @@ class TestPowerTypeConstants:
         with pytest.raises(InputError):
             PowerTypeConstants(C=0.1, q=1.5)
 
+    @pytest.mark.parametrize("p", [1015.0, 1023.0, 1024.0, 1100.0])
+    def test_float64_c_below_range_names_p(self, p):
+        # 1015 <= p < 1024: p * 2^p overflows to inf and C to 0; p >= 1024:
+        # 2^p itself overflows
+        with pytest.raises(InputError, match=f"p={p}"):
+            power_type_constants(p)
+
+    def test_positive_c_at_float64_p_1014_and_mpmath_p_1100(self):
+        assert power_type_constants(1014.0).C > 0
+        consts = power_type_constants(mp.mpf(1100))
+        assert consts.C == 1 / (1100 * mp.mpf(2) ** 1100) and consts.q == 1100
+
 
 class TestInverseModulusBound:
     def test_zero(self):

@@ -9,8 +9,8 @@ from bestprox import (
     DeclarationError,
     Example1Params,
     InputError,
-    NumericalError,
     StopKind,
+    StopRule,
     audit_proof_chain,
     audit_soundness,
     dist,
@@ -18,12 +18,12 @@ from bestprox import (
     rederive_distance,
     reference_best_proximity,
     reproduce_table,
+    run_with_stop,
 )
 from bestprox import oracle
 from bestprox.oracle import (
     DEFAULT_EPS_LIST,
     DEFAULT_P_LIST,
-    ReferenceMethod,
     apriori_dominates,
     columns_monotone,
     load_reference_counts,
@@ -48,35 +48,43 @@ def default_grids():
 
 class TestReferenceBestProximity:
     def test_benchmark_scenario(self):
-        ref = reference_best_proximity(benchmark_map(), (1000.0, 8.0))
-        assert ref.xi == E1
-        assert ref.t_xi == (-1.0, -0.0)
-        assert ref.method is ReferenceMethod.EXACT
-        assert abs(ref.achieved_gap) <= 1e-12
+        spec = benchmark_map()
+        assert reference_best_proximity(spec) == E1
+        assert spec.apply(E1) == (-1.0, -0.0)
 
     def test_start_at_the_answer(self):
-        ref = reference_best_proximity(benchmark_map(), E1)
-        assert ref.xi == E1
+        # the orbit from xi is the 2-cycle xi, T xi: the stop fires at step 2
+        spec = benchmark_map()
+        xi = reference_best_proximity(spec)
+        rule = StopRule(StopKind.APOSTERIORI, 1e-12)
+        assert run_with_stop(spec, xi, rule)[:2] == (xi, 2)
 
     def test_answer_is_parameter_independent(self):
-        ref = reference_best_proximity(benchmark_map(lam=0.9, p=5), (50.0, -20.0))
-        assert ref.xi == E1
+        assert reference_best_proximity(benchmark_map(lam=0.9, p=5)) == E1
 
     def test_periodicity_invariant(self):
         spec = benchmark_map(lam=0.73, p=1.3)
-        ref = reference_best_proximity(spec, (321.0, 55.0))
-        double = spec.apply(spec.apply(ref.xi))
-        assert dist(spec.space, ref.xi, double) <= 1e-12
-
-    def test_cap_exhaustion(self):
-        with pytest.raises(NumericalError):
-            reference_best_proximity(benchmark_map(lam=0.99), (1000.0, 8.0), cap=4)
+        xi = reference_best_proximity(spec)
+        double = spec.apply(spec.apply(xi))
+        assert dist(spec.space, xi, double) <= 1e-12
 
     def test_input_validation(self):
-        with pytest.raises(InputError):
-            reference_best_proximity(benchmark_map(), (0.0, 0.0))
-        with pytest.raises(InputError):
-            reference_best_proximity(benchmark_map(), (1000.0, 8.0), tol=0.0)
+        # the map must declare the point it is checked against
+        spec = dataclasses.replace(benchmark_map(), best_proximity=None)
+        with pytest.raises(ConfigurationError):
+            reference_best_proximity(spec)
+
+    def test_wrong_declaration_is_a_declaration_error(self):
+        spec = dataclasses.replace(benchmark_map(), best_proximity=(2.0, 0.0))
+        with pytest.raises(DeclarationError, match=r"\(2\.0, 0\.0\)"):
+            reference_best_proximity(spec)
+
+    def test_wrong_declaration_fails_the_soundness_audit(self):
+        # the orbit converges to (1, 0), so a (2, 0) reference would make
+        # every true error about 1; the audit refuses the point instead
+        spec = dataclasses.replace(benchmark_map(), best_proximity=(2.0, 0.0))
+        with pytest.raises(DeclarationError):
+            audit_soundness(spec, (1000.0, 8.0), steps=100)
 
 
 class TestAuditSoundness:
