@@ -93,15 +93,19 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
     """Build the two-cone benchmark map for the given (lam, p).
 
     Works verbatim with higher-precision `lam` and point coordinates
-    (all closures use only `*`, `+`, `-` and comparisons).  d = 2 for
-    every p; the oracle module re-derives it numerically as a cross-check.
+    (all closures use only `*`, `+`, `-` and comparisons).  The map's
+    constants 1 - lam and -lam are formed here, once, at the working
+    precision in force now, so build the spec at the precision it is
+    applied at (as for `solver.certificate_evaluator`).  d = 2 for every
+    p; the oracle module re-derives it numerically as a cross-check.
     """
     lam = params.lam
+    rest, flip = 1 - lam, -lam
 
     def apply(v: Vector) -> Vector:
         x, y = v
         sign = (x > 0) - (x < 0)
-        return (-((1 - lam) * sign + lam * x), -lam * y)
+        return (-(rest * sign + lam * x), flip * y)
 
     def in_a(v: Vector) -> bool:
         x, y = v

@@ -95,6 +95,12 @@ def lp_norm(space: LpSpace, v: Vector):
     total = 0.0
     for c in mags:
         total += 1.0 if c == scale else (c / scale) ** p
+    # Where every other term rounds away, the sum is exactly 1 and so is
+    # its root (1 ** y is 1 in float64 and in mpmath), so the division 1/p
+    # and the power are skipped; scale * total still rounds scale to the
+    # working precision, as scale * total ** (1 / p) does.
+    if total == 1:
+        return scale * total
     return scale * total ** (1 / p)
 
 

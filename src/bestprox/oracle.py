@@ -24,7 +24,8 @@ like k^m; for large q the stopping step is so deep that the excess falls
 far below float64 resolution (the iterate coordinates collapse onto the
 limit).  Counting stops faithfully therefore runs the *same* solver code
 on mpmath numbers with enough working digits, sized per cell from the
-closed-form decay rate.  Everyday solves stay in float64, where a
+excess g* below which the stop fires: the digits of d / g* plus a
+cushion of 20 (`_working_dps`).  Everyday solves stay in float64, where a
 collapsed displacement legitimately reports a zero bound (the iterate is
 the limit to machine precision); `stop_with_escalation` is the one place
 that falls back from a floored float64 run to working precision.
@@ -65,7 +66,6 @@ from .errors import (
 )
 from .norms import (
     LpSpace,
-    PowerTypeConstants,
     Vector,
     _implicit_equation,
     check_convexity_inequality,
@@ -79,8 +79,10 @@ from .norms import (
 from .solver import (
     StopKind,
     StopRule,
+    _FLOAT_MIN,
+    _run_constants,
+    _threshold_log_excess,
     apriori_bound,
-    apriori_prefactor,
     apriori_steps_needed,
     check_target,
     picard_iterate,
@@ -97,6 +99,10 @@ DEFAULT_X0 = (1000.0, 8.0)
 FLOAT64_CAP = 4000
 #: Step cap of the working-precision a posteriori stop.
 WORKING_PRECISION_CAP = 1_000_000
+#: Fewest digits of a working-precision cell.  It lifts only shallow cells
+#: (g* above about 1e-40 d), whose time does not measurably depend on the
+#: digits; `perfbench/tests` checks that the p = 2 column runs at no fewer.
+WORKING_DPS_FLOOR = 60
 
 
 def reference_best_proximity(spec: CyclicMapSpec) -> Vector:
@@ -320,12 +326,32 @@ def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
     return eps_list, p_list, counts
 
 
-def _working_dps(D, d, k, consts: PowerTypeConstants, eps) -> int:
-    """Decimal digits needed to resolve displacement excesses down to the
-    stopping step for eps, with cushion."""
-    prefactor = apriori_prefactor(D, d, k, consts)
-    digits = consts.q * math.log10(max(prefactor, 1.0) / eps)
-    return max(60, int(digits) + 40)
+def _working_dps(d, k, p, eps) -> int:
+    """Decimal digits of a working-precision a posteriori stop at eps: those
+    of d / g*, where g* is the threshold excess at which the bound equals
+    eps (`solver._threshold_log_excess`, solved in float64), plus a cushion
+    of 20, and at least WORKING_DPS_FLOOR.  The stop fires once P - d falls
+    below about g*, so these digits resolve the excesses it reads to about
+    20 digits.
+
+    InputError naming p when C d is below the float64 normal range: the
+    stop then forms no threshold and would evaluate the certificate at
+    every even step, at thousands of digits.
+    """
+    consts = power_type_constants(p)
+    denom, Cd, tail = _run_constants(d, k, consts, 1)
+    if not _FLOAT_MIN < Cd:
+        raise InputError(
+            f"the a posteriori stop forms no threshold at p={p}: "
+            f"C*d = {Cd:.3g} is below the float64 normal range"
+        )
+    q = consts.q
+    # log(C (eps / (a d))^q), a sum of logs: eps / (a d) may underflow
+    L = math.log(Cd / d) + q * (math.log(eps) - math.log(tail / denom) - math.log(d))
+    t = _threshold_log_excess(L, q)
+    if t is None:  # g* beyond the float64 range, far above d
+        return WORKING_DPS_FLOOR
+    return max(WORKING_DPS_FLOOR, math.ceil(-t / math.log(10)) + 20)
 
 
 def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: float):
@@ -333,16 +359,16 @@ def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: fl
 
     Displacement excesses decay like k^m, so certifying small eps at large q
     requires resolving excesses far below float64; this sizes the working
-    digits from the closed-form decay rate and runs the ordinary solver on
-    mpmath numbers, capped at WORKING_PRECISION_CAP steps.  Returns
-    (stopped_at, true_error) with the true error measured against the
-    map's exact best proximity point (as a float).
+    digits from the threshold excess the stop compares them with
+    (`_working_dps`) and runs the ordinary solver on mpmath numbers,
+    capped at WORKING_PRECISION_CAP steps.  Returns (stopped_at,
+    true_error) with the true error measured against the map's exact best
+    proximity point (as a float).
     """
     check_target(eps)
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
-    D = dist(spec.space, x0, apply_map(spec, x0))
-    dps = _working_dps(D, spec.d, lam, power_type_constants(p), eps)
+    dps = _working_dps(spec.d, lam, p, eps)
     with mp.workdps(dps):
         # lam, p and the start must all be working-precision numbers;
         # a float64 exponent alone floors displacement excesses near 1e-17.

@@ -197,34 +197,49 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
     return evaluate
 
 
-def _threshold_excess(d, Cd, a, eps, q, tol):
-    """The excess g* at which the a posteriori bound equals eps: the root of
-    g = C d (eps / (a (d + g)))^q.  None when a run constant or the root
-    lies outside the float64 range, or when the arithmetic does not resolve
-    g* or its power factor to tol relative (float64 underflow).
+def _threshold_log_excess(L, q):
+    """log(g*/d) for the threshold excess g* at which the a posteriori bound
+    equals eps, in float64, from L = log(C (eps / (a d))^q) and q; None when
+    the root lies outside the float64 range.
 
-    The root is located in float64, in t = log(g / d), where the equation
-    reads F(t) = t + q log(1 + e^t) - L with L = log(C (eps / (a d))^q).  F
-    is increasing and convex, so Newton's method from its upper bound
-    min(L, L / (q + 1)) descends to the root monotonically, quadratically
-    near it: at most 6 steps for q <= 20, one when g* << d.  The excess is
-    then formed in the working arithmetic by one evaluation of the
-    equation at P = d (1 + e^t), which keeps its relative error near q
-    times that of the float64 root.
+    g* is the root of g = C d (eps / (a (d + g)))^q.  In t = log(g / d) the
+    equation reads F(t) = t + q log(1 + e^t) - L.  F is increasing and
+    convex, so Newton's method from its upper bound min(L, L / (q + 1))
+    descends to the root monotonically, quadratically near it: at most 6
+    steps for q <= 20, one when g* << d.  `_threshold_excess` forms g* from
+    this root, and the oracle sizes its working digits by it.
+    """
+    try:
+        t = min(L, L / (q + 1))
+        for _ in range(_NEWTON_CAP):
+            e = math.exp(t)
+            step = (t + q * math.log1p(e) - L) / (1 + q * e / (1 + e))
+            t -= step
+            if abs(step) < _NEWTON_TOL:
+                return t
+    except OverflowError:  # e^t beyond the float64 range
+        pass
+    return None
+
+
+def _threshold_excess(d, Cd, a, eps, q, tol):
+    """The excess g* at which the a posteriori bound equals eps (see
+    `_threshold_log_excess`).  None when a run constant or the root lies
+    outside the float64 range, or when the arithmetic does not resolve g*
+    or its power factor to tol relative (float64 underflow).
+
+    The root t = log(g*/d) is located in float64; the excess is then
+    formed in the working arithmetic by one evaluation of the equation at
+    P = d (1 + e^t), which keeps its relative error near q times that of
+    the float64 root.
     """
     qf = float(q)
     try:
         L = math.log(float(Cd / d)) + qf * math.log(float(eps / (a * d)))
         if not math.isfinite(L):
             return None
-        t = min(L, L / (qf + 1))
-        for _ in range(_NEWTON_CAP):
-            e = math.exp(t)
-            step = (t + qf * math.log1p(e) - L) / (1 + qf * e / (1 + e))
-            t -= step
-            if abs(step) < _NEWTON_TOL:
-                break
-        else:
+        t = _threshold_log_excess(L, qf)
+        if t is None:
             return None
         power = (eps / (a * (d + d * math.exp(t)))) ** q
     except (ValueError, OverflowError):  # beyond the float64 range
@@ -273,12 +288,18 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     if g_star is None:
         return lambda P: None
     lo, hi = g_star * (1 - width), g_star * (1 + width)
+    # d and the outer limits 0 and inf in the run's arithmetic, so that an
+    # even step converts no number; d only where the conversion is exact
+    num = type(g_star)
+    zero, top = num(0), num(math.inf)
+    if num(d) == d:
+        d = num(d)
 
     def decide(P):
         gap = P - d
-        if hi < gap < math.inf:
+        if hi < gap < top:
             return False
-        if 0 < gap < lo:
+        if zero < gap < lo:
             return True
         return None
 

@@ -259,7 +259,6 @@ class TestModulus:
         (["table", "--criterion", "apriori", "--eps", "inf"], "eps=inf"),
         (["table", "--criterion", "aposteriori", "--eps", "inf", "--p", "2"], "eps=inf"),
         # finite starts whose a priori prefactor overflows float64
-        (["table", "--x0", "1e308,0", "--p", "2", "--eps", "1e-2"], "D=1.5e+308"),
         (["table", "--criterion", "apriori", "--x0", "1e308,0"], "D=1.5e+308"),
         (["solve", "--x0", "1e308,0", "--criterion", "apriori"], "D=1.5e+308"),
     ],
@@ -285,6 +284,29 @@ def test_p_beyond_float64_power_type_constant_is_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "p=1100" in err
+
+
+def test_a_posteriori_table_from_a_far_start_certifies(capsys):
+    # the a posteriori stop reads no a priori bound, so a start whose a
+    # priori prefactor overflows float64 is still counted
+    code, out, _ = run_cli(capsys, "table", "--x0", "1e308,0", "--p", "2", "--eps", "1e-2")
+    assert code == 0
+    assert out.split() == ["computed:", "eps", "2", "1e-02", "1044"]
+
+
+def test_a_posteriori_table_at_a_subnormal_eps_certifies(capsys):
+    # the digit sizing takes log(eps) and never forms prefactor / eps
+    code, out, _ = run_cli(capsys, "table", "--p", "2", "--eps", "5e-324")
+    assert code == 0
+    assert out.split()[-1] == "2166"
+
+
+def test_a_posteriori_table_without_a_threshold_is_exit_2_naming_p(capsys):
+    # C d = 1.1e-308 is below the float64 normal range, so the stop would
+    # form no threshold and evaluate the certificate at every even step
+    code, _, err = run_cli(capsys, "table", "--p", "1014", "--eps", "1e-2")
+    assert code == 2
+    assert "p=1014" in err
 
 
 class TestVerify:

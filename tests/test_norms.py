@@ -77,6 +77,10 @@ def _tied_vectors(draw):
 
 
 TIED_VECTORS = _tied_vectors()
+#: A largest magnitude, and the fractions of the other coordinates (dims 1-4)
+#: before they are shrunk until their terms round away beside it.
+MAXIMA = st.floats(min_value=1e-300, max_value=1e300)
+MINOR_FRACTIONS = st.lists(st.floats(min_value=0, max_value=1), max_size=3)
 
 
 class TestLpNormBits:
@@ -136,6 +140,44 @@ class TestLpNormBits:
             assert dist(space, w, v) == reference_lp_norm(
                 space, [a - b for a, b in zip(w, v)]
             )
+
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    @given(MAXIMA, MINOR_FRACTIONS, st.integers(min_value=0, max_value=3))
+    @settings(max_examples=150)
+    def test_float_norm_whose_minor_terms_round_away_is_bit_identical(
+        self, p, m, fractions, at
+    ):
+        # every other term (c / m)^p is at most about 2^-56, so the sum is
+        # exactly 1 in float64
+        coords = [m * f * 2.0 ** (-56 / p) for f in fractions]
+        coords.insert(at % (len(coords) + 1), -m)
+        space = LpSpace(len(coords), p)
+        assert sum((abs(c) / m) ** p for c in coords) == 1
+        assert lp_norm(space, coords) == reference_lp_norm(space, coords)
+
+    @pytest.mark.parametrize("dps", [50, 355])
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    @given(MAXIMA, MINOR_FRACTIONS, st.integers(min_value=0, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_mpf_norm_whose_minor_terms_round_away_is_bit_identical(
+        self, dps, p, m, fractions, at
+    ):
+        with mp.workdps(dps):
+            prec = mp.mp.prec
+            shrink = mp.mpf(2) ** (-(prec + 3) / mp.mpf(p))
+        with mp.workdps(2 * dps):
+            # a bit far past the working precision: the norm must round the
+            # largest coordinate as the written-out formula does
+            top = mp.mpf(m) * (1 + mp.mpf(2) ** -(prec + 10)) / 3
+            coords = [top * mp.mpf(f) / 7 * shrink for f in fractions]
+            coords.insert(at % (len(coords) + 1), top)
+        with mp.workdps(dps):
+            space = LpSpace(len(coords), mp.mpf(p))
+            scale = max(abs(c) for c in coords)
+            assert scale != top
+            assert sum((abs(c) / scale) ** space.p for c in coords) == 1
+            assert lp_norm(space, coords) == reference_lp_norm(space, coords)
+            assert dist(space, coords, [0] * len(coords)) == reference_lp_norm(space, coords)
 
     @pytest.mark.parametrize("v", [(2.0, -2.0, 1 / 3), (-1e300, 1e300), (5e-324, -5e-324, 0.0)])
     def test_listed_ties_are_bit_identical(self, v):

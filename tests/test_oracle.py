@@ -208,6 +208,34 @@ class TestStopWithEscalation:
         assert stop_with_escalation(0.9, 2.0, (1000.0, 8.0), 1e-10, k_override=0.9) is None
 
 
+class TestWorkingPrecisionDigits:
+    def test_deepest_cell_is_sized_from_its_threshold_excess(self):
+        # lam = 0.9, p = 20, eps = 1e-10: g* is about 2e-253 of d, plus a
+        # cushion of 20 digits; sizing from the a priori prefactor gave 355
+        assert oracle._working_dps(2.0, 0.9, 20.0, 1e-10) == 273
+
+    def test_shallow_cell_takes_the_floor(self):
+        assert oracle._working_dps(2.0, 0.5, 2.0, 1e-2) == oracle.WORKING_DPS_FLOOR
+
+    @pytest.mark.parametrize(
+        "lam, p, eps",
+        [(0.5, p, eps) for p in (5.0, 20.0) for eps in (1e-2, 1e-10)] + [(0.9, 20.0, 1e-10)],
+    )
+    def test_stopping_step_holds_at_40_more_digits(self, monkeypatch, lam, p, eps):
+        sized, _ = oracle.aposteriori_stop_working_precision(lam, p, (1000.0, 8.0), eps)
+        working_dps = oracle._working_dps
+        monkeypatch.setattr(oracle, "_working_dps", lambda *args: working_dps(*args) + 40)
+        wider, _ = oracle.aposteriori_stop_working_precision(lam, p, (1000.0, 8.0), eps)
+        assert wider == sized
+
+    def test_c_d_below_the_float64_normal_range_is_an_input_error_naming_p(self):
+        # C d = 1.1e-308 at p = 1014: the stop would form no threshold
+        with pytest.raises(InputError, match=r"p=1014"):
+            oracle._working_dps(2.0, 0.5, 1014.0, 1e-2)
+        with pytest.raises(InputError, match=r"p=1014"):
+            oracle.aposteriori_stop_working_precision(0.5, 1014.0, (1000.0, 8.0), 1e-2)
+
+
 class TestReferenceGrids:
     def test_embedded_grids_load(self):
         eps_list, p_list, post = load_reference_counts(StopKind.APOSTERIORI)

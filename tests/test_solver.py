@@ -177,11 +177,10 @@ class TestAprioriStepsNeeded:
 
     def test_overflowing_prefactor_is_an_input_error_naming_d(self):
         # finite D, but D / (1 - k) * sqrt(4 (D - d)) overflows float64;
-        # the step predictor and the digit sizing both read the prefactor
+        # the step predictor reads the prefactor
         for read in (
             lambda: apriori_prefactor(1.5e308, 2.0, 0.5, C18_Q2),
             lambda: apriori_steps_needed(1.5e308, 2.0, 0.5, C18_Q2, 1e-2),
-            lambda: _working_dps(1.5e308, 2.0, 0.5, C18_Q2, 1e-2),
         ):
             with pytest.raises(InputError, match=r"D=1\.5e\+308"):
                 read()
@@ -375,8 +374,7 @@ class TestRunWithStop:
         eps = 1e-6
         x0 = (1000.0, 8.0)
         spec = benchmark_map(lam=lam, p=p)
-        D = dist(spec.space, x0, spec.apply(x0))
-        dps = _working_dps(D, spec.d, spec.k, power_type_constants(p), eps)
+        dps = _working_dps(spec.d, spec.k, p, eps)
         with mp.workdps(dps):
             spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
             start = tuple(mp.mpf(c) for c in x0)
