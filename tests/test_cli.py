@@ -261,6 +261,10 @@ class TestModulus:
         # finite starts whose a priori prefactor overflows float64
         (["table", "--criterion", "apriori", "--x0", "1e308,0"], "D=1.5e+308"),
         (["solve", "--x0", "1e308,0", "--criterion", "apriori"], "D=1.5e+308"),
+        # the a priori table still refuses the start that the a posteriori
+        # table at the same p and eps now counts
+        (["table", "--criterion", "apriori", "--x0", "1e308,0", "--p", "2", "--eps", "1e-2"],
+         "D=1.5e+308"),
     ],
 )
 def test_non_finite_start_or_target_is_exit_2(capsys, argv, named):
