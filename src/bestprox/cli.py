@@ -67,7 +67,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _trace_rows(space, trace: IterationTrace):
-    dim = len(trace.x0)
+    dim = len(trace.iterates[0])
     header = (
         ["step", "side"]
         + [f"coord_{i}" for i in range(dim)]
@@ -134,17 +134,16 @@ def cmd_solve(args) -> int:
     print(f"criterion: {args.criterion}, eps = {_g6(args.eps)}")
     print(f"stopped at even step: {stopped_at}")
     print(f"approximation: {_fmt_point(approx)}")
-    if trace.steps >= 2:
-        final = error_budget_at(trace, trace.steps // 2)
-        apriori = (
-            f"apriori = {_g6(final.apriori)}"
-            if math.isfinite(final.apriori)
-            else f"apriori: not finite at D={_g6(trace.displacements[0])}"
-        )
-        print(
-            f"final budgets at step {final.step}: "
-            f"{apriori}, aposteriori = {_g6(final.aposteriori)}"
-        )
+    final = error_budget_at(trace, trace.steps // 2)
+    apriori = (
+        f"apriori = {_g6(final.apriori)}"
+        if math.isfinite(final.apriori)
+        else f"apriori: not finite at D={_g6(trace.displacements[0])}"
+    )
+    print(
+        f"final budgets at step {final.step}: "
+        f"{apriori}, aposteriori = {_g6(final.aposteriori)}"
+    )
     xi = oracle.reference_best_proximity(spec)
     print(f"reference point: {_fmt_point(xi)}")
     print(f"true error: {_g6(dist(spec.space, approx, xi))}")

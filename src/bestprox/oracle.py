@@ -197,8 +197,6 @@ def audit_proof_chain(spec: CyclicMapSpec, x0: Vector, steps: int) -> ProofChain
     for step in range(2, steps - 1, 2):
         even_move = dist(space, pts[step], pts[step + 2])
         for lookback in {1, 2, step}:
-            if lookback > step:
-                continue
             span = dist(space, pts[step - lookback], pts[step + 1 - lookback])
             excess = max(span - d, 0.0)
             scaled = (k ** lookback) * excess
@@ -460,12 +458,14 @@ def suite_map(lam: float, p: float, k_override: float | None = None) -> CyclicMa
 
 def stop_with_escalation(lam, p, x0: Vector, eps: float, k_override: float | None = None):
     """Stop the built-in map by the a posteriori rule at eps; returns
-    (stopped_at, true_error, escalated), or None when float64 gives up.
+    (stopped_at, true_error, escalated).
 
     Float64 runs up to FLOAT64_CAP steps.  A run that raises
     ResolutionFloorError has stalled at the float64 resolution floor and is
     re-run at working precision, unless k_override fault-injects k: that
-    re-run would use the true k.  A run that hits the cap gives up.
+    re-run would use the true k, so the ResolutionFloorError is raised
+    instead.  A run that hits the cap raises its BudgetExhaustedError.
+    Either error carries the float64 trace.
     """
     spec = suite_map(lam, p, k_override)
     rule = StopRule(kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=FLOAT64_CAP)
@@ -473,10 +473,8 @@ def stop_with_escalation(lam, p, x0: Vector, eps: float, k_override: float | Non
         approx, stopped_at, _ = run_with_stop(spec, x0, rule, store_iterates=False)
     except ResolutionFloorError:
         if k_override is not None:
-            return None
+            raise
         return (*aposteriori_stop_working_precision(lam, p, x0, eps), True)
-    except BudgetExhaustedError:
-        return None
     return stopped_at, dist(spec.space, approx, spec.best_proximity), False
 
 
@@ -650,10 +648,10 @@ def cyclic_suite(seed: int, k_override: float | None):
 
 def _stop_rule_delivers(lam: float, p: float, k_override: float | None):
     for eps in (1e-2, 1e-6, 1e-10):
-        outcome = stop_with_escalation(lam, p, DEFAULT_X0, eps, k_override)
-        if outcome is None:
-            return False, f"eps={eps}: no stop and no resolution plateau"
-        stopped_at, err, _ = outcome
+        try:
+            stopped_at, err, _ = stop_with_escalation(lam, p, DEFAULT_X0, eps, k_override)
+        except BudgetExhaustedError as exc:
+            return False, f"eps={eps}: {exc}"
         if not err < eps:
             return False, f"eps={eps}: stopped {stopped_at}, true error {err:.3g}"
     return True, ""

@@ -14,23 +14,22 @@ A, and two computable bounds certify the remaining error:
 
       ||xi - x_{2n}|| <= P / (1 - k^(2/q)) * ((P - d)/(C d))^(1/q) * k^(1/q).
 
-Both are one expression, built by `certificate_evaluator` and evaluated
-in one shot by `certificate`.  The a posteriori form is a direct stopping
-criterion: halt at the first even step whose bound falls below the target
-eps.  The bound grows with the excess P - d, so `run_with_stop` solves
-once per run for the excess g* at which it equals eps and decides each
-even step by comparing P - d with g*, evaluating the certificate only
-where that comparison is too close to call (`powered_stop_test` gives
-the full account), so an even step pays one subtraction and two
-comparisons besides its one norm, P.  The bound can fire
-only while the computed excess P - d keeps shrinking: once the even-step
-displacement has held still for STALL_HALF_LIVES half-lives of the excess
-decay, the run is at the resolution floor of its arithmetic and raises
-ResolutionFloorError rather than stepping on to the cap.  The a priori
-form predicts the required step count before iterating.  A run records
-only its orbit, D and the even-step displacements P; the per-even-step
-budgets of a trace are derived from those when read
-(`IterationTrace.budgets`, `error_budget_at`).
+Both are one expression, built by `certificate_evaluator`.  The a
+posteriori form is a direct stopping criterion: halt at the first even
+step whose bound falls below the target eps.  The bound grows with the
+excess P - d, so `run_with_stop` solves once per run for the excess g*
+at which it equals eps and decides each even step by comparing P - d
+with g*, evaluating the certificate only where that comparison is too
+close to call (`powered_stop_test` gives the full account), so an even
+step pays one subtraction and two comparisons besides its one norm, P.
+The bound can fire only while the computed excess P - d keeps shrinking:
+once the even-step displacement has held still for STALL_HALF_LIVES
+half-lives of the excess decay, the run is at the resolution floor of
+its arithmetic and raises ResolutionFloorError rather than stepping on
+to the cap.  The a priori form predicts the required step count before
+iterating.  A run records only its orbit, D and the even-step
+displacements P; the per-even-step budgets of a trace are derived from
+those when read (`IterationTrace.budgets`, `error_budget_at`).
 
 Bound evaluators and the iteration engine use only `**`, `abs` and
 comparisons, so they run unchanged on higher-precision number types
@@ -119,8 +118,8 @@ class IterationTrace:
     D = ||x_0 - x_1|| and `displacements[n]` is P = ||x_{2n-1} - x_{2n}||,
     so `displacements[-1]` is the latest P.  The norms of even-to-odd
     steps are not taken; with stored iterates, `norms.dist` gives any
-    step's displacement.  When `store_iterates` is False only x0 is kept
-    in `iterates` (long runs); `last` always holds the final point.
+    step's displacement.  `iterates[0]` is always x0; when `store_iterates`
+    is False it is the only point kept (long runs).
     `confirmations` counts the even steps of an a posteriori stop whose
     decision needed the certificate itself (the cases `powered_stop_test`
     leaves undecided).  A run usually confirms once, at its stop, or not
@@ -131,13 +130,11 @@ class IterationTrace:
     time of reading.
     """
 
-    x0: Vector
     k: float
     d: float
     constants: PowerTypeConstants
     iterates: list = field(default_factory=list)
     displacements: list = field(default_factory=list)
-    last: Vector = None
     store_iterates: bool = True
     steps: int = 0
     confirmations: int = 0
@@ -232,6 +229,12 @@ def _threshold_excess(d, Cd, a, eps, q, tol):
     formed in the working arithmetic by one evaluation of the equation at
     P = d (1 + e^t), which keeps its relative error near q times that of
     the float64 root.
+
+    L takes the log of the float64 quotient eps / (a d), not a sum of logs
+    as the oracle's digit sizing does: the quotient overflows where the
+    certificate's X / (1 - k^(2/q)) * ((X - d)/(C d))^(1/q) does, before
+    its tiny factor k^(1/q), so such runs stay with the certificate (p =
+    1.5, k = 1e-299, eps = 1e160, P - d = 1e206: bound 8.9e159, float64 inf).
     """
     qf = float(q)
     try:
@@ -306,11 +309,6 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     return decide
 
 
-def certificate(X, d, k, consts: PowerTypeConstants, m, name: str):
-    """The paper's error estimate at X, in one shot (see `certificate_evaluator`)."""
-    return certificate_evaluator(d, k, consts, m, name)(X)
-
-
 def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
     """Error bound at even step 2n from the initial displacement D.
 
@@ -319,7 +317,7 @@ def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    return certificate(D, d, k, consts, 2 * n, "D")
+    return certificate_evaluator(d, k, consts, 2 * n, "D")(D)
 
 
 def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
@@ -327,16 +325,7 @@ def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
 
     Returns exactly 0 when P = d.
     """
-    return certificate(P, d, k, consts, 1, "P")
-
-
-def apriori_prefactor(D, d, k, consts: PowerTypeConstants):
-    """The factor of the a priori bound that does not decay with n, the
-    certificate at D with m = 0; InputError naming D unless it is finite."""
-    prefactor = certificate(D, d, k, consts, 0, "D")
-    if not prefactor - prefactor == 0:
-        raise InputError(f"the a priori prefactor is not finite at D={D}, got {prefactor}")
-    return prefactor
+    return certificate_evaluator(d, k, consts, 1, "P")(P)
 
 
 def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
@@ -345,11 +334,15 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     Solved in closed form from the logarithm of the geometric tail, then
     verified by direct evaluation at n and n - 1 to absorb floating-point
     drift.  Returns 2 when the bound at n = 1 is already below eps.  The
-    guess takes log(prefactor) - log(eps), so a subnormal eps, whose
-    quotient would overflow, is solved too.
+    guess takes log(prefactor) - log(eps), where the prefactor is the
+    certificate at D with m = 0, so a subnormal eps, whose quotient would
+    overflow, is solved too.  InputError naming D unless the prefactor is
+    finite.
     """
     check_target(eps)
-    prefactor = apriori_prefactor(D, d, k, consts)
+    prefactor = certificate_evaluator(d, k, consts, 0, "D")(D)
+    if not prefactor - prefactor == 0:
+        raise InputError(f"the a priori prefactor is not finite at D={D}, got {prefactor}")
     q = consts.q
 
     def bound(n: int):
@@ -383,12 +376,10 @@ def _start_trace(spec: CyclicMapSpec, x0: Vector, store_iterates: bool) -> Itera
     check_start(spec, x0)
     _check_distance(spec.d)
     return IterationTrace(
-        x0=tuple(x0),
         k=spec.k,
         d=spec.d,
         constants=power_type_constants(spec.space.p),
         iterates=[tuple(x0)],
-        last=tuple(x0),
         store_iterates=store_iterates,
     )
 
@@ -406,23 +397,20 @@ def _advance(spec: CyclicMapSpec, trace: IterationTrace, current: Vector):
         )
     if trace.store_iterates:
         trace.iterates.append(nxt)
-    trace.last = nxt
     return nxt
 
 
-def picard_iterate(
-    spec: CyclicMapSpec, x0: Vector, steps: int, store_iterates: bool = True
-) -> IterationTrace:
+def picard_iterate(spec: CyclicMapSpec, x0: Vector, steps: int) -> IterationTrace:
     """Run exactly `steps` Picard steps from x0 in A.
 
-    The trace holds steps + 1 points (or just x0 in displacement-only
-    mode) and the displacements D and P of every even step; its `budgets`
-    derive an ErrorBudget for every even step >= 2 from them.
+    The trace holds all steps + 1 points and the displacements D and P of
+    every even step; its `budgets` derive an ErrorBudget for every even
+    step >= 2 from them.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
-    trace = _start_trace(spec, x0, store_iterates)
-    current = trace.x0
+    trace = _start_trace(spec, x0, store_iterates=True)
+    current = trace.iterates[0]
     for _ in range(steps):
         current = _advance(spec, trace, current)
     return trace
@@ -445,10 +433,11 @@ def run_with_stop(
     prediction above the cap raises BudgetExhaustedError at once,
     carrying the one-step trace the prediction was read from.  Hitting
     the cap before a criterion fires raises BudgetExhaustedError carrying
-    the partial trace.
+    the partial trace.  With `store_iterates` False the trace keeps only
+    x0; approx is the final point either way.
     """
     trace = _start_trace(spec, x0, store_iterates)
-    current = trace.x0
+    current = trace.iterates[0]
 
     if rule.kind is StopKind.APRIORI:
         current = _advance(spec, trace, current)  # need D = ||x0 - Tx0||

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from bestprox import (
+    BudgetExhaustedError,
     Example1Params,
     StopKind,
     StopRule,
@@ -191,11 +192,11 @@ def test_criterion_4_stop_correctness(starts):
             # working precision below the float64 floor
             deepest_float64 = None
             for eps in ladder:
-                outcome = stop_with_escalation(lam, p, starts[0], eps)
-                if outcome is None:
+                try:
+                    stopped_at, err, escalated = stop_with_escalation(lam, p, starts[0], eps)
+                except BudgetExhaustedError:
                     failures.append((lam, p, starts[0], eps, "cap hit off the plateau", None))
                     continue
-                stopped_at, err, escalated = outcome
                 if escalated:
                     escalated_runs += 1
                 else:
@@ -211,11 +212,15 @@ def test_criterion_4_stop_correctness(starts):
             # was needed
             for idx, x0 in enumerate(starts[1:], start=1):
                 if deepest_float64 is not None:
-                    outcome = stop_with_escalation(lam, p, x0, deepest_float64)
-                    if outcome is None or outcome[2]:
+                    try:
+                        stopped_at, err, escalated = stop_with_escalation(
+                            lam, p, x0, deepest_float64
+                        )
+                    except BudgetExhaustedError:
+                        escalated = True  # a give-up counts as floored too
+                    if escalated:
                         failures.append((lam, p, x0, deepest_float64, "floored", None))
                         continue
-                    stopped_at, err, _ = outcome
                     float64_runs += 1
                     if not (err < deepest_float64 and stopped_at % 2 == 0):
                         failures.append((lam, p, x0, deepest_float64, stopped_at, err))

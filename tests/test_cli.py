@@ -368,3 +368,15 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README.md CLI example rejected: {line}")
+
+
+def test_readme_library_quick_start_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["stopped_at"] == 30
+    trace = namespace["trace"]
+    assert namespace["approx"] == trace.iterates[-1]
+    assert [b.step for b in trace.budgets] == list(range(2, 31, 2))

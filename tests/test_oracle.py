@@ -5,10 +5,12 @@ import random
 import pytest
 
 from bestprox import (
+    BudgetExhaustedError,
     ConfigurationError,
     DeclarationError,
     Example1Params,
     InputError,
+    ResolutionFloorError,
     StopKind,
     StopRule,
     audit_proof_chain,
@@ -200,12 +202,23 @@ class TestStopWithEscalation:
     def test_cap_without_plateau_is_a_failure(self):
         # at lam = 0.999 the excess is still far above the float64 floor
         # when the cap is hit, so there is nothing to escalate past
-        assert stop_with_escalation(0.999, 2.0, (1000.0, 8.0), 1e-2) is None
+        with pytest.raises(BudgetExhaustedError) as excinfo:
+            stop_with_escalation(0.999, 2.0, (1000.0, 8.0), 1e-2)
+        assert not isinstance(excinfo.value, ResolutionFloorError)
+        assert excinfo.value.trace.steps == oracle.FLOAT64_CAP
 
     def test_overridden_k_does_not_escalate(self):
         # the floored run above, with k declared by hand: working
         # precision would rebuild the map with its true k instead
-        assert stop_with_escalation(0.9, 2.0, (1000.0, 8.0), 1e-10, k_override=0.9) is None
+        with pytest.raises(ResolutionFloorError):
+            stop_with_escalation(0.9, 2.0, (1000.0, 8.0), 1e-10, k_override=0.9)
+
+    def test_stop_rule_report_names_the_floor(self):
+        # under k_override the float64 run at eps = 1e-6 stalls at its
+        # resolution floor; the report says so instead of "no stop"
+        ok, detail = oracle._stop_rule_delivers(0.9, 2.0, 0.95)
+        assert not ok
+        assert detail.startswith("eps=1e-06: ") and "resolution floor" in detail
 
 
 class TestWorkingPrecisionDigits:
