@@ -171,20 +171,22 @@ def _grid_rows(eps_list, p_list, counts):
 
 def cmd_table(args) -> int:
     kind = StopKind(args.criterion)
-    eps_list = _parse_floats(args.eps) if args.eps else None
-    p_list = _parse_floats(args.p) if args.p else None
+    eps_list = _parse_floats(args.eps) if args.eps else oracle.DEFAULT_EPS_LIST
+    p_list = _parse_floats(args.p) if args.p else oracle.DEFAULT_P_LIST
     x0 = _parse_floats(args.x0)
+    if args.compare_paper and not oracle.benchmark_scenario(
+        kind, args.lam, x0, eps_list, p_list
+    ):
+        raise InputError(
+            "--compare-paper requires the benchmark grid "
+            "(lambda=0.5, x0=1000,8, default eps and p lists)"
+        )
     result = oracle.reproduce_table(
         kind, lam=args.lam, x0=x0, eps_list=eps_list, p_list=p_list
     )
     blocks = [("computed", result.counts)]
     exit_code = 0
     if args.compare_paper:
-        if result.reference_counts is None:
-            raise InputError(
-                "--compare-paper requires the benchmark grid "
-                "(lambda=0.5, x0=1000,8, default eps and p lists)"
-            )
         blocks.append(("reference", result.reference_counts))
         blocks.append(("delta", result.deltas))
         tolerance = 2 if kind is StopKind.APOSTERIORI else 4

@@ -324,6 +324,25 @@ def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
     return eps_list, p_list, counts
 
 
+def benchmark_scenario(kind: StopKind, lam, x0: Vector, eps_list, p_list) -> bool:
+    """Whether a grid is the scenario of the published `kind` grid: lam =
+    1/2 and x0 = (1000, 8) over the published eps and p lists.  First
+    raises InputError naming a bad kind, lam, eps or p, so that a caller
+    can ask before any cell runs."""
+    if kind not in (StopKind.APRIORI, StopKind.APOSTERIORI):
+        raise InputError(f"table kind must be APRIORI or APOSTERIORI, got {kind}")
+    if not (0 < lam < 1):
+        raise InputError(f"lam must lie in (0, 1), got {lam}")
+    for eps in eps_list:
+        check_target(eps)
+    for p in p_list:
+        check_exponent(p)
+    published = load_reference_counts(kind)[:2]
+    return (lam, tuple(x0), tuple(eps_list), tuple(p_list)) == (
+        DEFAULT_LAMBDA, DEFAULT_X0, *published
+    )
+
+
 def _working_dps(d, k, p, eps) -> int:
     """Decimal digits of a working-precision a posteriori stop at eps: those
     of d / g*, where g* is the threshold excess at which the bound equals
@@ -343,10 +362,7 @@ def _working_dps(d, k, p, eps) -> int:
             f"the a posteriori stop forms no threshold at p={p}: "
             f"C*d = {Cd:.3g} is below the float64 normal range"
         )
-    q = consts.q
-    # log(C (eps / (a d))^q), a sum of logs: eps / (a d) may underflow
-    L = math.log(Cd / d) + q * (math.log(eps) - math.log(tail / denom) - math.log(d))
-    t = _threshold_log_excess(L, q)
+    t = _threshold_log_excess(d, Cd, tail / denom, eps, consts.q)
     if t is None:  # g* beyond the float64 range, far above d
         return WORKING_DPS_FLOOR
     return max(WORKING_DPS_FLOOR, math.ceil(-t / math.log(10)) + 20)
@@ -384,28 +400,20 @@ def reproduce_table(
     kind: StopKind,
     lam: float = DEFAULT_LAMBDA,
     x0: Vector = DEFAULT_X0,
-    eps_list=None,
-    p_list=None,
+    eps_list=DEFAULT_EPS_LIST,
+    p_list=DEFAULT_P_LIST,
 ) -> TableResult:
     """Fill the (eps, p) grid of even stopping steps for the two-cone map.
 
     APOSTERIORI cells run the live stopping rule (at working precision
     sized per cell); APRIORI cells evaluate the closed-form step
     predictor from D = ||x0 - Tx0||_p.  When the scenario matches the
-    embedded benchmark grids, the published counts and cell deltas are
-    attached; deltas are reported as computed, never reconciled.
+    embedded benchmark grids (`benchmark_scenario`), the published counts
+    and cell deltas are attached; deltas are reported as computed, never
+    reconciled.
     """
-    if kind not in (StopKind.APRIORI, StopKind.APOSTERIORI):
-        raise InputError(f"table kind must be APRIORI or APOSTERIORI, got {kind}")
-    if not (0 < lam < 1):
-        raise InputError(f"lam must lie in (0, 1), got {lam}")
-    eps_list = tuple(eps_list) if eps_list is not None else DEFAULT_EPS_LIST
-    p_list = tuple(p_list) if p_list is not None else DEFAULT_P_LIST
-    for eps in eps_list:
-        check_target(eps)
-    for p in p_list:
-        check_exponent(p)
-
+    eps_list, p_list = tuple(eps_list), tuple(p_list)
+    on_benchmark = benchmark_scenario(kind, lam, x0, eps_list, p_list)
     counts = [[0] * len(p_list) for _ in eps_list]
     for j, p in enumerate(p_list):
         if kind is StopKind.APRIORI:
@@ -422,14 +430,8 @@ def reproduce_table(
     result = TableResult(
         kind=kind, lam=lam, x0=tuple(x0), eps_list=eps_list, p_list=p_list, counts=counts
     )
-    ref_eps, ref_p, ref_counts = load_reference_counts(kind)
-    if (
-        lam == DEFAULT_LAMBDA
-        and tuple(x0) == DEFAULT_X0
-        and eps_list == ref_eps
-        and p_list == ref_p
-    ):
-        result.reference_counts = ref_counts
+    if on_benchmark:
+        result.reference_counts = ref_counts = load_reference_counts(kind)[2]
         result.deltas = [
             [c - r for c, r in zip(crow, rrow)]
             for crow, rrow in zip(counts, ref_counts)

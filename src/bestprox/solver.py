@@ -18,10 +18,11 @@ Both are one expression, built by `certificate_evaluator`.  The a
 posteriori form is a direct stopping criterion: halt at the first even
 step whose bound falls below the target eps.  The bound grows with the
 excess P - d, so `run_with_stop` solves once per run for the excess g*
-at which it equals eps and decides each even step by comparing P - d
-with g*, evaluating the certificate only where that comparison is too
-close to call (`powered_stop_test` gives the full account), so an even
-step pays one subtraction and two comparisons besides its one norm, P.
+at which it equals eps and screens out each even step whose P - d lies
+clearly above g* (`powered_stop_test` gives the full account).  Such a
+step pays one subtraction and one comparison besides its one norm, P;
+the certificate decides every stop, and is evaluated as a rule only
+there.
 The bound can fire only while the computed excess P - d keeps shrinking:
 once the even-step displacement has held still for STALL_HALF_LIVES
 half-lives of the excess decay, the run is at the resolution floor of
@@ -60,16 +61,16 @@ GAP_CLAMP = 1e-12
 #: (lam 0.6-0.999, p 1.01-20); one repeat alone is not a floor.
 STALL_HALF_LIVES = 10
 
-#: Relative half-width, per unit of q, of the band around the threshold
-#: excess g* inside which `powered_stop_test` confirms its decision by the
-#: certificate; its docstring says why the band suffices.
+#: Relative margin, per unit of q, above the threshold excess g* beyond
+#: which `powered_stop_test` screens a step out without the certificate;
+#: its docstring says why the margin suffices.
 STOP_MARGIN = 2.0 ** -20
 
 #: Smallest normal float64; a C d below it has lost relative precision to
 #: gradual underflow.
 _FLOAT_MIN = sys.float_info.min
 
-#: Newton steps of `_threshold_excess`: it stops after a step below the
+#: Newton steps of `_threshold_log_excess`: it stops after a step below the
 #: tolerance, which leaves an error near q/8 times its square; the cap is
 #: never reached on finite input.
 _NEWTON_TOL = 2.0 ** -26
@@ -120,10 +121,9 @@ class IterationTrace:
     steps are not taken; with stored iterates, `norms.dist` gives any
     step's displacement.  `iterates[0]` is always x0; when `store_iterates`
     is False it is the only point kept (long runs).
-    `confirmations` counts the even steps of an a posteriori stop whose
-    decision needed the certificate itself (the cases `powered_stop_test`
-    leaves undecided).  A run usually confirms once, at its stop, or not
-    at all.
+    `confirmations` counts the even steps of an a posteriori stop at which
+    the certificate was evaluated: those the screen of `powered_stop_test`
+    does not rule out.  A certified stop confirms once, at its stop.
     The declared (k, d) and power-type constants are carried so that
     `budgets` can be derived from the displacements when read; on mpmath
     numbers they are evaluated at the working precision in force at the
@@ -194,19 +194,26 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
     return evaluate
 
 
-def _threshold_log_excess(L, q):
+def _threshold_log_excess(d, Cd, a, eps, q):
     """log(g*/d) for the threshold excess g* at which the a posteriori bound
-    equals eps, in float64, from L = log(C (eps / (a d))^q) and q; None when
-    the root lies outside the float64 range.
+    P a ((P - d)/(C d))^(1/q) equals eps, in float64; None when it lies
+    outside the float64 range.
 
     g* is the root of g = C d (eps / (a (d + g)))^q.  In t = log(g / d) the
-    equation reads F(t) = t + q log(1 + e^t) - L.  F is increasing and
-    convex, so Newton's method from its upper bound min(L, L / (q + 1))
-    descends to the root monotonically, quadratically near it: at most 6
-    steps for q <= 20, one when g* << d.  `_threshold_excess` forms g* from
-    this root, and the oracle sizes its working digits by it.
+    equation reads F(t) = t + q log(1 + e^t) - L, with L = log(C (eps /
+    (a d))^q) taken as a sum of logs, so that a subnormal eps or a
+    quotient eps / (a d) beyond the float64 range still forms it.  F is
+    increasing and convex, so Newton's method from its upper bound
+    min(L, L / (q + 1)) descends to the root monotonically, quadratically
+    near it: at most 6 steps for q <= 20, one when g* << d.
+    `_threshold_excess` forms g* from this root, and the oracle sizes its
+    working digits by it.
     """
+    q = float(q)
     try:
+        L = math.log(float(Cd / d)) + q * (
+            math.log(float(eps)) - math.log(float(a)) - math.log(float(d))
+        )
         t = min(L, L / (q + 1))
         for _ in range(_NEWTON_CAP):
             e = math.exp(t)
@@ -214,38 +221,24 @@ def _threshold_log_excess(L, q):
             t -= step
             if abs(step) < _NEWTON_TOL:
                 return t
-    except OverflowError:  # e^t beyond the float64 range
+    except (ValueError, OverflowError):  # beyond the float64 range
         pass
     return None
 
 
 def _threshold_excess(d, Cd, a, eps, q, tol):
-    """The excess g* at which the a posteriori bound equals eps (see
-    `_threshold_log_excess`).  None when a run constant or the root lies
-    outside the float64 range, or when the arithmetic does not resolve g*
-    or its power factor to tol relative (float64 underflow).
-
-    The root t = log(g*/d) is located in float64; the excess is then
-    formed in the working arithmetic by one evaluation of the equation at
-    P = d (1 + e^t), which keeps its relative error near q times that of
-    the float64 root.
-
-    L takes the log of the float64 quotient eps / (a d), not a sum of logs
-    as the oracle's digit sizing does: the quotient overflows where the
-    certificate's X / (1 - k^(2/q)) * ((X - d)/(C d))^(1/q) does, before
-    its tiny factor k^(1/q), so such runs stay with the certificate (p =
-    1.5, k = 1e-299, eps = 1e160, P - d = 1e206: bound 8.9e159, float64 inf).
-    """
-    qf = float(q)
+    """The excess g* at which the a posteriori bound equals eps, formed in
+    the working arithmetic by one evaluation of its equation at
+    P = d (1 + e^t) for the float64 root t of `_threshold_log_excess`,
+    which keeps its relative error near q times that of t.  None when t is
+    not formed, or when the arithmetic does not resolve g* or its power
+    factor to tol relative (float64 underflow)."""
+    t = _threshold_log_excess(d, Cd, a, eps, q)
+    if t is None:
+        return None
     try:
-        L = math.log(float(Cd / d)) + qf * math.log(float(eps / (a * d)))
-        if not math.isfinite(L):
-            return None
-        t = _threshold_log_excess(L, qf)
-        if t is None:
-            return None
         power = (eps / (a * (d + d * math.exp(t)))) ** q
-    except (ValueError, OverflowError):  # beyond the float64 range
+    except OverflowError:  # beyond the float64 range
         return None
     g_star = Cd * power
     # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
@@ -255,10 +248,9 @@ def _threshold_excess(d, Cd, a, eps, q, tol):
 
 
 def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
-    """The a posteriori stop test bound(P) < eps as a comparison of the
-    excess P - d with a threshold formed once, as a one-argument function
-    of P returning True, False, or None when it cannot decide and the
-    caller must evaluate the certificate.
+    """A screen for the a posteriori stop test bound(P) < eps: a one-argument
+    function of P that is False where the excess P - d shows the bound to
+    be at least eps, and True where the certificate must decide.
 
     With a = k^(1/q) / (1 - k^(2/q)) the bound is P a ((P - d)/(C d))^(1/q),
     so for P > d the test is (P a / eps)^q (P - d) < C d, whose left side
@@ -266,21 +258,22 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     that solves g = C d (eps / (a (d + g)))^q (`_threshold_excess`), for
     integral and non-integral q alike.
 
-    The comparison is trusted only outside the band g* (1 +- q STOP_MARGIN).
-    Outside it the bound differs from eps by at least STOP_MARGIN
-    relative, since the bound grows at least like (P - d)^(1/q).  That is
-    wider than the rounding of the certificate, a few units plus the
-    rounding of the exponent 1/q times |log(gap / (C d))|, under 1e-13
-    relative in float64; and g* is formed to within an eighth of the band
-    (the tolerance passed to `_threshold_excess`, whose float64 root is far
-    more accurate still).  So a decision the comparison returns is that of
-    the certificate.
+    The screen returns False only above g* (1 + q STOP_MARGIN).  There the
+    bound exceeds eps by at least STOP_MARGIN relative, since it grows at
+    least like (P - d)^(1/q).  That is wider than the rounding of the
+    certificate, a few units plus the rounding of the exponent 1/q times
+    |log(gap / (C d))|, under 1e-13 relative in float64; and g* is formed
+    to within an eighth of the margin (the tolerance passed to
+    `_threshold_excess`, whose float64 root is far more accurate still).
+    So a screened-out step is one whose certificate would not fire (an
+    infinite P among them), and every stop fires on the certificate, which
+    a run evaluates once its excess comes within the margin of g*: as a
+    rule once, at its stop.
 
-    None is returned for every P when C d is not a normal float64 number
-    or the arithmetic resolves less than 2^-40 relative; when g* is not
-    formed (`_threshold_excess`); and for a P with P - d <= 0 or not
-    finite.  Built, like `certificate_evaluator`, at the precision it is
-    evaluated at.
+    The screen is True for every P when C d is not a normal float64 number
+    or the arithmetic resolves less than 2^-40 relative, and when g* is
+    not formed.  Built, like `certificate_evaluator`, at the precision it
+    is evaluated at.
     """
     denom, Cd, tail = _run_constants(d, k, consts, 1)
     q = consts.q
@@ -289,24 +282,18 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     if _FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd:
         g_star = _threshold_excess(d, Cd, tail / denom, eps, q, width / 8)
     if g_star is None:
-        return lambda P: None
-    lo, hi = g_star * (1 - width), g_star * (1 + width)
-    # d and the outer limits 0 and inf in the run's arithmetic, so that an
-    # even step converts no number; d only where the conversion is exact
+        return lambda P: True
+    hi = g_star * (1 + width)
+    # d in the run's arithmetic, so that an even step converts no number;
+    # only where the conversion is exact
     num = type(g_star)
-    zero, top = num(0), num(math.inf)
     if num(d) == d:
         d = num(d)
 
-    def decide(P):
-        gap = P - d
-        if hi < gap < top:
-            return False
-        if zero < gap < lo:
-            return True
-        return None
+    def may_fire(P):
+        return not (P - d > hi)
 
-    return decide
+    return may_fire
 
 
 def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
@@ -425,10 +412,10 @@ def run_with_stop(
     is strictly below eps.  When instead the displacement of
     `stall_span(k)` consecutive even steps equals that of the even step
     before each, it raises ResolutionFloorError carrying the trace and the
-    stalled bound as `floor`.  The test is decided by comparing P - d with
-    the threshold excess (`powered_stop_test`) where it can and by the
-    certificate where it cannot; the trace counts the latter as
-    `confirmations`.  APRIORI predicts the step count from
+    stalled bound as `floor`.  The certificate decides every stop; the
+    screen of `powered_stop_test` only spares it the steps whose excess
+    P - d lies clearly above the threshold, and the trace counts the steps
+    it is evaluated at as `confirmations`.  APRIORI predicts the step count from
     the initial displacement and runs exactly that many steps; a
     prediction above the cap raises BudgetExhaustedError at once,
     carrying the one-step trace the prediction was read from.  Hitting
@@ -453,24 +440,22 @@ def run_with_stop(
             current = _advance(spec, trace, current)
         return current, target, trace
 
-    # APOSTERIORI: aposteriori_bound and its threshold test, with their run
+    # APOSTERIORI: aposteriori_bound and its screen, with their run
     # constants and the threshold excess formed once, at the working
     # precision of this run.
     eps = rule.epsilon
     bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")
-    below = powered_stop_test(spec.d, spec.k, trace.constants, eps)
+    may_fire = powered_stop_test(spec.d, spec.k, trace.constants, eps)
     span = stall_span(spec.k)
     held, previous = 0, None
     while trace.steps < rule.max_steps:  # max_steps is even: step in pairs
         current = _advance(spec, trace, current)
         current = _advance(spec, trace, current)
         P = trace.displacements[-1]
-        fires = below(P)
-        if fires is None:
+        if may_fire(P):
             trace.confirmations += 1
-            fires = bound(P) < eps
-        if fires:
-            return current, trace.steps, trace
+            if bound(P) < eps:
+                return current, trace.steps, trace
         held = held + 1 if P == previous else 0
         if held >= span:
             floor = bound(P)

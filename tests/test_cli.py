@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from bestprox import oracle
 from bestprox.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -203,6 +204,15 @@ class TestTable:
             "--eps", "1e-3",
         )
         assert code == 2
+
+    def test_off_grid_compare_is_refused_before_any_cell_runs(self, capsys, monkeypatch):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a grid cell ran before the refusal")
+
+        monkeypatch.setattr(oracle, "aposteriori_stop_working_precision", no_cell)
+        code, out, err = run_cli(capsys, "table", "--compare-paper", "--lambda", "0.9")
+        assert code == 2 and out == ""
+        assert "--compare-paper requires the benchmark grid" in err
 
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(

@@ -29,7 +29,7 @@ from bestprox import (
     run_with_stop,
 )
 from bestprox import solver
-from bestprox.oracle import _working_dps
+from bestprox.oracle import FLOAT64_CAP, WORKING_PRECISION_CAP, _working_dps
 from bestprox.solver import (
     certificate_evaluator,
     powered_stop_test,
@@ -540,10 +540,22 @@ def _stop_case(p, k, num):
     return num(2), num(k), consts
 
 
-def _decided_right(decide, bound, P, eps):
-    """The powered decision at P is None or that of the certificate."""
-    fast = decide(P)
-    return fast is None or fast == (bound(P) < eps)
+def _decided_right(may_fire, bound, P, eps):
+    """The screen at P is sound: it rules P out only where the certificate
+    would not fire."""
+    return may_fire(P) or bound(P) >= eps
+
+
+def _working_precision_run(lam, p, eps):
+    """The a posteriori stop of a grid cell from (1000, 8), at the digits
+    the oracle sizes for it; returns (stopped_at, trace)."""
+    spec = benchmark_map(lam=lam, p=p)
+    with mp.workdps(_working_dps(spec.d, spec.k, p, eps)):
+        spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
+        start = (mp.mpf(1000), mp.mpf(8))
+        rule = StopRule(StopKind.APOSTERIORI, eps, max_steps=WORKING_PRECISION_CAP)
+        _, stopped_at, trace = run_with_stop(spec, start, rule, store_iterates=False)
+    return stopped_at, trace
 
 
 class TestPoweredStopTest:
@@ -559,20 +571,20 @@ class TestPoweredStopTest:
             # one ulp of P moves both forms by about their rounding
             for eps in (1e3, 1e-2, 1e-6, 1e-10):
                 bound = certificate_evaluator(d, k, consts, 1, "P")
-                decide = powered_stop_test(d, k, consts, eps)
+                may_fire = powered_stop_test(d, k, consts, eps)
                 edge = _stop_threshold(bound, d, k, consts, eps)
                 assert bound(edge) < eps <= bound(edge + _ulp(edge))
                 near = [edge + j * _ulp(edge) for j in range(-8, 9)] + [d]
                 for P in near:
-                    assert _decided_right(decide, bound, P, eps)
-                assert decide(d) is None
-                # a P with 4 times or a quarter of the threshold's excess,
-                # where the arithmetic resolves it, is decided without the
-                # certificate, for integral and non-integral q
+                    assert _decided_right(may_fire, bound, P, eps)
+                assert may_fire(d) is True
+                # a P with 4 times the threshold's excess, where the
+                # arithmetic resolves it, is screened out, and one with a
+                # quarter of it is not, for integral and non-integral q
                 far = [(P, P < edge) for P in (d + (edge - d) / 4, d + 4 * (edge - d))]
                 for P, fires in far:
                     if P > d:
-                        assert decide(P) is fires
+                        assert may_fire(P) is fires
 
     @given(
         st.sampled_from(POWER_CASES),
@@ -606,34 +618,59 @@ class TestPoweredStopTest:
         bound = certificate_evaluator(d, k, consts, 1, "P")
         # at a target far below every bound, the threshold's power factor
         # (eps / (a (d + g)))^20 underflows to 0, so g* is not formed
-        decide = powered_stop_test(d, k, consts, 1e-300)
+        may_fire = powered_stop_test(d, k, consts, 1e-300)
         P = math.nextafter(d, math.inf)
-        assert decide(P) is None and bound(P) >= 1e-300
+        assert may_fire(P) is True and bound(P) >= 1e-300
         # at a target far above every bound, g* is about 2e284, so large
         # that d + g* rounds to g*; the excess ulp(d) lies far below it
-        decide = powered_stop_test(d, k, consts, 1e300)
-        assert decide(P) is (bound(P) < 1e300) is True
+        may_fire = powered_stop_test(d, k, consts, 1e300)
+        assert may_fire(P) is (bound(P) < 1e300) is True
         # with k = 1e-300 the factor a is tiny and g* is about 3e98
         d, k, consts = _stop_case(2, 1e-300, float)
         bound = certificate_evaluator(d, k, consts, 1, "P")
-        decide = powered_stop_test(d, k, consts, 1e-2)
-        assert decide(P) is (bound(P) < 1e-2) is True
-        # a non-finite P and a P below d
-        assert decide(math.inf) is None and decide(d - 1e-13) is None
+        may_fire = powered_stop_test(d, k, consts, 1e-2)
+        assert may_fire(P) is (bound(P) < 1e-2) is True
+        # an infinite P is screened out; a P below d goes to the
+        # certificate, which checks it
+        assert may_fire(math.inf) is False and bound(math.inf) >= 1e-2
+        assert may_fire(d - 1e-13) is True
+
+    def test_overflowing_certificate_is_not_screened_out(self):
+        # eps / (a d) overflows float64 here, but the sum of logs forms the
+        # threshold; at P - d = 1e206 the bound is 8.9e159 < eps while the
+        # float64 certificate overflows, so the step is not screened out
+        # and the certificate, which cannot fire, decides it
+        d, k, consts = _stop_case(1.5, 1e-299, float)
+        eps, P = 1e160, d + 1e206
+        may_fire = powered_stop_test(d, k, consts, eps)
+        assert may_fire(P) is True
+        assert certificate_evaluator(d, k, consts, 1, "P")(P) == math.inf
+        with mp.workdps(30):
+            exact = certificate_evaluator(mp.mpf(d), mp.mpf(k), consts, 1, "P")
+            assert exact(mp.mpf(P)) < eps
+        assert may_fire(d + 1e220) is False
 
     def test_run_constants_outside_float64_disable_it(self):
-        # a / eps subnormal (k tiny, eps huge), where a P of 1e300 still
-        # makes P a / eps normal; a band C d below the smallest normal
-        # (d = 1e-300, q = 30), where P = 1 gives a finite product far
-        # above it; and an arithmetic coarser than 2^-40
-        for d, k, q, eps in ((2.0, 1e-300, 2, 1e170), (1e-300, 0.5, 30, 1e-2)):
-            consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
-            assert (consts.C * d < sys.float_info.min) is (d < 1)
-            decide = powered_stop_test(d, k, consts, eps)
-            assert all(decide(P) is None for P in (d * 1.5, d * 10, 1.0, 1e300))
+        # a / eps subnormal (k tiny, eps huge): the sum of logs still forms
+        # the threshold, near an excess of 1.4e213, and its screen is sound
+        # where the float64 certificate overflows
+        d, k, q, eps = 2.0, 1e-300, 2, 1e170
+        consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
+        may_fire = powered_stop_test(d, k, consts, eps)
+        assert may_fire(1e300) is False
+        assert certificate_evaluator(d, k, consts, 1, "P")(1e300) >= eps
+        assert all(may_fire(P) is True for P in (d * 1.5, d * 10, 1.0))
+        # a band C d below the smallest normal (d = 1e-300, q = 30), where
+        # P = 1 gives a finite product far above it; and an arithmetic
+        # coarser than 2^-40: no threshold, so every P goes to the certificate
+        d, k, q, eps = 1e-300, 0.5, 30, 1e-2
+        consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
+        assert consts.C * d < sys.float_info.min
+        may_fire = powered_stop_test(d, k, consts, eps)
+        assert all(may_fire(P) is True for P in (d * 1.5, d * 10, 1.0, 1e300))
         with mp.workprec(30):
             d, k, consts = _stop_case(2, 0.5, mp.mpf)
-            assert powered_stop_test(d, k, consts, 1e-2)(mp.mpf(1000)) is None
+            assert powered_stop_test(d, k, consts, 1e-2)(mp.mpf(1000)) is True
         with mp.workprec(53):
             d, k, consts = _stop_case(2, 0.5, mp.mpf)
             assert powered_stop_test(d, k, consts, 1e-2)(mp.mpf(1000)) is False
@@ -654,51 +691,89 @@ class TestPoweredStopTest:
             assert abs(Cd * (eps / (a * (d + g))) ** q / g - 1) < 1e-12
 
     def test_threshold_below_the_float64_range_at_working_precision(self):
-        # a threshold excess far below 1e-308 is still formed and decides
+        # a threshold excess far below 1e-308 is still formed and screens
         # at working precision: a deep target at p = 20 (g* near 7e-357)
         with mp.workdps(400):
             d, k, consts = _stop_case(20, 0.5, mp.mpf)
             bound = certificate_evaluator(d, k, consts, 1, "P")
-            decide = powered_stop_test(d, k, consts, 1e-16)
+            may_fire = powered_stop_test(d, k, consts, 1e-16)
             edge = _stop_threshold(bound, d, k, consts, 1e-16)
             assert 0 < edge - d < mp.mpf(10) ** -350
-            assert decide(d + (edge - d) / 4) is True
-            assert decide(d + 4 * (edge - d)) is False
+            for P in [edge + j * _ulp(edge) for j in range(-8, 9)]:
+                assert _decided_right(may_fire, bound, P, 1e-16)
+            assert may_fire(d + (edge - d) / 4) is True
+            assert may_fire(d + 4 * (edge - d)) is False
 
     def test_subnormal_threshold_decides_only_where_resolved(self):
         # float64, p = 20: g* near 7e-313 is subnormal but resolved to 7e-12
-        # relative, far inside the band, and still decides; g* near 8e-321
-        # is resolved only to 6e-4 and goes to the certificate
+        # relative, far inside the margin, and still screens; g* near
+        # 8e-321 is resolved only to 6e-4 and every P goes to the certificate
         d, k, consts = _stop_case(20, 0.5, float)
         bound = certificate_evaluator(d, k, consts, 1, "P")
         P = math.nextafter(d, math.inf)
         fine = powered_stop_test(d, k, consts, 1.6e-14)
         assert fine(P) is False and bound(P) >= 1.6e-14
         coarse = powered_stop_test(d, k, consts, 6.4e-15)
-        assert all(coarse(X) is None for X in (P, d + 1e-3, 3.0))
+        assert all(coarse(X) is True for X in (P, d + 1e-3, 3.0))
 
     @pytest.mark.parametrize("num", [float, mp.mpf])
     def test_non_finite_p_goes_to_the_certificate(self, num):
+        # a NaN P, d and a P below d go to the certificate; an infinite P,
+        # whose certificate is inf, is screened out
         d, k, consts = _stop_case(2, 0.5, num)
-        decide = powered_stop_test(d, k, consts, 1e-2)
-        assert decide(d + num(1000)) is False and decide(d + num(1e-9)) is True
-        for P in (num("inf"), num("nan"), d, d - num(1e-13)):
-            assert decide(P) is None
+        may_fire = powered_stop_test(d, k, consts, 1e-2)
+        assert may_fire(d + num(1000)) is False and may_fire(d + num(1e-9)) is True
+        for P in (num("nan"), d, d - num(1e-13)):
+            assert may_fire(P) is True
+        assert may_fire(num("inf")) is False
 
     @pytest.mark.parametrize("p", [2.0, 20.0, 2.5])
     def test_a_run_confirms_only_near_the_threshold(self, p):
         # integral and non-integral q alike: the certificate is evaluated
-        # at most at the stopping step
+        # only at the stopping step
         with mp.workdps(80):
             spec = make_example1(Example1Params(lam=mp.mpf(0.5), p=mp.mpf(p)))
             start = (mp.mpf(1000), mp.mpf(8))
             _, stopped_at, trace = run_with_stop(
                 spec, start, StopRule(StopKind.APOSTERIORI, 1e-6), store_iterates=False
             )
-        if p == int(p):
-            assert trace.confirmations <= 1 < stopped_at // 2
-        else:
-            assert trace.confirmations <= 1
+        assert trace.confirmations == 1 < stopped_at // 2
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
+    def test_every_float64_stop_confirms_once(self, lam):
+        # every certified stop fires on the certificate, evaluated once;
+        # a run at its resolution floor, as 14 of the 18 at lam = 0.9 are,
+        # gives up unconfirmed
+        certified = 0
+        for p in (1.1, 1.5, 2.0, 3.0, 5.0, 20.0):
+            spec = benchmark_map(lam=lam, p=p)
+            for eps in (1e-2, 1e-6, 1e-10):
+                rule = StopRule(StopKind.APOSTERIORI, eps, max_steps=FLOAT64_CAP)
+                try:
+                    _, stopped_at, trace = run_with_stop(
+                        spec, (1000.0, 8.0), rule, store_iterates=False
+                    )
+                except ResolutionFloorError as exc:
+                    assert exc.trace.confirmations == 0
+                    continue
+                certified += 1
+                assert trace.confirmations == 1, (p, eps, stopped_at)
+        assert certified == (4 if lam == 0.9 else 18)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 5.0, 20.0])
+    def test_every_working_precision_cell_confirms_once(self, p):
+        for eps in (1e-2, 1e-6, 1e-10):
+            stopped_at, trace = _working_precision_run(0.5, p, eps)
+            assert trace.confirmations == 1, (eps, stopped_at)
+
+    def test_subnormal_target_confirms_once_at_working_precision(self):
+        # a subnormal eps still forms the threshold at working precision,
+        # so the certificate is evaluated at the stop alone, not at each
+        # of its 1,083 even steps
+        spec = benchmark_map(lam=0.5, p=2.0)
+        assert _working_dps(spec.d, spec.k, 2.0, 5e-324) == 669
+        stopped_at, trace = _working_precision_run(0.5, 2.0, 5e-324)
+        assert (stopped_at, trace.confirmations) == (2166, 1)
 
 
 class TestTargetCheck:
