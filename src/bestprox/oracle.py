@@ -24,7 +24,7 @@ like k^m; for large q the stopping step is so deep that the excess falls
 far below float64 resolution (the iterate coordinates collapse onto the
 limit).  Counting stops faithfully therefore runs the *same* solver code
 on mpmath numbers with enough working digits, sized per cell from the
-excess g* below which the stop fires: the digits of d / g* plus a
+excess h below which the stop can fire: the digits of d / h plus a
 cushion of 20 (`_working_dps`).  Everyday solves stay in float64, where a
 collapsed displacement legitimately reports a zero bound (the iterate is
 the limit to machine precision); `stop_with_escalation` is the one place
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -81,7 +80,7 @@ from .solver import (
     StopRule,
     _FLOAT_MIN,
     _run_constants,
-    _threshold_log_excess,
+    _stop_excess,
     apriori_bound,
     apriori_steps_needed,
     check_target,
@@ -100,7 +99,7 @@ FLOAT64_CAP = 4000
 #: Step cap of the working-precision a posteriori stop.
 WORKING_PRECISION_CAP = 1_000_000
 #: Fewest digits of a working-precision cell.  It lifts only shallow cells
-#: (g* above about 1e-40 d), whose time does not measurably depend on the
+#: (h above about 1e-40 d), whose time does not measurably depend on the
 #: digits; `perfbench/tests` checks that the p = 2 column runs at no fewer.
 WORKING_DPS_FLOOR = 60
 
@@ -343,17 +342,14 @@ def benchmark_scenario(kind: StopKind, lam, x0: Vector, eps_list, p_list) -> boo
     )
 
 
-def _working_dps(d, k, p, eps) -> int:
-    """Decimal digits of a working-precision a posteriori stop at eps: those
-    of d / g*, where g* is the threshold excess at which the bound equals
-    eps (`solver._threshold_log_excess`, solved in float64), plus a cushion
-    of 20, and at least WORKING_DPS_FLOOR.  The stop fires once P - d falls
-    below about g*, so these digits resolve the excesses it reads to about
-    20 digits.
+def _mp_stop_excess(d, k, p, eps):
+    """The excess h below which the a posteriori stop can fire
+    (`solver._stop_excess`), formed on mpf numbers, which neither overflow
+    nor underflow.
 
     InputError naming p when C d is below the float64 normal range: the
-    stop then forms no threshold and would evaluate the certificate at
-    every even step, at thousands of digits.
+    stop then forms no h and would evaluate the certificate at every even
+    step, at thousands of digits.
     """
     consts = power_type_constants(p)
     denom, Cd, tail = _run_constants(d, k, consts, 1)
@@ -362,10 +358,17 @@ def _working_dps(d, k, p, eps) -> int:
             f"the a posteriori stop forms no threshold at p={p}: "
             f"C*d = {Cd:.3g} is below the float64 normal range"
         )
-    t = _threshold_log_excess(d, Cd, tail / denom, eps, consts.q)
-    if t is None:  # g* beyond the float64 range, far above d
-        return WORKING_DPS_FLOOR
-    return max(WORKING_DPS_FLOOR, math.ceil(-t / math.log(10)) + 20)
+    return _stop_excess(*(mp.mpf(x) for x in (d, Cd, tail / denom, eps, consts.q)))
+
+
+def _working_dps(d, k, p, eps) -> int:
+    """Decimal digits of a working-precision a posteriori stop at eps: those
+    of d / h, for the excess h below which the stop can fire
+    (`_mp_stop_excess`), plus a cushion of 20, and at least
+    WORKING_DPS_FLOOR.  The stop fires once P - d falls below about h, so
+    these digits resolve the excesses it reads to about 20 digits."""
+    digits = mp.ceil(mp.log10(d / _mp_stop_excess(d, k, p, eps)))
+    return max(WORKING_DPS_FLOOR, int(digits) + 20)
 
 
 def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: float):
@@ -373,16 +376,28 @@ def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: fl
 
     Displacement excesses decay like k^m, so certifying small eps at large q
     requires resolving excesses far below float64; this sizes the working
-    digits from the threshold excess the stop compares them with
-    (`_working_dps`) and runs the ordinary solver on mpmath numbers,
-    capped at WORKING_PRECISION_CAP steps.  Returns (stopped_at,
-    true_error) with the true error measured against the map's exact best
-    proximity point (as a float).
+    digits from the excess h the stop compares them with (`_working_dps`)
+    and runs the ordinary solver on mpmath numbers, capped at
+    WORKING_PRECISION_CAP steps.  On this map |x_n| - 1 = lam^n (x0 - 1),
+    so the even-step excess P - d is at least lam^(m-1) (1 + lam) (x0 - 1)
+    at step m and the stop needs it below h: a cell whose fewest such step
+    lies beyond the cap raises BudgetExhaustedError before it runs.
+    Returns (stopped_at, true_error) with the true error measured against
+    the map's exact best proximity point (as a float).
     """
     check_target(eps)
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
     dps = _working_dps(spec.d, lam, p, eps)
+    spread = (1 + mp.mpf(lam)) * (mp.mpf(x0[0]) - 1)
+    if spread > 0:  # not the apex start
+        ratio = _mp_stop_excess(spec.d, lam, p, eps) / spread
+        fewest = 2 * int(mp.floor((1 + mp.log(ratio) / mp.log(lam)) / 2))
+        if fewest > WORKING_PRECISION_CAP:
+            raise BudgetExhaustedError(
+                f"a posteriori criterion needs at least {fewest} steps, "
+                f"cap is {WORKING_PRECISION_CAP}"
+            )
     with mp.workdps(dps):
         # lam, p and the start must all be working-precision numbers;
         # a float64 exponent alone floors displacement excesses near 1e-17.

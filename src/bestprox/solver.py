@@ -16,10 +16,11 @@ A, and two computable bounds certify the remaining error:
 
 Both are one expression, built by `certificate_evaluator`.  The a
 posteriori form is a direct stopping criterion: halt at the first even
-step whose bound falls below the target eps.  The bound grows with the
-excess P - d, so `run_with_stop` solves once per run for the excess g*
-at which it equals eps and screens out each even step whose P - d lies
-clearly above g* (`powered_stop_test` gives the full account).  Such a
+step whose bound falls below the target eps.  The bound is at least
+d a ((P - d)/(C d))^(1/q), with a = k^(1/q) / (1 - k^(2/q)), so it can
+fall below eps only where P - d < h = C d (eps / (a d))^q; `run_with_stop`
+forms h once per run and screens out each even step whose P - d lies
+clearly above it (`powered_stop_test` gives the full account).  Such a
 step pays one subtraction and one comparison besides its one norm, P;
 the certificate decides every stop, and is evaluated as a rule only
 there.
@@ -61,7 +62,7 @@ GAP_CLAMP = 1e-12
 #: (lam 0.6-0.999, p 1.01-20); one repeat alone is not a floor.
 STALL_HALF_LIVES = 10
 
-#: Relative margin, per unit of q, above the threshold excess g* beyond
+#: Relative margin, per unit of q, above the closed-form excess h beyond
 #: which `powered_stop_test` screens a step out without the certificate;
 #: its docstring says why the margin suffices.
 STOP_MARGIN = 2.0 ** -20
@@ -69,13 +70,6 @@ STOP_MARGIN = 2.0 ** -20
 #: Smallest normal float64; a C d below it has lost relative precision to
 #: gradual underflow.
 _FLOAT_MIN = sys.float_info.min
-
-#: Newton steps of `_threshold_log_excess`: it stops after a step below the
-#: tolerance, which leaves an error near q/8 times its square; the cap is
-#: never reached on finite input.
-_NEWTON_TOL = 2.0 ** -26
-_NEWTON_CAP = 100
-
 
 def check_target(eps):
     """Raise InputError, naming eps, unless eps is a finite target > 0."""
@@ -194,57 +188,14 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
     return evaluate
 
 
-def _threshold_log_excess(d, Cd, a, eps, q):
-    """log(g*/d) for the threshold excess g* at which the a posteriori bound
-    P a ((P - d)/(C d))^(1/q) equals eps, in float64; None when it lies
-    outside the float64 range.
-
-    g* is the root of g = C d (eps / (a (d + g)))^q.  In t = log(g / d) the
-    equation reads F(t) = t + q log(1 + e^t) - L, with L = log(C (eps /
-    (a d))^q) taken as a sum of logs, so that a subnormal eps or a
-    quotient eps / (a d) beyond the float64 range still forms it.  F is
-    increasing and convex, so Newton's method from its upper bound
-    min(L, L / (q + 1)) descends to the root monotonically, quadratically
-    near it: at most 6 steps for q <= 20, one when g* << d.
-    `_threshold_excess` forms g* from this root, and the oracle sizes its
-    working digits by it.
-    """
-    q = float(q)
-    try:
-        L = math.log(float(Cd / d)) + q * (
-            math.log(float(eps)) - math.log(float(a)) - math.log(float(d))
-        )
-        t = min(L, L / (q + 1))
-        for _ in range(_NEWTON_CAP):
-            e = math.exp(t)
-            step = (t + q * math.log1p(e) - L) / (1 + q * e / (1 + e))
-            t -= step
-            if abs(step) < _NEWTON_TOL:
-                return t
-    except (ValueError, OverflowError):  # beyond the float64 range
-        pass
-    return None
-
-
-def _threshold_excess(d, Cd, a, eps, q, tol):
-    """The excess g* at which the a posteriori bound equals eps, formed in
-    the working arithmetic by one evaluation of its equation at
-    P = d (1 + e^t) for the float64 root t of `_threshold_log_excess`,
-    which keeps its relative error near q times that of t.  None when t is
-    not formed, or when the arithmetic does not resolve g* or its power
-    factor to tol relative (float64 underflow)."""
-    t = _threshold_log_excess(d, Cd, a, eps, q)
-    if t is None:
-        return None
-    try:
-        power = (eps / (a * (d + d * math.exp(t)))) ** q
-    except OverflowError:  # beyond the float64 range
-        return None
-    g_star = Cd * power
-    # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
-    if power * (1 + tol) > power and g_star * (1 + tol) > g_star:
-        return g_star
-    return None
+def _stop_excess(d, Cd, a, eps, q):
+    """The excess h = C d (eps / (a d))^q, in the arithmetic of its
+    arguments, with a = k^(1/q) / (1 - k^(2/q)).  The a posteriori bound
+    P a ((P - d)/(C d))^(1/q) is at least d a ((P - d)/(C d))^(1/q), which
+    equals eps at P - d = h, so the bound is below eps only where
+    P - d < h.  A float64 power beyond the float64 range raises
+    OverflowError."""
+    return Cd * (eps / (a * d)) ** q
 
 
 def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
@@ -252,41 +203,41 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     function of P that is False where the excess P - d shows the bound to
     be at least eps, and True where the certificate must decide.
 
-    With a = k^(1/q) / (1 - k^(2/q)) the bound is P a ((P - d)/(C d))^(1/q),
-    so for P > d the test is (P a / eps)^q (P - d) < C d, whose left side
-    increases with the excess g = P - d.  It holds exactly below the g*
-    that solves g = C d (eps / (a (d + g)))^q (`_threshold_excess`), for
-    integral and non-integral q alike.
+    The screen returns False only above h (1 + q STOP_MARGIN), for the
+    closed-form excess h of `_stop_excess`.  There, since the bound is at
+    least d a ((P - d)/(C d))^(1/q), it exceeds eps (1 + q STOP_MARGIN)^(1/q),
+    so eps by about STOP_MARGIN relative.  That is wider than the rounding
+    of the certificate, a few units plus the rounding of the exponent 1/q
+    times |log(gap / (C d))|, under 1e-13 relative in float64, and than
+    that of h and its power factor, each resolved to within an eighth of
+    the margin.  So a screened-out step is one whose certificate would not
+    fire (an infinite P among them), and every stop fires on the
+    certificate.  The bound equals eps at an excess g with h = g (1 + g/d)^q,
+    so h is close to g where it is small against d, and a run evaluates
+    the certificate, as a rule, once, at its stop.
 
-    The screen returns False only above g* (1 + q STOP_MARGIN).  There the
-    bound exceeds eps by at least STOP_MARGIN relative, since it grows at
-    least like (P - d)^(1/q).  That is wider than the rounding of the
-    certificate, a few units plus the rounding of the exponent 1/q times
-    |log(gap / (C d))|, under 1e-13 relative in float64; and g* is formed
-    to within an eighth of the margin (the tolerance passed to
-    `_threshold_excess`, whose float64 root is far more accurate still).
-    So a screened-out step is one whose certificate would not fire (an
-    infinite P among them), and every stop fires on the certificate, which
-    a run evaluates once its excess comes within the margin of g*: as a
-    rule once, at its stop.
-
-    The screen is True for every P when C d is not a normal float64 number
-    or the arithmetic resolves less than 2^-40 relative, and when g* is
-    not formed.  Built, like `certificate_evaluator`, at the precision it
-    is evaluated at.
+    The screen is True for every P when C d is not a normal float64 number,
+    the arithmetic resolves less than 2^-40 relative, h or its power factor
+    is not resolved, or the float64 power overflows.  Built, like
+    `certificate_evaluator`, at the precision it is evaluated at.
     """
     denom, Cd, tail = _run_constants(d, k, consts, 1)
     q = consts.q
     width = q * STOP_MARGIN
-    g_star = None
+    h = None
     if _FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd:
-        g_star = _threshold_excess(d, Cd, tail / denom, eps, q, width / 8)
-    if g_star is None:
+        try:
+            h = _stop_excess(d, Cd, tail / denom, eps, q)
+        except OverflowError:  # beyond the float64 range
+            pass
+    # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
+    tol = width / 8
+    if h is None or not all(x * (1 + tol) > x for x in (h, h / Cd)):
         return lambda P: True
-    hi = g_star * (1 + width)
+    hi = h * (1 + width)
     # d in the run's arithmetic, so that an even step converts no number;
     # only where the conversion is exact
-    num = type(g_star)
+    num = type(h)
     if num(d) == d:
         d = num(d)
 
@@ -414,7 +365,7 @@ def run_with_stop(
     before each, it raises ResolutionFloorError carrying the trace and the
     stalled bound as `floor`.  The certificate decides every stop; the
     screen of `powered_stop_test` only spares it the steps whose excess
-    P - d lies clearly above the threshold, and the trace counts the steps
+    P - d lies clearly above h, and the trace counts the steps
     it is evaluated at as `confirmations`.  APRIORI predicts the step count from
     the initial displacement and runs exactly that many steps; a
     prediction above the cap raises BudgetExhaustedError at once,
@@ -441,7 +392,7 @@ def run_with_stop(
         return current, target, trace
 
     # APOSTERIORI: aposteriori_bound and its screen, with their run
-    # constants and the threshold excess formed once, at the working
+    # constants and the excess h formed once, at the working
     # precision of this run.
     eps = rule.epsilon
     bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")

@@ -323,6 +323,18 @@ def test_a_posteriori_table_without_a_threshold_is_exit_2_naming_p(capsys):
     assert "p=1014" in err
 
 
+def test_a_posteriori_table_beyond_the_cap_is_refused_before_it_runs(capsys, monkeypatch):
+    # at lam = 0.9999 the stop needs at least 7,283,664 steps, beyond the
+    # working-precision cap of 10^6
+    def no_run(*args, **kwargs):
+        raise AssertionError("the cell ran before the refusal")
+
+    monkeypatch.setattr(oracle, "run_with_stop", no_run)
+    code, out, err = run_cli(capsys, "table", "--lambda", "0.9999", "--p", "20", "--eps", "1e-10")
+    assert code == 1 and out == ""
+    assert "needs at least 7283664 steps, cap is 1000000" in err
+
+
 class TestVerify:
     def test_cyclic_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "cyclic", "--seed", "42")

@@ -231,6 +231,27 @@ class TestWorkingPrecisionDigits:
         assert oracle._working_dps(2.0, 0.5, 2.0, 1e-2) == oracle.WORKING_DPS_FLOOR
 
     @pytest.mark.parametrize(
+        "lam, p, eps, dps",
+        [
+            (0.01, 1.01, 1e-30, 82),
+            (0.1, 1.5, 1e-100, 221),
+            (0.3, 2.5, 1e-30, 97),
+            (0.5, 7.5, 1e-6, 76),
+            (0.5, 20.0, 1e-10, 257),
+            (0.9, 5.0, 1e-16, 111),
+            (0.99, 2.0, 1e-200, 426),
+            (0.1, 100.0, 1.0, 216),
+            (0.3, 100.0, 1e-10, 1245),
+            (0.01, 20.0, 5e-324, 6507),
+            (0.99, 1.1, 1e-310, 647),
+            # a target above every bound within d of d
+            (0.5, 2.0, 1e2, 60),
+        ],
+    )
+    def test_digits_are_pinned(self, lam, p, eps, dps):
+        assert oracle._working_dps(2.0, lam, p, eps) == dps
+
+    @pytest.mark.parametrize(
         "lam, p, eps",
         [(0.5, p, eps) for p in (5.0, 20.0) for eps in (1e-2, 1e-10)] + [(0.9, 20.0, 1e-10)],
     )
@@ -240,6 +261,28 @@ class TestWorkingPrecisionDigits:
         monkeypatch.setattr(oracle, "_working_dps", lambda *args: working_dps(*args) + 40)
         wider, _ = oracle.aposteriori_stop_working_precision(lam, p, (1000.0, 8.0), eps)
         assert wider == sized
+
+    def test_fewest_steps_bound_every_published_count(self, monkeypatch):
+        # a cell is refused only where its fewest possible stopping step
+        # lies beyond the cap: with the cap at a published count the cell
+        # runs, and with the cap 4 below it, under that bound, it is refused
+        def no_run(*args, **kwargs):
+            raise AssertionError("the cell ran")
+
+        monkeypatch.setattr(oracle, "run_with_stop", no_run)
+        eps_list, p_list, counts = load_reference_counts(StopKind.APOSTERIORI)
+        for eps, row in zip(eps_list, counts):
+            for p, count in zip(p_list, row):
+                monkeypatch.setattr(oracle, "WORKING_PRECISION_CAP", count)
+                with pytest.raises(AssertionError, match="the cell ran"):
+                    oracle.aposteriori_stop_working_precision(0.5, p, (1000.0, 8.0), eps)
+                monkeypatch.setattr(oracle, "WORKING_PRECISION_CAP", count - 4)
+                with pytest.raises(BudgetExhaustedError, match=f"cap is {count - 4}"):
+                    oracle.aposteriori_stop_working_precision(0.5, p, (1000.0, 8.0), eps)
+
+    def test_apex_start_is_not_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "WORKING_PRECISION_CAP", 2)
+        assert oracle.aposteriori_stop_working_precision(0.5, 20.0, E1, 1e-10) == (2, 0.0)
 
     def test_c_d_below_the_float64_normal_range_is_an_input_error_naming_p(self):
         # C d = 1.1e-308 at p = 1014: the stop would form no threshold

@@ -535,6 +535,15 @@ def _stop_threshold(bound, d, k, consts, eps):
     return P
 
 
+def _closed_form_excess(d, k, consts, eps):
+    """h = C d (eps / (a d))^q, a = k^(1/q) / (1 - k^(2/q)): the excess
+    above which the a posteriori bound, at least d a ((P - d)/(C d))^(1/q),
+    exceeds eps."""
+    q = consts.q
+    a = k ** (1 / q) / (1 - k ** (2 / q))
+    return consts.C * d * (eps / (a * d)) ** q
+
+
 def _stop_case(p, k, num):
     consts = power_type_constants(num(p))
     return num(2), num(k), consts
@@ -580,8 +589,12 @@ class TestPoweredStopTest:
                 assert may_fire(d) is True
                 # a P with 4 times the threshold's excess, where the
                 # arithmetic resolves it, is screened out, and one with a
-                # quarter of it is not, for integral and non-integral q
+                # quarter of it is not, for integral and non-integral q;
+                # at eps = 1e3 the screen's excess h lies (1 + h/d)^q above
+                # the threshold's, so there a P at twice h is screened out
                 far = [(P, P < edge) for P in (d + (edge - d) / 4, d + 4 * (edge - d))]
+                if eps == 1e3:
+                    far[1] = (d + 2 * _closed_form_excess(d, k, consts, eps), False)
                 for P, fires in far:
                     if P > d:
                         assert may_fire(P) is fires
@@ -616,16 +629,16 @@ class TestPoweredStopTest:
     def test_float64_overflow_and_underflow_go_to_the_certificate(self):
         d, k, consts = _stop_case(20, 0.5, float)
         bound = certificate_evaluator(d, k, consts, 1, "P")
-        # at a target far below every bound, the threshold's power factor
-        # (eps / (a (d + g)))^20 underflows to 0, so g* is not formed
+        # at a target far below every bound, the power factor
+        # (eps / (a d))^20 underflows to 0, so h is not formed
         may_fire = powered_stop_test(d, k, consts, 1e-300)
         P = math.nextafter(d, math.inf)
         assert may_fire(P) is True and bound(P) >= 1e-300
-        # at a target far above every bound, g* is about 2e284, so large
-        # that d + g* rounds to g*; the excess ulp(d) lies far below it
+        # at a target far above every bound, the power factor overflows
+        # float64, so h is not formed
         may_fire = powered_stop_test(d, k, consts, 1e300)
         assert may_fire(P) is (bound(P) < 1e300) is True
-        # with k = 1e-300 the factor a is tiny and g* is about 3e98
+        # with k = 1e-300 the factor a is tiny and h is about 6e294
         d, k, consts = _stop_case(2, 1e-300, float)
         bound = certificate_evaluator(d, k, consts, 1, "P")
         may_fire = powered_stop_test(d, k, consts, 1e-2)
@@ -636,10 +649,10 @@ class TestPoweredStopTest:
         assert may_fire(d - 1e-13) is True
 
     def test_overflowing_certificate_is_not_screened_out(self):
-        # eps / (a d) overflows float64 here, but the sum of logs forms the
-        # threshold; at P - d = 1e206 the bound is 8.9e159 < eps while the
-        # float64 certificate overflows, so the step is not screened out
-        # and the certificate, which cannot fire, decides it
+        # eps / (a d) overflows float64 here, so h is not formed; at
+        # P - d = 1e206 the bound is 8.9e159 < eps while the float64
+        # certificate overflows, so the step is not screened out and the
+        # certificate, which cannot fire, decides it
         d, k, consts = _stop_case(1.5, 1e-299, float)
         eps, P = 1e160, d + 1e206
         may_fire = powered_stop_test(d, k, consts, eps)
@@ -648,16 +661,17 @@ class TestPoweredStopTest:
         with mp.workdps(30):
             exact = certificate_evaluator(mp.mpf(d), mp.mpf(k), consts, 1, "P")
             assert exact(mp.mpf(P)) < eps
-        assert may_fire(d + 1e220) is False
+        assert may_fire(d + 1e220) is True
+        assert certificate_evaluator(d, k, consts, 1, "P")(d + 1e220) >= eps
 
     def test_run_constants_outside_float64_disable_it(self):
-        # a / eps subnormal (k tiny, eps huge): the sum of logs still forms
-        # the threshold, near an excess of 1.4e213, and its screen is sound
-        # where the float64 certificate overflows
+        # a / eps subnormal (k tiny, eps huge): eps / (a d) overflows
+        # float64, so h is not formed, and where the float64 certificate
+        # overflows it decides
         d, k, q, eps = 2.0, 1e-300, 2, 1e170
         consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
         may_fire = powered_stop_test(d, k, consts, eps)
-        assert may_fire(1e300) is False
+        assert may_fire(1e300) is True
         assert certificate_evaluator(d, k, consts, 1, "P")(1e300) >= eps
         assert all(may_fire(P) is True for P in (d * 1.5, d * 10, 1.0))
         # a band C d below the smallest normal (d = 1e-300, q = 30), where
@@ -679,16 +693,23 @@ class TestPoweredStopTest:
     @pytest.mark.parametrize("dps", [None, 60])
     @pytest.mark.parametrize("eps", [1e3, 1e-2, 1e-10])
     def test_threshold_solves_its_equation(self, eps, dps, p):
-        # g* = C d (eps / (a (d + g*)))^q, also at eps = 1e3, where g* is
-        # several times d and the plain fixed-point iteration diverges
+        # the screen's excess h lies above the threshold's: the largest P
+        # whose certificate is below eps is at most h above d, and the
+        # exact certificate at d + h, with h taken to the resolution the
+        # screen requires of it, is at least eps; also at eps = 1e3, where
+        # the threshold's excess is several times d
         with mp.workdps(dps or mp.mp.dps):
             num = float if dps is None else mp.mpf
             d, k, consts = _stop_case(p, 0.5, num)
             q, Cd = consts.q, consts.C * d
             a = k ** (1 / q) / (1 - k ** (2 / q))
-            g = solver._threshold_excess(d, Cd, a, eps, q, q * solver.STOP_MARGIN / 8)
-            assert g > 0
-            assert abs(Cd * (eps / (a * (d + g))) ** q / g - 1) < 1e-12
+            h = solver._stop_excess(d, Cd, a, eps, q)
+            assert h == _closed_form_excess(d, k, consts, eps)
+            bound = certificate_evaluator(d, k, consts, 1, "P")
+            assert _stop_threshold(bound, d, k, consts, eps) - d <= h
+        with mp.workdps(400):
+            exact = certificate_evaluator(mp.mpf(d), mp.mpf(k), consts, 1, "P")
+            assert exact(d + mp.mpf(h) * (1 + q * solver.STOP_MARGIN / 8)) >= eps
 
     def test_threshold_below_the_float64_range_at_working_precision(self):
         # a threshold excess far below 1e-308 is still formed and screens
