@@ -296,17 +296,19 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
 
 @dataclass
 class TableResult:
-    kind: StopKind
-    lam: float
-    x0: Vector
     eps_list: tuple
     p_list: tuple
     #: counts[i][j] is the even stopping step for (eps_list[i], p_list[j]).
     counts: list
     #: Published reference grid for the benchmark scenario, when applicable.
     reference_counts: list | None = None
-    #: counts - reference_counts, cell by cell.
-    deltas: list | None = None
+
+    @property
+    def deltas(self) -> list | None:
+        """counts - reference_counts, cell by cell; None without a reference."""
+        if self.reference_counts is not None:
+            pairs = zip(self.counts, self.reference_counts)
+            return [[c - r for c, r in zip(crow, rrow)] for crow, rrow in pairs]
 
 
 def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
@@ -361,14 +363,12 @@ def _mp_stop_excess(d, k, p, eps):
     return _stop_excess(*(mp.mpf(x) for x in (d, Cd, tail / denom, eps, consts.q)))
 
 
-def _working_dps(d, k, p, eps) -> int:
-    """Decimal digits of a working-precision a posteriori stop at eps: those
-    of d / h, for the excess h below which the stop can fire
-    (`_mp_stop_excess`), plus a cushion of 20, and at least
-    WORKING_DPS_FLOOR.  The stop fires once P - d falls below about h, so
-    these digits resolve the excesses it reads to about 20 digits."""
-    digits = mp.ceil(mp.log10(d / _mp_stop_excess(d, k, p, eps)))
-    return max(WORKING_DPS_FLOOR, int(digits) + 20)
+def _working_dps(d, h) -> int:
+    """Decimal digits of a working-precision a posteriori stop that can fire
+    only below the excess h (`_mp_stop_excess`): those of d / h plus a
+    cushion of 20, at least WORKING_DPS_FLOOR, so that the excesses it
+    reads, which fall to about h, resolve to about 20 digits."""
+    return max(WORKING_DPS_FLOOR, int(mp.ceil(mp.log10(d / h))) + 20)
 
 
 def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: float):
@@ -388,17 +388,16 @@ def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: fl
     check_target(eps)
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
-    dps = _working_dps(spec.d, lam, p, eps)
+    h = _mp_stop_excess(spec.d, lam, p, eps)
     spread = (1 + mp.mpf(lam)) * (mp.mpf(x0[0]) - 1)
     if spread > 0:  # not the apex start
-        ratio = _mp_stop_excess(spec.d, lam, p, eps) / spread
-        fewest = 2 * int(mp.floor((1 + mp.log(ratio) / mp.log(lam)) / 2))
+        fewest = 2 * int(mp.floor((1 + mp.log(h / spread) / mp.log(lam)) / 2))
         if fewest > WORKING_PRECISION_CAP:
             raise BudgetExhaustedError(
                 f"a posteriori criterion needs at least {fewest} steps, "
                 f"cap is {WORKING_PRECISION_CAP}"
             )
-    with mp.workdps(dps):
+    with mp.workdps(_working_dps(spec.d, h)):
         # lam, p and the start must all be working-precision numbers;
         # a float64 exponent alone floors displacement excesses near 1e-17.
         spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
@@ -424,7 +423,7 @@ def reproduce_table(
     sized per cell); APRIORI cells evaluate the closed-form step
     predictor from D = ||x0 - Tx0||_p.  When the scenario matches the
     embedded benchmark grids (`benchmark_scenario`), the published counts
-    and cell deltas are attached; deltas are reported as computed, never
+    are attached, and the result's deltas are reported as computed, never
     reconciled.
     """
     eps_list, p_list = tuple(eps_list), tuple(p_list)
@@ -442,16 +441,8 @@ def reproduce_table(
             for i, eps in enumerate(eps_list):
                 counts[i][j], _ = aposteriori_stop_working_precision(lam, p, x0, eps)
 
-    result = TableResult(
-        kind=kind, lam=lam, x0=tuple(x0), eps_list=eps_list, p_list=p_list, counts=counts
-    )
-    if on_benchmark:
-        result.reference_counts = ref_counts = load_reference_counts(kind)[2]
-        result.deltas = [
-            [c - r for c, r in zip(crow, rrow)]
-            for crow, rrow in zip(counts, ref_counts)
-        ]
-    return result
+    reference = load_reference_counts(kind)[2] if on_benchmark else None
+    return TableResult(eps_list, p_list, counts, reference)
 
 
 # ---------------------------------------------------------------------------

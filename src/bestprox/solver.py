@@ -269,13 +269,13 @@ def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
 def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     """Smallest even step 2n (n >= 1) whose a priori bound is below eps.
 
-    Solved in closed form from the logarithm of the geometric tail, then
-    verified by direct evaluation at n and n - 1 to absorb floating-point
-    drift.  Returns 2 when the bound at n = 1 is already below eps.  The
-    guess takes log(prefactor) - log(eps), where the prefactor is the
-    certificate at D with m = 0, so a subnormal eps, whose quotient would
-    overflow, is solved too.  InputError naming D unless the prefactor is
-    finite.
+    Guessed in closed form from the float64 logs of the geometric tail,
+    log(prefactor) - log(eps), where the prefactor is the certificate at D
+    with m = 0 (so a subnormal eps, whose quotient would overflow, is
+    solved too), then verified by direct evaluation at n and n - 1 to
+    absorb drift.  Where those logs are not finite (mpmath numbers beyond
+    the float64 range), n is found by doubling, then bisection.
+    InputError naming D unless the prefactor is finite.
     """
     check_target(eps)
     prefactor = certificate_evaluator(d, k, consts, 0, "D")(D)
@@ -288,8 +288,16 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
 
     if bound(1) < eps:
         return 2
-    log_ratio = math.log(float(prefactor)) - math.log(float(eps))
-    n = math.floor(q * log_ratio / (2.0 * math.log(1.0 / float(k)))) + 1
+    try:
+        log_ratio = math.log(float(prefactor)) - math.log(float(eps))
+        n = math.floor(q * log_ratio / (2.0 * math.log(1.0 / float(k)))) + 1
+    except (ArithmeticError, ValueError):  # a float64 log is not finite
+        lo, n = 1, 2  # bound(lo) >= eps, and the bound decreases in n
+        while bound(n) >= eps:
+            lo, n = n, 2 * n
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            lo, n = (lo, mid) if bound(mid) < eps else (mid, n)
     n = max(n, 1)
     while bound(n) >= eps:
         n += 1

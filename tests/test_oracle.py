@@ -17,12 +17,13 @@ from bestprox import (
     audit_soundness,
     dist,
     make_example1,
+    picard_iterate,
     rederive_distance,
     reference_best_proximity,
     reproduce_table,
     run_with_stop,
 )
-from bestprox import oracle
+from bestprox import oracle, solver
 from bestprox.oracle import (
     DEFAULT_EPS_LIST,
     DEFAULT_P_LIST,
@@ -113,6 +114,25 @@ class TestAuditSoundness:
         report = audit_soundness(spec, (1000.0, 8.0), steps=100)
         assert not report.passed
         assert report.failures
+
+    def test_bound_just_short_of_the_true_error_is_caught(self, monkeypatch):
+        # an a posteriori bound 1e-6 below the true error at one even step
+        # is unsound, far beyond the round-off the audit's slack absorbs
+        spec, x0, short_step = benchmark_map(), (1000.0, 8.0), 12
+        iterate = picard_iterate(spec, x0, 20).iterates[short_step]
+        true_error = dist(spec.space, iterate, E1)
+        budget_at = solver.error_budget_at
+
+        def short(trace, n):
+            budget = budget_at(trace, n)
+            if budget.step == short_step:
+                budget = dataclasses.replace(budget, aposteriori=true_error - 1e-6)
+            return budget
+
+        monkeypatch.setattr(solver, "error_budget_at", short)
+        report = audit_soundness(spec, x0, steps=20)
+        assert not report.passed
+        assert [failure[0] for failure in report.failures] == [short_step]
 
     def test_steps_validation(self):
         with pytest.raises(InputError):
@@ -225,10 +245,12 @@ class TestWorkingPrecisionDigits:
     def test_deepest_cell_is_sized_from_its_threshold_excess(self):
         # lam = 0.9, p = 20, eps = 1e-10: g* is about 2e-253 of d, plus a
         # cushion of 20 digits; sizing from the a priori prefactor gave 355
-        assert oracle._working_dps(2.0, 0.9, 20.0, 1e-10) == 273
+        assert oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, 0.9, 20.0, 1e-10)) == 273
 
     def test_shallow_cell_takes_the_floor(self):
-        assert oracle._working_dps(2.0, 0.5, 2.0, 1e-2) == oracle.WORKING_DPS_FLOOR
+        assert oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, 0.5, 2.0, 1e-2)) == (
+            oracle.WORKING_DPS_FLOOR
+        )
 
     @pytest.mark.parametrize(
         "lam, p, eps, dps",
@@ -249,7 +271,7 @@ class TestWorkingPrecisionDigits:
         ],
     )
     def test_digits_are_pinned(self, lam, p, eps, dps):
-        assert oracle._working_dps(2.0, lam, p, eps) == dps
+        assert oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, lam, p, eps)) == dps
 
     @pytest.mark.parametrize(
         "lam, p, eps",
@@ -284,10 +306,25 @@ class TestWorkingPrecisionDigits:
         monkeypatch.setattr(oracle, "WORKING_PRECISION_CAP", 2)
         assert oracle.aposteriori_stop_working_precision(0.5, 20.0, E1, 1e-10) == (2, 0.0)
 
+    def test_excess_is_formed_once_per_cell(self, monkeypatch):
+        # the digits and the cap refusal read the same h
+        calls = []
+        stop_excess = oracle._mp_stop_excess
+
+        def counted(*args):
+            calls.append(args)
+            return stop_excess(*args)
+
+        monkeypatch.setattr(oracle, "_mp_stop_excess", counted)
+        assert oracle.aposteriori_stop_working_precision(0.5, 2.0, (1000.0, 8.0), 1e-2)[0] == 30
+        assert len(calls) == 1
+        assert oracle.aposteriori_stop_working_precision(0.5, 20.0, E1, 1e-10) == (2, 0.0)
+        assert len(calls) == 2
+
     def test_c_d_below_the_float64_normal_range_is_an_input_error_naming_p(self):
         # C d = 1.1e-308 at p = 1014: the stop would form no threshold
         with pytest.raises(InputError, match=r"p=1014"):
-            oracle._working_dps(2.0, 0.5, 1014.0, 1e-2)
+            oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, 0.5, 1014.0, 1e-2))
         with pytest.raises(InputError, match=r"p=1014"):
             oracle.aposteriori_stop_working_precision(0.5, 1014.0, (1000.0, 8.0), 1e-2)
 
@@ -312,6 +349,7 @@ class TestReproduceTable:
         cell = reproduce_table(StopKind.APOSTERIORI, eps_list=[1e-2], p_list=[20.0])
         assert cell.counts == [[266]]
         assert cell.reference_counts is None  # not the benchmark grid
+        assert cell.deltas is None
 
     def test_single_apriori_cell_offset_is_recorded(self, default_grids):
         cell = reproduce_table(StopKind.APRIORI, eps_list=[1e-10], p_list=[20.0])

@@ -29,7 +29,12 @@ from bestprox import (
     run_with_stop,
 )
 from bestprox import solver
-from bestprox.oracle import FLOAT64_CAP, WORKING_PRECISION_CAP, _working_dps
+from bestprox.oracle import (
+    FLOAT64_CAP,
+    WORKING_PRECISION_CAP,
+    _mp_stop_excess,
+    _working_dps,
+)
 from bestprox.solver import (
     certificate_evaluator,
     powered_stop_test,
@@ -72,6 +77,14 @@ class TestAprioriBound:
     def test_true_gap_violation_rejected(self):
         with pytest.raises(InputError):
             apriori_bound(1.9, 2.0, 0.5, C18_Q2, 1)
+
+    def test_gap_just_beyond_the_clamp_is_rejected(self):
+        # 1e-9 below d is a true gap violation, far beyond round-off, and
+        # the error names the displacement that lies below d
+        with pytest.raises(InputError, match=r"^D=1\.999999999 is below d=2\.0$"):
+            apriori_bound(2.0 - 1e-9, 2.0, 0.5, C18_Q2, 1)
+        with pytest.raises(InputError, match=r"^P=1\.999999999 is below d=2\.0$"):
+            aposteriori_bound(2.0 - 1e-9, 2.0, 0.5, C18_Q2)
 
     def test_nonpositive_distance_rejected(self):
         with pytest.raises(InputError):
@@ -121,6 +134,15 @@ class TestAposterioriBound:
             aposteriori_bound(1.0, 2.0, 0.5, C18_Q2)
         with pytest.raises(InputError):
             aposteriori_bound(3.0, 2.0, 0.0, C18_Q2)
+
+
+def _first_crossing(D, d, k, consts, eps):
+    """The smallest even step whose a priori bound is below eps, by a
+    direct scan."""
+    n = 1
+    while apriori_bound(D, d, k, consts, n) >= eps:
+        n += 1
+    return 2 * n
 
 
 class TestAprioriStepsNeeded:
@@ -178,6 +200,29 @@ class TestAprioriStepsNeeded:
         # the step predictor reads the prefactor
         with pytest.raises(InputError, match=r"D=1\.5e\+308"):
             apriori_steps_needed(1.5e308, 2.0, 0.5, C18_Q2, 1e-2)
+
+    @pytest.mark.parametrize(
+        "D, eps",
+        [(mp.mpf("1e400"), 1e-10), (mp.mpf(3), mp.mpf("1e-400"))],
+        ids=["D=1e400", "eps=1e-400"],
+    )
+    def test_beyond_the_float64_range_is_the_first_crossing(self, D, eps):
+        # float(D) overflows, or float(eps) underflows to 0: the guess's
+        # float64 logs are not finite, and the step is found by comparisons
+        consts = power_type_constants(2.0)
+        assert _first_crossing(D, 2.0, 0.5, consts, eps) == 2150
+        assert apriori_steps_needed(D, 2.0, 0.5, consts, eps) == 2150
+
+    def test_run_with_a_target_below_the_float64_range(self):
+        eps = mp.mpf("1e-400")
+        with mp.workdps(50):
+            spec = make_example1(Example1Params(lam=mp.mpf(0.5), p=mp.mpf(2)))
+            start = (mp.mpf(1000), mp.mpf(8))
+            rule = StopRule(StopKind.APRIORI, eps)
+            _, stopped_at, trace = run_with_stop(spec, start, rule, store_iterates=False)
+            D = trace.displacements[0]
+            scanned = _first_crossing(D, spec.d, spec.k, trace.constants, eps)
+        assert stopped_at == scanned == 2694
 
 
 class TestPicardIterate:
@@ -368,7 +413,7 @@ class TestRunWithStop:
         eps = 1e-6
         x0 = (1000.0, 8.0)
         spec = benchmark_map(lam=lam, p=p)
-        dps = _working_dps(spec.d, spec.k, p, eps)
+        dps = _working_dps(spec.d, _mp_stop_excess(spec.d, spec.k, p, eps))
         with mp.workdps(dps):
             spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
             start = tuple(mp.mpf(c) for c in x0)
@@ -559,7 +604,7 @@ def _working_precision_run(lam, p, eps):
     """The a posteriori stop of a grid cell from (1000, 8), at the digits
     the oracle sizes for it; returns (stopped_at, trace)."""
     spec = benchmark_map(lam=lam, p=p)
-    with mp.workdps(_working_dps(spec.d, spec.k, p, eps)):
+    with mp.workdps(_working_dps(spec.d, _mp_stop_excess(spec.d, spec.k, p, eps))):
         spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
         start = (mp.mpf(1000), mp.mpf(8))
         rule = StopRule(StopKind.APOSTERIORI, eps, max_steps=WORKING_PRECISION_CAP)
@@ -737,6 +782,23 @@ class TestPoweredStopTest:
         coarse = powered_stop_test(d, k, consts, 6.4e-15)
         assert all(coarse(X) is True for X in (P, d + 1e-3, 3.0))
 
+    def test_threshold_resolved_within_the_margin_but_not_its_eighth(self):
+        # float64, p = 2: h near 5e-318 is subnormal and spaced by about
+        # 1e-6 of itself, finer than the margin 2 STOP_MARGIN but coarser
+        # than the eighth of it the screen requires, so every P, d + one
+        # ulp included, goes to the certificate
+        d, k, consts = _stop_case(2, 0.5, float)
+        denom, Cd, tail = solver._run_constants(d, k, consts, 1)
+        a = tail / denom
+        eps = a * d * math.sqrt(5e-318 / Cd)
+        h = solver._stop_excess(d, Cd, a, eps, consts.q)
+        width = consts.q * solver.STOP_MARGIN
+        assert 4e-318 < h < 6e-318
+        assert h * (1 + width) > h and h * (1 + width / 8) == h
+        may_fire = powered_stop_test(d, k, consts, eps)
+        for P in (math.nextafter(d, math.inf), d + 1e-3, 3.0):
+            assert may_fire(P) is True
+
     @pytest.mark.parametrize("num", [float, mp.mpf])
     def test_non_finite_p_goes_to_the_certificate(self, num):
         # a NaN P, d and a P below d go to the certificate; an infinite P,
@@ -792,7 +854,7 @@ class TestPoweredStopTest:
         # so the certificate is evaluated at the stop alone, not at each
         # of its 1,083 even steps
         spec = benchmark_map(lam=0.5, p=2.0)
-        assert _working_dps(spec.d, spec.k, 2.0, 5e-324) == 669
+        assert _working_dps(spec.d, _mp_stop_excess(spec.d, spec.k, 2.0, 5e-324)) == 669
         stopped_at, trace = _working_precision_run(0.5, 2.0, 5e-324)
         assert (stopped_at, trace.confirmations) == (2166, 1)
 
