@@ -420,11 +420,11 @@ def reproduce_table(
     """Fill the (eps, p) grid of even stopping steps for the two-cone map.
 
     APOSTERIORI cells run the live stopping rule (at working precision
-    sized per cell); APRIORI cells evaluate the closed-form step
-    predictor from D = ||x0 - Tx0||_p.  When the scenario matches the
-    embedded benchmark grids (`benchmark_scenario`), the published counts
-    are attached, and the result's deltas are reported as computed, never
-    reconciled.
+    sized per cell); APRIORI cells run the a priori step search
+    (`apriori_steps_needed`) from D = ||x0 - Tx0||_p.  When the scenario
+    matches the embedded benchmark grids (`benchmark_scenario`), the
+    published counts are attached, and the result's deltas are reported as
+    computed, never reconciled.
     """
     eps_list, p_list = tuple(eps_list), tuple(p_list)
     on_benchmark = benchmark_scenario(kind, lam, x0, eps_list, p_list)

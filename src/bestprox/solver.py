@@ -269,40 +269,25 @@ def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
 def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     """Smallest even step 2n (n >= 1) whose a priori bound is below eps.
 
-    Guessed in closed form from the float64 logs of the geometric tail,
-    log(prefactor) - log(eps), where the prefactor is the certificate at D
-    with m = 0 (so a subnormal eps, whose quotient would overflow, is
-    solved too), then verified by direct evaluation at n and n - 1 to
-    absorb drift.  Where those logs are not finite (mpmath numbers beyond
-    the float64 range), n is found by doubling, then bisection.
-    InputError naming D unless the prefactor is finite.
+    Found by comparisons of `apriori_bound` with eps alone, in the
+    arithmetic of the arguments: n doubles from 1 until the bound falls
+    below eps, then bisection between the last two n finds the step whose
+    bound is below eps where that of the step before is not.  The bound
+    decreases in n, so that is the first crossing, found in at most
+    2 ceil(log2 n) + 2 evaluations, in float64 and on mpmath numbers
+    beyond its range alike.  InputError naming D unless the prefactor, the
+    certificate at D with m = 0, is finite.
     """
     check_target(eps)
     prefactor = certificate_evaluator(d, k, consts, 0, "D")(D)
     if not prefactor - prefactor == 0:
         raise InputError(f"the a priori prefactor is not finite at D={D}, got {prefactor}")
-    q = consts.q
-
-    def bound(n: int):
-        return apriori_bound(D, d, k, consts, n)
-
-    if bound(1) < eps:
-        return 2
-    try:
-        log_ratio = math.log(float(prefactor)) - math.log(float(eps))
-        n = math.floor(q * log_ratio / (2.0 * math.log(1.0 / float(k)))) + 1
-    except (ArithmeticError, ValueError):  # a float64 log is not finite
-        lo, n = 1, 2  # bound(lo) >= eps, and the bound decreases in n
-        while bound(n) >= eps:
-            lo, n = n, 2 * n
-        while n - lo > 1:
-            mid = (lo + n) // 2
-            lo, n = (lo, mid) if bound(mid) < eps else (mid, n)
-    n = max(n, 1)
-    while bound(n) >= eps:
-        n += 1
-    while n > 1 and bound(n - 1) < eps:
-        n -= 1
+    lo, n = 0, 1  # the bound at lo is >= eps (lo = 0: no step yet)
+    while apriori_bound(D, d, k, consts, n) >= eps:
+        lo, n = n, 2 * n
+    while n - lo > 1:
+        mid = (lo + n) // 2
+        lo, n = (lo, mid) if apriori_bound(D, d, k, consts, mid) < eps else (mid, n)
     return 2 * n
 
 
@@ -435,8 +420,6 @@ def run_with_stop(
 def error_budget_at(trace: IterationTrace, n: int) -> ErrorBudget:
     """Both bounds at even step 2n, derived from D = `displacements[0]`
     and P = `displacements[n]`."""
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
     if trace.steps < 2 * n:
         raise InputError(f"trace has {trace.steps} steps, need at least {2 * n}")
     return ErrorBudget(

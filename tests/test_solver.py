@@ -145,6 +145,38 @@ def _first_crossing(D, d, k, consts, eps):
     return 2 * n
 
 
+def _searched_step(monkeypatch, lam, p, eps):
+    """`apriori_steps_needed` on the benchmark map from (1000, 8), with
+    `solver.apriori_bound` counted.  The search fails at once when its calls
+    exceed 2 ceil(log2 n) + 2 for the largest n asked for, the budget of
+    doubling and bisection, so one that walks a step at a time fails within
+    a few hundred evaluations.  Checks that the step is a local crossing;
+    returns (steps, D, consts)."""
+    spec = benchmark_map(lam=lam, p=p)
+    consts = power_type_constants(p)
+    x0 = (1000.0, 8.0)
+    D = dist(spec.space, x0, spec.apply(x0))
+    calls = []
+    real = solver.apriori_bound
+
+    def counted(D, d, k, consts, n):
+        calls.append(n)
+        if len(calls) > 2 * (max(calls) - 1).bit_length() + 2:
+            raise AssertionError(f"{len(calls)} a priori bound evaluations, up to n={max(calls)}")
+        return real(D, d, k, consts, n)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "apriori_bound", counted)
+        steps = apriori_steps_needed(D, spec.d, spec.k, consts, eps)
+    n = steps // 2
+    assert steps % 2 == 0 and n >= 1
+    assert len(calls) <= 2 * (n - 1).bit_length() + 2
+    assert apriori_bound(D, spec.d, spec.k, consts, n) < eps
+    if n > 1:
+        assert apriori_bound(D, spec.d, spec.k, consts, n - 1) >= eps
+    return steps, D, consts
+
+
 class TestAprioriStepsNeeded:
     def test_gap_zero_gives_two(self):
         assert apriori_steps_needed(2.0, 2.0, 0.5, C18_Q2, 1e-12) == 2
@@ -176,20 +208,36 @@ class TestAprioriStepsNeeded:
                 if n > 1:
                     assert apriori_bound(D, 2.0, k, consts, n - 1) >= eps
 
-    @pytest.mark.parametrize("eps", [1e-310, 5e-324])
-    @pytest.mark.parametrize("p", [2.0, 20.0])
-    def test_subnormal_target_is_the_first_crossing(self, p, eps):
-        # prefactor / eps overflows float64 here; the guess takes the
-        # difference of the logs
-        spec = benchmark_map(p=p)
-        consts = power_type_constants(p)
-        x0 = (1000.0, 8.0)
-        D = dist(spec.space, x0, spec.apply(x0))
-        steps = apriori_steps_needed(D, spec.d, spec.k, consts, eps)
-        n = steps // 2
-        assert steps % 2 == 0 and n > 1
-        assert apriori_bound(D, spec.d, spec.k, consts, n) < eps
-        assert apriori_bound(D, spec.d, spec.k, consts, n - 1) >= eps
+    @pytest.mark.parametrize(
+        "lam, p, eps",
+        [
+            pytest.param(lam, p, eps, id=("" if lam == 0.5 else f"lam={lam}-") + f"{p}-{eps}")
+            for lam in (0.5, 0.9999)
+            for p in (2.0, 20.0)
+            for eps in (1e-310, 5e-324)
+        ],
+    )
+    def test_subnormal_target_is_the_first_crossing(self, monkeypatch, lam, p, eps):
+        # prefactor / eps overflows float64 here, and at lam = 0.9999, p = 20,
+        # eps = 5e-324 the bound crosses only where the float64 tail
+        # k^(2n/q) underflows to 0; the search compares the bound with eps
+        steps, _, _ = _searched_step(monkeypatch, lam, p, eps)
+        assert steps > 2
+
+    @pytest.mark.parametrize("lam", [0.9999999999999999, 0.999999999999])
+    def test_lambda_next_to_one_matches_the_closed_form(self, monkeypatch, lam):
+        # 1 / k rounds to a float64 whose log is far from -log(k) here; the
+        # search reads no log, and its step is the closed form's crossing
+        # 2n = q log(prefactor / eps) / log(1 / k), evaluated at 50 digits
+        # from the float's exact k
+        eps = 1e-2
+        steps, D, consts = _searched_step(monkeypatch, lam, 2.0, eps)
+        with mp.workdps(50):
+            k, d, q, C = mp.mpf(lam), mp.mpf(2), mp.mpf(consts.q), mp.mpf(consts.C)
+            D = mp.mpf(D)
+            prefactor = D / (1 - k ** (2 / q)) * ((D - d) / (C * d)) ** (1 / q)
+            closed = q * mp.log(prefactor / mp.mpf(eps)) / mp.log(1 / k)
+            assert abs(steps - closed) <= 1e-12 * closed
 
     def test_eps_validation(self):
         with pytest.raises(InputError):
@@ -207,8 +255,8 @@ class TestAprioriStepsNeeded:
         ids=["D=1e400", "eps=1e-400"],
     )
     def test_beyond_the_float64_range_is_the_first_crossing(self, D, eps):
-        # float(D) overflows, or float(eps) underflows to 0: the guess's
-        # float64 logs are not finite, and the step is found by comparisons
+        # float(D) overflows, or float(eps) underflows to 0: the search
+        # compares mpf bounds with eps, so no number passes through float64
         consts = power_type_constants(2.0)
         assert _first_crossing(D, 2.0, 0.5, consts, eps) == 2150
         assert apriori_steps_needed(D, 2.0, 0.5, consts, eps) == 2150
