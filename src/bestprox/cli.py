@@ -123,6 +123,8 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_solve(args) -> int:
+    if args.format and not args.out:
+        raise InputError("--format formats the --out trace; give --out PATH or drop --format")
     spec = make_example1(Example1Params(lam=args.lam, p=args.p))
     x0 = _parse_floats(args.x0)
     rule = StopRule(
@@ -148,7 +150,7 @@ def cmd_solve(args) -> int:
     print(f"reference point: {_fmt_point(xi)}")
     print(f"true error: {_g6(dist(spec.space, approx, xi))}")
     if args.out:
-        _emit(_render_rows(_trace_rows(spec.space, trace), args.format), args.out)
+        _emit(_render_rows(_trace_rows(spec.space, trace), args.format or "plain"), args.out)
         print(f"trace written to {args.out}")
     return 0
 
@@ -274,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--criterion", choices=["apriori", "aposteriori"],
                         default="aposteriori", help="which bound drives the run")
         sp.add_argument("--out", default=None, help="write output to this path")
-        sp.add_argument("--format", choices=_FORMATS, default="plain")
+        sp.add_argument("--format", choices=_FORMATS, default=None,
+                        help="format of the grids (table) or of the --out trace "
+                             "(solve); default plain")
 
     solve = sub.add_parser("solve", help="run one scenario with a stopping rule")
     shared(solve)

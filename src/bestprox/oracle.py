@@ -47,7 +47,6 @@ import mpmath as mp
 from .cyclic import (
     CyclicMapSpec,
     Example1Params,
-    _require_boxes,
     apply_map,
     check_start,
     displacement_decay_check,
@@ -78,14 +77,12 @@ from .norms import (
 from .solver import (
     StopKind,
     StopRule,
-    _FLOAT_MIN,
-    _run_constants,
-    _stop_excess,
     apriori_bound,
     apriori_steps_needed,
     check_target,
     picard_iterate,
     run_with_stop,
+    stop_excess,
 )
 
 #: Default grids of the benchmark scenario (lam = 1/2, x0 = (1000, 8)).
@@ -245,16 +242,16 @@ def _pattern_directions(dim: int):
 def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> float:
     """Numerically re-derive dist(A, B) and cross-check the declaration.
 
-    Takes the closest pair over all sampled (u in A, v in B) combinations,
-    then refines it by pattern search with a halving step, moving either
-    endpoint while its membership predicate allows.  Raises
-    DeclarationError when the refined estimate undercuts the declared d by
-    more than 1e-6 (the declaration claims a separation the sets do not
-    have).
+    Draws sample_count points of A and of B, then three alternating
+    argmins: the u closest to the first v drawn, the v closest to that u,
+    and the u closest to that v.  Refines that pair by pattern search with
+    a halving step, moving either endpoint while its membership predicate
+    allows.  Raises DeclarationError when the refined estimate undercuts
+    the declared d by more than 1e-6 (the declaration claims a separation
+    the sets do not have).
     """
     if sample_count < 1:
         raise InputError("sample_count must be >= 1")
-    _require_boxes(spec)
     rng = random.Random(seed)
     space = spec.space
     us = sample_points(rng, spec.box_a, spec.in_a, sample_count)
@@ -344,28 +341,9 @@ def benchmark_scenario(kind: StopKind, lam, x0: Vector, eps_list, p_list) -> boo
     )
 
 
-def _mp_stop_excess(d, k, p, eps):
-    """The excess h below which the a posteriori stop can fire
-    (`solver._stop_excess`), formed on mpf numbers, which neither overflow
-    nor underflow.
-
-    InputError naming p when C d is below the float64 normal range: the
-    stop then forms no h and would evaluate the certificate at every even
-    step, at thousands of digits.
-    """
-    consts = power_type_constants(p)
-    denom, Cd, tail = _run_constants(d, k, consts, 1)
-    if not _FLOAT_MIN < Cd:
-        raise InputError(
-            f"the a posteriori stop forms no threshold at p={p}: "
-            f"C*d = {Cd:.3g} is below the float64 normal range"
-        )
-    return _stop_excess(*(mp.mpf(x) for x in (d, Cd, tail / denom, eps, consts.q)))
-
-
 def _working_dps(d, h) -> int:
     """Decimal digits of a working-precision a posteriori stop that can fire
-    only below the excess h (`_mp_stop_excess`): those of d / h plus a
+    only below the excess h (`solver.stop_excess`): those of d / h plus a
     cushion of 20, at least WORKING_DPS_FLOOR, so that the excesses it
     reads, which fall to about h, resolve to about 20 digits."""
     return max(WORKING_DPS_FLOOR, int(mp.ceil(mp.log10(d / h))) + 20)
@@ -381,14 +359,24 @@ def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: fl
     WORKING_PRECISION_CAP steps.  On this map |x_n| - 1 = lam^n (x0 - 1),
     so the even-step excess P - d is at least lam^(m-1) (1 + lam) (x0 - 1)
     at step m and the stop needs it below h: a cell whose fewest such step
-    lies beyond the cap raises BudgetExhaustedError before it runs.
-    Returns (stopped_at, true_error) with the true error measured against
-    the map's exact best proximity point (as a float).
+    lies beyond the cap raises BudgetExhaustedError before it runs.  On mpf
+    numbers, which neither overflow nor underflow, h is formed unless C d
+    is below the float64 normal range, where the stop would evaluate the
+    certificate at every even step, at thousands of digits: InputError
+    naming p.  Returns (stopped_at, true_error) with the true error
+    measured against the map's exact best proximity point (as a float).
     """
     check_target(eps)
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
-    h = _mp_stop_excess(spec.d, lam, p, eps)
+    consts = power_type_constants(p)
+    with mp.workprec(max(mp.mp.prec, 53)):  # resolved at any ambient precision
+        h = stop_excess(mp.mpf(spec.d), lam, consts, mp.mpf(eps))
+    if h is None:
+        raise InputError(
+            f"the a posteriori stop forms no threshold at p={p}: "
+            f"C*d = {consts.C * spec.d:.3g} is below the float64 normal range"
+        )
     spread = (1 + mp.mpf(lam)) * (mp.mpf(x0[0]) - 1)
     if spread > 0:  # not the apex start
         fewest = 2 * int(mp.floor((1 + mp.log(h / spread) / mp.log(lam)) / 2))

@@ -188,14 +188,30 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
     return evaluate
 
 
-def _stop_excess(d, Cd, a, eps, q):
-    """The excess h = C d (eps / (a d))^q, in the arithmetic of its
-    arguments, with a = k^(1/q) / (1 - k^(2/q)).  The a posteriori bound
-    P a ((P - d)/(C d))^(1/q) is at least d a ((P - d)/(C d))^(1/q), which
-    equals eps at P - d = h, so the bound is below eps only where
-    P - d < h.  A float64 power beyond the float64 range raises
-    OverflowError."""
-    return Cd * (eps / (a * d)) ** q
+def stop_excess(d, k, consts: PowerTypeConstants, eps):
+    """The excess h = C d (eps / (a d))^q, a = k^(1/q) / (1 - k^(2/q)), in
+    the arithmetic of its arguments, or None where that arithmetic cannot
+    resolve it.  The a posteriori bound is at least d a ((P - d)/(C d))^(1/q),
+    which equals eps at P - d = h, so it is below eps only where P - d < h.
+    The screen of `powered_stop_test`, and the digit sizing and the cap
+    refusal of a working-precision run, all read h from here.
+
+    None when C d is not a normal float64 number, the arithmetic resolves
+    less than 2^-40 relative, the float64 power overflows, or h or its power
+    factor h / (C d) is not resolved to within an eighth of the screen's
+    margin q STOP_MARGIN.  Checks k in (0, 1) and d > 0 first.
+    """
+    denom, Cd, tail = _run_constants(d, k, consts, 1)
+    if not (_FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd):
+        return None
+    q = consts.q
+    try:
+        h = Cd * (eps / (tail / denom * d)) ** q
+    except OverflowError:  # beyond the float64 range
+        return None
+    # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
+    tol = q * STOP_MARGIN / 8
+    return h if all(x * (1 + tol) > x for x in (h, h / Cd)) else None
 
 
 def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
@@ -204,8 +220,8 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     be at least eps, and True where the certificate must decide.
 
     The screen returns False only above h (1 + q STOP_MARGIN), for the
-    closed-form excess h of `_stop_excess`.  There, since the bound is at
-    least d a ((P - d)/(C d))^(1/q), it exceeds eps (1 + q STOP_MARGIN)^(1/q),
+    excess h of `stop_excess`.  There, since the bound is at least
+    d a ((P - d)/(C d))^(1/q), it exceeds eps (1 + q STOP_MARGIN)^(1/q),
     so eps by about STOP_MARGIN relative.  That is wider than the rounding
     of the certificate, a few units plus the rounding of the exponent 1/q
     times |log(gap / (C d))|, under 1e-13 relative in float64, and than
@@ -216,25 +232,13 @@ def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
     so h is close to g where it is small against d, and a run evaluates
     the certificate, as a rule, once, at its stop.
 
-    The screen is True for every P when C d is not a normal float64 number,
-    the arithmetic resolves less than 2^-40 relative, h or its power factor
-    is not resolved, or the float64 power overflows.  Built, like
-    `certificate_evaluator`, at the precision it is evaluated at.
+    The screen is True for every P where `stop_excess` forms no h.  Built,
+    like `certificate_evaluator`, at the precision it is evaluated at.
     """
-    denom, Cd, tail = _run_constants(d, k, consts, 1)
-    q = consts.q
-    width = q * STOP_MARGIN
-    h = None
-    if _FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd:
-        try:
-            h = _stop_excess(d, Cd, tail / denom, eps, q)
-        except OverflowError:  # beyond the float64 range
-            pass
-    # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
-    tol = width / 8
-    if h is None or not all(x * (1 + tol) > x for x in (h, h / Cd)):
+    h = stop_excess(d, k, consts, eps)
+    if h is None:
         return lambda P: True
-    hi = h * (1 + width)
+    hi = h * (1 + consts.q * STOP_MARGIN)
     # d in the run's arithmetic, so that an even step converts no number;
     # only where the conversion is exact
     num = type(h)

@@ -129,6 +129,13 @@ class TestSolve:
         assert code == 1
         assert "stalled" in err and "eps=1e-10" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "markdown", "plain"])
+    def test_format_without_out_is_exit_2_naming_format(self, capsys, fmt):
+        # --format formats the --out trace; alone it would be ignored
+        code, out, err = run_cli(capsys, "solve", "--format", fmt, "--eps", "1e-2")
+        assert (code, out) == (2, "")
+        assert "--format" in err and "--out" in err
+
     def test_start_outside_a_is_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--x0", "0,0", "--eps", "1e-2")
         assert code == 2

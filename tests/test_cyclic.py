@@ -255,6 +255,10 @@ class TestOrbitGeometry:
         b = sample_points(random.Random(99), EXAMPLE1_BOX_A, lambda v: v[0] >= 1 + abs(v[1]), 10)
         assert a == b
 
+    def test_sampler_without_a_box_is_config_error(self):
+        with pytest.raises(ConfigurationError, match="no sampling boxes"):
+            sample_points(random.Random(0), None, two_cone_map().in_a, 1)
+
     def test_sampler_draw_order_is_pinned(self):
         # values recorded from the generator-built sampler; the verify
         # fingerprint depends on every draw staying where it is

@@ -81,26 +81,41 @@ TIED_VECTORS = _tied_vectors()
 #: before they are shrunk until their terms round away beside it.
 MAXIMA = st.floats(min_value=1e-300, max_value=1e300)
 MINOR_FRACTIONS = st.lists(st.floats(min_value=0, max_value=1), max_size=3)
+#: Vectors each p-instance of a float64 bit test draws (150 per exponent).
+FLOAT_DRAWS = 150 // len(BIT_EXPONENTS)
+
+
+def _lead(p):
+    """BIT_EXPONENTS with p first."""
+    return [p] + [e for e in BIT_EXPONENTS if e != p]
 
 
 class TestLpNormBits:
+    # The float64 tests below keep one instance per exponent p.  Each draws
+    # its own FLOAT_DRAWS vectors and checks every one at all six exponents,
+    # p first, so each exponent is checked on the draws of all six
+    # instances: 150 vectors, one hypothesis example per vector.
+
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
     @given(st.lists(
         st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_COORDS)),
         min_size=1, max_size=5,
     ))
-    @settings(max_examples=150)
+    @settings(max_examples=FLOAT_DRAWS)
     def test_float_norm_is_bit_identical(self, p, coords):
-        space = LpSpace(len(coords), p)
-        assert lp_norm(space, coords) == reference_lp_norm(space, coords)
+        for e in _lead(p):
+            space = LpSpace(len(coords), e)
+            assert lp_norm(space, coords) == reference_lp_norm(space, coords), f"p={e}"
 
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
     @given(st.lists(st.tuples(BOUNDED_COORDS, BOUNDED_COORDS), min_size=1, max_size=5))
-    @settings(max_examples=150)
+    @settings(max_examples=FLOAT_DRAWS)
     def test_float_dist_is_bit_identical(self, p, pairs):
-        space = LpSpace(len(pairs), p)
         u, v = [a for a, _ in pairs], [b for _, b in pairs]
-        assert dist(space, u, v) == reference_lp_norm(space, [a - b for a, b in pairs])
+        diff = [a - b for a, b in pairs]
+        for e in _lead(p):
+            space = LpSpace(len(pairs), e)
+            assert dist(space, u, v) == reference_lp_norm(space, diff), f"p={e}"
 
     @pytest.mark.parametrize("dps", [50, 300])
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
@@ -119,11 +134,14 @@ class TestLpNormBits:
 
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
     @given(TIED_VECTORS)
-    @settings(max_examples=150)
+    @settings(max_examples=FLOAT_DRAWS)
     def test_float_norm_with_a_tied_maximum_is_bit_identical(self, p, coords):
-        space = LpSpace(len(coords), p)
-        assert lp_norm(space, coords) == reference_lp_norm(space, coords)
-        assert dist(space, coords, [0.0] * len(coords)) == reference_lp_norm(space, coords)
+        zero = [0.0] * len(coords)
+        for e in _lead(p):
+            space = LpSpace(len(coords), e)
+            want = reference_lp_norm(space, coords)
+            assert lp_norm(space, coords) == want, f"p={e}"
+            assert dist(space, coords, zero) == want, f"p={e}"
 
     @pytest.mark.parametrize("dps", [50, 300])
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
@@ -143,17 +161,18 @@ class TestLpNormBits:
 
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
     @given(MAXIMA, MINOR_FRACTIONS, st.integers(min_value=0, max_value=3))
-    @settings(max_examples=150)
+    @settings(max_examples=FLOAT_DRAWS)
     def test_float_norm_whose_minor_terms_round_away_is_bit_identical(
         self, p, m, fractions, at
     ):
-        # every other term (c / m)^p is at most about 2^-56, so the sum is
-        # exactly 1 in float64
-        coords = [m * f * 2.0 ** (-56 / p) for f in fractions]
-        coords.insert(at % (len(coords) + 1), -m)
-        space = LpSpace(len(coords), p)
-        assert sum((abs(c) / m) ** p for c in coords) == 1
-        assert lp_norm(space, coords) == reference_lp_norm(space, coords)
+        for e in _lead(p):
+            # every other term (c / m)^e is at most about 2^-56, so the sum
+            # is exactly 1 in float64
+            coords = [m * f * 2.0 ** (-56 / e) for f in fractions]
+            coords.insert(at % (len(coords) + 1), -m)
+            space = LpSpace(len(coords), e)
+            assert sum((abs(c) / m) ** e for c in coords) == 1, f"p={e}"
+            assert lp_norm(space, coords) == reference_lp_norm(space, coords), f"p={e}"
 
     @pytest.mark.parametrize("dps", [50, 355])
     @pytest.mark.parametrize("p", BIT_EXPONENTS)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 
+import mpmath as mp
 import pytest
 
 from bestprox import (
@@ -18,6 +19,7 @@ from bestprox import (
     dist,
     make_example1,
     picard_iterate,
+    power_type_constants,
     rederive_distance,
     reference_best_proximity,
     reproduce_table,
@@ -35,6 +37,12 @@ from bestprox.oracle import (
 )
 
 E1 = (1.0, 0.0)
+
+
+def _cell_excess(lam, p, eps):
+    """h of a cell of the built-in map (d = 2), formed on mpf numbers as
+    the oracle forms it."""
+    return solver.stop_excess(mp.mpf(2), lam, power_type_constants(p), mp.mpf(eps))
 
 
 def benchmark_map(lam=0.5, p=2.0):
@@ -245,10 +253,10 @@ class TestWorkingPrecisionDigits:
     def test_deepest_cell_is_sized_from_its_threshold_excess(self):
         # lam = 0.9, p = 20, eps = 1e-10: g* is about 2e-253 of d, plus a
         # cushion of 20 digits; sizing from the a priori prefactor gave 355
-        assert oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, 0.9, 20.0, 1e-10)) == 273
+        assert oracle._working_dps(2.0, _cell_excess(0.9, 20.0, 1e-10)) == 273
 
     def test_shallow_cell_takes_the_floor(self):
-        assert oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, 0.5, 2.0, 1e-2)) == (
+        assert oracle._working_dps(2.0, _cell_excess(0.5, 2.0, 1e-2)) == (
             oracle.WORKING_DPS_FLOOR
         )
 
@@ -271,7 +279,7 @@ class TestWorkingPrecisionDigits:
         ],
     )
     def test_digits_are_pinned(self, lam, p, eps, dps):
-        assert oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, lam, p, eps)) == dps
+        assert oracle._working_dps(2.0, _cell_excess(lam, p, eps)) == dps
 
     @pytest.mark.parametrize(
         "lam, p, eps",
@@ -309,22 +317,27 @@ class TestWorkingPrecisionDigits:
     def test_excess_is_formed_once_per_cell(self, monkeypatch):
         # the digits and the cap refusal read the same h
         calls = []
-        stop_excess = oracle._mp_stop_excess
 
         def counted(*args):
             calls.append(args)
-            return stop_excess(*args)
+            return solver.stop_excess(*args)
 
-        monkeypatch.setattr(oracle, "_mp_stop_excess", counted)
+        monkeypatch.setattr(oracle, "stop_excess", counted)
         assert oracle.aposteriori_stop_working_precision(0.5, 2.0, (1000.0, 8.0), 1e-2)[0] == 30
         assert len(calls) == 1
         assert oracle.aposteriori_stop_working_precision(0.5, 20.0, E1, 1e-10) == (2, 0.0)
         assert len(calls) == 2
 
+    def test_coarse_ambient_precision_still_forms_the_threshold(self):
+        # h is formed at 53 bits at least: a caller's 30-bit context, which
+        # resolves no 2^-40, is not a missing threshold
+        with mp.workprec(30):
+            stopped_at, _ = oracle.aposteriori_stop_working_precision(0.5, 2.0, (1000.0, 8.0), 1e-2)
+        assert stopped_at == 30
+
     def test_c_d_below_the_float64_normal_range_is_an_input_error_naming_p(self):
         # C d = 1.1e-308 at p = 1014: the stop would form no threshold
-        with pytest.raises(InputError, match=r"p=1014"):
-            oracle._working_dps(2.0, oracle._mp_stop_excess(2.0, 0.5, 1014.0, 1e-2))
+        assert _cell_excess(0.5, 1014.0, 1e-2) is None
         with pytest.raises(InputError, match=r"p=1014"):
             oracle.aposteriori_stop_working_precision(0.5, 1014.0, (1000.0, 8.0), 1e-2)
 

@@ -32,21 +32,31 @@ from bestprox import solver
 from bestprox.oracle import (
     FLOAT64_CAP,
     WORKING_PRECISION_CAP,
-    _mp_stop_excess,
     _working_dps,
 )
 from bestprox.solver import (
     certificate_evaluator,
     powered_stop_test,
     stall_span,
+    stop_excess,
 )
 
 E1 = (1.0, 0.0)
 C18_Q2 = PowerTypeConstants(C=0.125, q=2)
+#: (lam, p, eps) of the benchmark map whose float64 a posteriori stop from
+#: (1000, 8) reaches its resolution floor before eps.
+FLOORED_CELLS = {(0.9, 1.1, 1e-6), (0.9, 2.0, 1e-6), (0.9, 20.0, 1e-2), (0.9, 20.0, 1e-6)}
 
 
 def benchmark_map(lam=0.5, p=2.0):
     return make_example1(Example1Params(lam=lam, p=p))
+
+
+def _cell_dps(lam, p, eps):
+    """The digits the oracle sizes for a cell of the built-in map (d = 2),
+    from h formed on mpf numbers as it forms it."""
+    h = stop_excess(mp.mpf(2), lam, power_type_constants(p), mp.mpf(eps))
+    return _working_dps(2.0, h)
 
 
 class TestAprioriBound:
@@ -435,12 +445,17 @@ class TestRunWithStop:
         # reports are derived afterwards from its displacements
         spec = benchmark_map(lam=lam, p=p)
         x0 = (1000.0, 8.0)
-        try:
-            _, stopped_at, trace = run_with_stop(
-                spec, x0, StopRule(StopKind.APOSTERIORI, eps, max_steps=4000)
-            )
-        except BudgetExhaustedError:
-            pytest.skip("target below the float64 resolution floor")
+        rule = StopRule(StopKind.APOSTERIORI, eps, max_steps=4000)
+        if (lam, p, eps) in FLOORED_CELLS:
+            # the float64 floor, not the cap: P holds at d + 6 ulps of d
+            # (2.66e-15) from step 390 to step 456
+            with pytest.raises(ResolutionFloorError) as excinfo:
+                run_with_stop(spec, x0, rule)
+            trace = excinfo.value.trace
+            assert trace.steps == 456
+            assert trace.displacements[-1] - spec.d == 6 * math.ulp(spec.d)
+            return
+        _, stopped_at, trace = run_with_stop(spec, x0, rule)
         n = stopped_at // 2
         budgets = trace.budgets
         assert len(budgets) == n
@@ -460,9 +475,7 @@ class TestRunWithStop:
         # trace derives, both at the digits the oracle sizes for the cell
         eps = 1e-6
         x0 = (1000.0, 8.0)
-        spec = benchmark_map(lam=lam, p=p)
-        dps = _working_dps(spec.d, _mp_stop_excess(spec.d, spec.k, p, eps))
-        with mp.workdps(dps):
+        with mp.workdps(_cell_dps(lam, p, eps)):
             spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
             start = tuple(mp.mpf(c) for c in x0)
             _, stopped_at, trace = run_with_stop(spec, start, StopRule(StopKind.APOSTERIORI, eps))
@@ -651,13 +664,40 @@ def _decided_right(may_fire, bound, P, eps):
 def _working_precision_run(lam, p, eps):
     """The a posteriori stop of a grid cell from (1000, 8), at the digits
     the oracle sizes for it; returns (stopped_at, trace)."""
-    spec = benchmark_map(lam=lam, p=p)
-    with mp.workdps(_working_dps(spec.d, _mp_stop_excess(spec.d, spec.k, p, eps))):
+    with mp.workdps(_cell_dps(lam, p, eps)):
         spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
         start = (mp.mpf(1000), mp.mpf(8))
         rule = StopRule(StopKind.APOSTERIORI, eps, max_steps=WORKING_PRECISION_CAP)
         _, stopped_at, trace = run_with_stop(spec, start, rule, store_iterates=False)
     return stopped_at, trace
+
+
+class TestStopExcess:
+    def test_c_d_below_the_normal_range_forms_no_threshold(self):
+        # p = 2, d = 8e-310: C d = 1e-310 is subnormal but resolves 2^-40,
+        # and at eps = a d the power factor is exactly 1, so h would be C d
+        consts = power_type_constants(2.0)
+        d, k = 8e-310, 0.5
+        a = k ** (1 / consts.q) / (1 - k ** (2 / consts.q))
+        Cd = consts.C * d
+        assert 0 < Cd < sys.float_info.min and Cd * (1 + 2.0 ** -40) > Cd
+        assert stop_excess(d, k, consts, a * d) is None
+        assert stop_excess(2.0, k, consts, a * 2.0) == consts.C * 2.0
+
+    def test_unresolved_power_factor_forms_no_threshold(self):
+        # d = 1e20, p = 2: the power factor h / (C d) is near 1e-320,
+        # subnormal and spaced by 5e-4 of itself, while h, near 1.25e-301,
+        # is resolved; no h is formed, so every P goes to the certificate
+        consts = power_type_constants(2.0)
+        d, k = 1e20, 0.5
+        a = k ** (1 / consts.q) / (1 - k ** (2 / consts.q))
+        eps = a * d * 1e-160
+        h = _closed_form_excess(d, k, consts, eps)
+        factor, tol = h / (consts.C * d), consts.q * solver.STOP_MARGIN / 8
+        assert h * (1 + tol) > h and factor * (1 + tol) == factor
+        assert stop_excess(d, k, consts, eps) is None
+        may_fire = powered_stop_test(d, k, consts, eps)
+        assert all(may_fire(P) is True for P in (math.nextafter(d, math.inf), 2 * d))
 
 
 class TestPoweredStopTest:
@@ -794,9 +834,7 @@ class TestPoweredStopTest:
         with mp.workdps(dps or mp.mp.dps):
             num = float if dps is None else mp.mpf
             d, k, consts = _stop_case(p, 0.5, num)
-            q, Cd = consts.q, consts.C * d
-            a = k ** (1 / q) / (1 - k ** (2 / q))
-            h = solver._stop_excess(d, Cd, a, eps, q)
+            q, h = consts.q, stop_excess(d, k, consts, eps)
             assert h == _closed_form_excess(d, k, consts, eps)
             bound = certificate_evaluator(d, k, consts, 1, "P")
             assert _stop_threshold(bound, d, k, consts, eps) - d <= h
@@ -836,13 +874,13 @@ class TestPoweredStopTest:
         # than the eighth of it the screen requires, so every P, d + one
         # ulp included, goes to the certificate
         d, k, consts = _stop_case(2, 0.5, float)
-        denom, Cd, tail = solver._run_constants(d, k, consts, 1)
-        a = tail / denom
-        eps = a * d * math.sqrt(5e-318 / Cd)
-        h = solver._stop_excess(d, Cd, a, eps, consts.q)
+        a = k ** (1 / consts.q) / (1 - k ** (2 / consts.q))
+        eps = a * d * math.sqrt(5e-318 / (consts.C * d))
+        h = _closed_form_excess(d, k, consts, eps)
         width = consts.q * solver.STOP_MARGIN
         assert 4e-318 < h < 6e-318
         assert h * (1 + width) > h and h * (1 + width / 8) == h
+        assert stop_excess(d, k, consts, eps) is None
         may_fire = powered_stop_test(d, k, consts, eps)
         for P in (math.nextafter(d, math.inf), d + 1e-3, 3.0):
             assert may_fire(P) is True
@@ -901,8 +939,7 @@ class TestPoweredStopTest:
         # a subnormal eps still forms the threshold at working precision,
         # so the certificate is evaluated at the stop alone, not at each
         # of its 1,083 even steps
-        spec = benchmark_map(lam=0.5, p=2.0)
-        assert _working_dps(spec.d, _mp_stop_excess(spec.d, spec.k, 2.0, 5e-324)) == 669
+        assert _cell_dps(0.5, 2.0, 5e-324) == 669
         stopped_at, trace = _working_precision_run(0.5, 2.0, 5e-324)
         assert (stopped_at, trace.confirmations) == (2166, 1)
 

@@ -45,7 +45,7 @@ MUTANTS = [
     Mutant("STOP_MARGIN 2^-20 -> 2^-8", SOLVER,
            "STOP_MARGIN = 2.0 ** -20", "STOP_MARGIN = 2.0 ** -8"),
     Mutant("screen hi = h (1 - width)", SOLVER,
-           "hi = h * (1 + width)", "hi = h * (1 - width)"),
+           "hi = h * (1 + consts.q * STOP_MARGIN)", "hi = h * (1 - consts.q * STOP_MARGIN)"),
     Mutant("STALL_HALF_LIVES 10 -> 3", SOLVER,
            "STALL_HALF_LIVES = 10", "STALL_HALF_LIVES = 3"),
     Mutant("cap refusal's fewest step + 2", ORACLE,
@@ -60,8 +60,13 @@ MUTANTS = [
            "return 1 - k ** (2.0 / q), consts.C * d * 1.001, k ** (m / q)"),
     Mutant("GAP_CLAMP 1e-12 -> 1e-6", SOLVER,
            "GAP_CLAMP = 1e-12", "GAP_CLAMP = 1e-6"),
-    Mutant("screen guard tol = width * 8", SOLVER,
-           "tol = width / 8", "tol = width * 8"),
+    Mutant("stop_excess guard tol = margin * 8", SOLVER,
+           "tol = q * STOP_MARGIN / 8", "tol = q * STOP_MARGIN * 8"),
+    Mutant("stop_excess guard drops h / Cd", SOLVER,
+           "for x in (h, h / Cd)", "for x in (h,)"),
+    Mutant("stop_excess guard drops _FLOAT_MIN < Cd", SOLVER,
+           "if not (_FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd):",
+           "if not (Cd * (1 + 2.0 ** -40) > Cd):"),
     Mutant("audit_soundness slack 1e-9 -> 1e-3", ORACLE,
            "true_error > budget.apriori + 1e-9 or true_error > budget.aposteriori + 1e-9",
            "true_error > budget.apriori + 1e-3 or true_error > budget.aposteriori + 1e-3"),
