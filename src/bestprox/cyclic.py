@@ -9,7 +9,11 @@ where d = dist(A, B).  A `CyclicMapSpec` carries the map together with
 its *declared* k and d and membership predicates for A and B.  The
 validators below audit those declarations by sampling; inferring k or d
 from samples would be ill-posed, so declarations are checked, never
-inferred.
+inferred.  `sample_sets` draws the points; the validators check the
+points they are given.  A sample depends only on A, B, their boxes, the
+count and the seed, never on the map or its declared k and d, so one
+sample serves every spec over the same sets (`oracle.cyclic_suite` checks
+all its (lambda, p) configurations on one sample).
 
 The built-in instance lives on two closed convex cones in the plane,
 
@@ -89,6 +93,18 @@ class Example1Params:
         check_exponent(self.p)
 
 
+def example1_in_a(v: Vector) -> bool:
+    """Membership in the built-in A: the cone with apex (1, 0)."""
+    x, y = v
+    return y - x + 1 <= 0 and y + x - 1 >= 0
+
+
+def example1_in_b(v: Vector) -> bool:
+    """Membership in the built-in B: the cone with apex (-1, 0)."""
+    x, y = v
+    return y - x - 1 >= 0 and y + x + 1 <= 0
+
+
 def make_example1(params: Example1Params) -> CyclicMapSpec:
     """Build the two-cone benchmark map for the given (lam, p).
 
@@ -99,6 +115,8 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
     applied at (as for `solver.certificate_evaluator`).  d = 2 for every
     p; `oracle.rederive_distance` re-derives it numerically, a cross-check
     that acceptance criterion 8 and the `verify` benchmark workload run.
+    Every spec built here shares the sets A and B (`example1_in_a`,
+    `example1_in_b`) and their boxes, whatever (lam, p).
     """
     lam = params.lam
     rest, flip = 1 - lam, -lam
@@ -108,19 +126,11 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
         sign = (x > 0) - (x < 0)
         return (-(rest * sign + lam * x), flip * y)
 
-    def in_a(v: Vector) -> bool:
-        x, y = v
-        return y - x + 1 <= 0 and y + x - 1 >= 0
-
-    def in_b(v: Vector) -> bool:
-        x, y = v
-        return y - x - 1 >= 0 and y + x + 1 <= 0
-
     return CyclicMapSpec(
         space=LpSpace(dim=2, p=params.p),
         apply=apply,
-        in_a=in_a,
-        in_b=in_b,
+        in_a=example1_in_a,
+        in_b=example1_in_b,
         k=lam,
         d=2.0,
         box_a=EXAMPLE1_BOX_A,
@@ -166,14 +176,20 @@ def sample_points(
     count: int,
 ) -> list[Vector]:
     """Rejection-sample `count` points of a predicate set inside a box;
-    ConfigurationError when there is no box."""
+    ConfigurationError when there is no box.
+
+    Each coordinate is drawn as lo + (hi - lo) * rng.random(), the
+    expression `random.uniform(lo, hi)` evaluates, so the points have the
+    bits of uniform draws without a call frame per draw.
+    """
     if box is None:
         raise ConfigurationError("map spec has no sampling boxes for A/B")
     points = []
-    lows, highs = zip(*box)
+    draw = rng.random
+    spans = [(lo, hi - lo) for lo, hi in box]
     for _ in range(count):
         for _attempt in range(SAMPLER_RETRY_CAP):
-            candidate = tuple(map(rng.uniform, lows, highs))
+            candidate = tuple([lo + width * draw() for lo, width in spans])
             if predicate(candidate):
                 points.append(candidate)
                 break
@@ -185,6 +201,24 @@ def sample_points(
     return points
 
 
+def sample_sets(
+    spec: CyclicMapSpec, count: int, seed: int
+) -> tuple[list[Vector], list[Vector]]:
+    """Draw `count` points of A, then `count` of B, from random.Random(seed).
+
+    The points depend on the sets, their boxes, count and seed only, so
+    one sample serves every spec over the same A and B.  InputError when
+    count < 1; ConfigurationError when the spec has no sampling boxes.
+    """
+    if count < 1:
+        raise InputError("sample_count must be >= 1")
+    rng = random.Random(seed)
+    return (
+        sample_points(rng, spec.box_a, spec.in_a, count),
+        sample_points(rng, spec.box_b, spec.in_b, count),
+    )
+
+
 @dataclass
 class CyclicityReport:
     passed: bool
@@ -193,17 +227,13 @@ class CyclicityReport:
     violations: list[tuple[str, Vector, Vector]] = field(default_factory=list)
 
 
-def verify_cyclicity(spec: CyclicMapSpec, sample_count: int, seed: int) -> CyclicityReport:
-    """Check T(A) in B and T(B) in A on sampled points."""
-    if sample_count < 1:
-        raise InputError("sample_count must be >= 1")
-    rng = random.Random(seed)
+def verify_cyclicity(
+    spec: CyclicMapSpec, points_a: list[Vector], points_b: list[Vector]
+) -> CyclicityReport:
+    """Check T(A) in B on the given points of A and T(B) in A on those of B."""
     violations = []
-    for label, box, pred, other in (
-        ("A", spec.box_a, spec.in_a, spec.in_b),
-        ("B", spec.box_b, spec.in_b, spec.in_a),
-    ):
-        for point in sample_points(rng, box, pred, sample_count):
+    for label, points, other in (("A", points_a, spec.in_b), ("B", points_b, spec.in_a)):
+        for point in points:
             image = apply_map(spec, point)
             if not other(image):
                 violations.append((label, point, image))
@@ -221,18 +251,20 @@ class ContractionReport:
     worst_pair: tuple[Vector, Vector] | None
 
 
-def verify_contraction(spec: CyclicMapSpec, sample_count: int, seed: int) -> ContractionReport:
-    """Check the contraction inequality on sampled pairs (x in A, y in B).
+def verify_contraction(
+    spec: CyclicMapSpec, xs: list[Vector], ys: list[Vector]
+) -> ContractionReport:
+    """Check the contraction inequality on the pairs (xs[i] in A, ys[i] in B).
 
     A pair passes when the slack ||Tx - Ty|| - (k||x - y|| + (1 - k)d)
     stays below 1e-9 * (1 + ||x - y||); the report carries the largest
-    slack seen and the pair that produced it.
+    slack seen and the pair that produced it.  InputError, naming both
+    counts, unless there are equally many points of A and B, at least one.
     """
-    if sample_count < 1:
-        raise InputError("sample_count must be >= 1")
-    rng = random.Random(seed)
-    xs = sample_points(rng, spec.box_a, spec.in_a, sample_count)
-    ys = sample_points(rng, spec.box_b, spec.in_b, sample_count)
+    if not xs or len(xs) != len(ys):
+        raise InputError(
+            f"need equally many points of A and B, at least one; got {len(xs)} and {len(ys)}"
+        )
     max_violation = float("-inf")
     worst = None
     passed = True

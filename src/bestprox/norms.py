@@ -105,7 +105,10 @@ def lp_norm(space: LpSpace, v: Vector):
 
 
 def dist(space: LpSpace, u: Vector, v: Vector):
-    """Return ||u - v||_p."""
+    """Return ||u - v||_p; InputError, naming both lengths, when u and v
+    differ in length (map would drop the extra coordinates)."""
+    if len(u) != len(v):
+        raise InputError(f"cannot take the distance of vectors of lengths {len(u)} and {len(v)}")
     return lp_norm(space, tuple(map(sub, u, v)))
 
 

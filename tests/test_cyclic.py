@@ -18,7 +18,15 @@ from bestprox import (
     verify_contraction,
     verify_cyclicity,
 )
-from bestprox.cyclic import EXAMPLE1_BOX_A, EXAMPLE1_BOX_B, check_start, sample_points
+from bestprox.cyclic import (
+    EXAMPLE1_BOX_A,
+    EXAMPLE1_BOX_B,
+    check_start,
+    example1_in_a,
+    example1_in_b,
+    sample_points,
+    sample_sets,
+)
 
 E1 = (1.0, 0.0)
 
@@ -57,6 +65,12 @@ class TestMakeExample1:
         assert spec.d == 2.0
         assert spec.best_proximity == E1
 
+    def test_every_spec_shares_the_sets_and_boxes(self):
+        specs = [two_cone_map(lam, p) for lam in (0.3, 0.9) for p in (1.1, 20.0)]
+        for spec in specs:
+            assert spec.in_a is example1_in_a and spec.in_b is example1_in_b
+            assert (spec.box_a, spec.box_b) == (EXAMPLE1_BOX_A, EXAMPLE1_BOX_B)
+
     def test_membership_predicates(self):
         spec = two_cone_map()
         assert spec.in_a((1.0, 0.0)) and spec.in_a((10.0, 5.0)) and spec.in_a((10.0, -5.0))
@@ -88,11 +102,13 @@ class TestApplyMap:
 
 class TestVerifyCyclicity:
     def test_benchmark_map_passes(self):
-        report = verify_cyclicity(two_cone_map(), sample_count=1000, seed=11)
+        spec = two_cone_map()
+        report = verify_cyclicity(spec, *sample_sets(spec, 1000, 11))
         assert report.passed and not report.violations
 
     def test_near_degenerate_contraction_passes(self):
-        report = verify_cyclicity(two_cone_map(lam=0.99), sample_count=1000, seed=11)
+        spec = two_cone_map(lam=0.99)
+        report = verify_cyclicity(spec, *sample_sets(spec, 1000, 11))
         assert report.passed
 
     def test_identity_map_fails_with_witnesses(self):
@@ -107,7 +123,7 @@ class TestVerifyCyclicity:
             box_a=base.box_a,
             box_b=base.box_b,
         )
-        report = verify_cyclicity(broken, sample_count=50, seed=3)
+        report = verify_cyclicity(broken, *sample_sets(broken, 50, 3))
         assert not report.passed
         assert len(report.violations) == 100  # every A and B sample stays put
         label, point, image = report.violations[0]
@@ -120,7 +136,7 @@ class TestVerifyCyclicity:
             k=0.5, d=2.0,
         )
         with pytest.raises(ConfigurationError):
-            verify_cyclicity(bare, sample_count=10, seed=0)
+            sample_sets(bare, 10, 0)
 
     def test_impossible_set_is_config_error(self):
         base = two_cone_map()
@@ -130,21 +146,30 @@ class TestVerifyCyclicity:
             k=0.5, d=2.0, box_a=base.box_a, box_b=base.box_b,
         )
         with pytest.raises(ConfigurationError):
-            verify_cyclicity(empty, sample_count=1, seed=0)
+            sample_sets(empty, 1, 0)
 
     def test_sample_count_validation(self):
         with pytest.raises(InputError):
-            verify_cyclicity(two_cone_map(), sample_count=0, seed=0)
+            sample_sets(two_cone_map(), 0, 0)
+
+    def test_sample_is_drawn_as_a_then_b_from_one_generator(self):
+        spec = two_cone_map()
+        rng = random.Random(11)
+        expected_a = sample_points(rng, spec.box_a, spec.in_a, 30)
+        expected_b = sample_points(rng, spec.box_b, spec.in_b, 30)
+        assert sample_sets(spec, 30, 11) == (expected_a, expected_b)
 
 
 class TestVerifyContraction:
     def test_benchmark_map_passes(self):
-        report = verify_contraction(two_cone_map(), sample_count=1000, seed=5)
+        spec = two_cone_map()
+        report = verify_contraction(spec, *sample_sets(spec, 1000, 5))
         assert report.passed
         assert report.max_violation <= 0 + 1e-9
 
     def test_high_p_passes(self):
-        report = verify_contraction(two_cone_map(p=20), sample_count=1000, seed=5)
+        spec = two_cone_map(p=20)
+        report = verify_contraction(spec, *sample_sets(spec, 1000, 5))
         assert report.passed
 
     def test_equality_at_apex_pair(self):
@@ -161,10 +186,15 @@ class TestVerifyContraction:
 
         # declaring k = 0.2 for a map that contracts at 0.9 must be caught
         spec = dataclasses.replace(two_cone_map(lam=0.9), k=0.2)
-        report = verify_contraction(spec, sample_count=500, seed=5)
+        report = verify_contraction(spec, *sample_sets(spec, 500, 5))
         assert not report.passed
         assert report.max_violation > 0
         assert report.worst_pair is not None
+
+    @pytest.mark.parametrize("xs, ys", [([], []), ([E1, E1], [(-1.0, 0.0)])])
+    def test_unpaired_or_empty_points_are_an_input_error_naming_the_counts(self, xs, ys):
+        with pytest.raises(InputError, match=f"got {len(xs)} and {len(ys)}"):
+            verify_contraction(two_cone_map(), xs, ys)
 
 
 class TestDisplacementDecayCheck:
@@ -268,6 +298,28 @@ class TestOrbitGeometry:
         assert points[0] == (238.7266624647995, 88.45845059190378)
         assert points[-1] == (903.7056725185417, 387.4112145945096)
         assert rng.random() == 0.923854799557242
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 42, 20151031])
+    @pytest.mark.parametrize("box, predicate", [
+        (EXAMPLE1_BOX_A, example1_in_a),
+        (EXAMPLE1_BOX_B, example1_in_b),
+        (EXAMPLE1_BOX_A, lambda v: True),
+        # rejects about 19 candidates of 20
+        (EXAMPLE1_BOX_B, lambda v: abs(v[1]) < 50),
+    ])
+    def test_sampler_draws_the_bits_of_uniform(self, seed, box, predicate):
+        def uniform_sampler(rng, count):
+            lows, highs = zip(*box)
+            points = []
+            while len(points) < count:
+                candidate = tuple(map(rng.uniform, lows, highs))
+                if predicate(candidate):
+                    points.append(candidate)
+            return points
+
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert sample_points(rng, box, predicate, 200) == uniform_sampler(reference, 200)
+        assert rng.random() == reference.random()
 
     def test_boxes_cover_expected_window(self):
         assert EXAMPLE1_BOX_A == ((1.0, 1000.0), (-1000.0, 1000.0))

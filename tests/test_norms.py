@@ -253,6 +253,11 @@ class TestLpNorm:
         with pytest.raises(InputError):
             lp_norm(LpSpace(2, 2), (1.0, 2.0, 3.0))
 
+    def test_distance_of_vectors_of_unequal_length_names_both_lengths(self):
+        # map(sub, u, v) alone would stop at the shorter vector and give 5.0
+        with pytest.raises(InputError, match="lengths 3 and 2"):
+            dist(LpSpace(2, 2.0), (3.0, 4.0, 100.0), (0.0, 0.0))
+
     def test_space_validation(self):
         with pytest.raises(InputError):
             LpSpace(2, 1.0)
@@ -481,6 +486,13 @@ class TestConvexityInequality:
         x, y, z = (0.0, -1.0), (0.03125, 1.0), (0.0, 0.0)
         assert dist(space, x, y) == 2.0
         assert check_convexity_inequality(space, x, y, z, R=1.0, r=2.0)
+
+    def test_point_with_an_extra_coordinate_is_an_input_error(self):
+        # the third coordinate of x would be dropped, and the check pass
+        with pytest.raises(InputError, match="lengths 3 and 2"):
+            check_convexity_inequality(
+                LpSpace(2, 2.0), (0.5, 0.0, 9.0), (-0.5, 0.0), (0.0, 0.0), 1.0, 1.0
+            )
 
     def test_precondition_violation_is_distinct(self):
         space = LpSpace(2, 2)

@@ -25,15 +25,24 @@ from bestprox import (
     reproduce_table,
     run_with_stop,
 )
-from bestprox import oracle, solver
+from bestprox import cyclic, oracle, solver
+from bestprox.cyclic import apply_map, sample_points
 from bestprox.oracle import (
     DEFAULT_EPS_LIST,
     DEFAULT_P_LIST,
+    SUITE_LAMBDAS,
+    SUITE_PS,
+    apex_fixed_by_t2,
     apriori_dominates,
     columns_monotone,
+    contraction_holds,
+    cyclic_suite,
+    cyclicity_holds,
+    displacement_decays,
     load_reference_counts,
     midpoint_inequality_holds,
     stop_with_escalation,
+    suite_map,
 )
 
 E1 = (1.0, 0.0)
@@ -217,6 +226,59 @@ class TestMidpointInequalityHolds:
         assert midpoint_inequality_holds(p, rng) == (True, "")
         assert rng.random() == 0.010934935118938616
         assert seen.hexdigest() == digest
+
+
+def _per_configuration_cyclic_suite(seed, k_override):
+    """The cyclic suite with every (lambda, p) drawing its own samples."""
+    checks = []
+    for lam in SUITE_LAMBDAS:
+        for p in SUITE_PS:
+            tag = f"(lambda={lam}, p={p})"
+            spec = suite_map(lam, p, k_override)
+            samples = []
+            for own_seed in (seed, seed + 1):
+                rng = random.Random(own_seed)
+                samples.append((sample_points(rng, spec.box_a, spec.in_a, 1000),
+                                sample_points(rng, spec.box_b, spec.in_b, 1000)))
+            checks += [
+                (f"T(A) in B and T(B) in A, 1000 samples {tag}",
+                 *cyclicity_holds(spec, samples[0])),
+                (f"contraction inequality, 1000 pairs {tag}", *contraction_holds(spec, samples[1])),
+                (f"displacement-excess geometric decay, 60 steps {tag}",
+                 *displacement_decays(spec)),
+                (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
+            ]
+            rng = random.Random(seed + 7)
+            point, alternation = sample_points(rng, spec.box_a, spec.in_a, 1)[0], True
+            for step in range(1, 41):
+                point = apply_map(spec, point)
+                alternation = alternation and (spec.in_b if step % 2 else spec.in_a)(point)
+            checks.append((f"orbit alternates between A and B {tag}", alternation, ""))
+            us = sample_points(rng, spec.box_a, spec.in_a, 200)
+            vs = sample_points(rng, spec.box_b, spec.in_b, 200)
+            separated = all(dist(spec.space, u, v) >= spec.d - 1e-9 for u, v in zip(us, vs))
+            checks.append((f"sampled pairs separated by at least d {tag}", separated, ""))
+    return checks
+
+
+class TestCyclicSuite:
+    @pytest.mark.parametrize("k_override", [None, 0.05])
+    @pytest.mark.parametrize("seed", [1, 2, 42])
+    def test_shared_samples_give_the_per_configuration_results(self, seed, k_override):
+        assert cyclic_suite(seed, k_override) == _per_configuration_cyclic_suite(seed, k_override)
+
+    def test_samples_are_drawn_once_per_run(self, monkeypatch):
+        calls = []
+        original = cyclic.sample_points
+
+        def counting(*args):
+            calls.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(cyclic, "sample_points", counting)
+        monkeypatch.setattr(oracle, "sample_points", counting)
+        cyclic_suite(1, None)
+        assert calls == [1000, 1000, 1000, 1000, 1, 200, 200]
 
 
 class TestStopWithEscalation:
