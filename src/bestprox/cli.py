@@ -54,6 +54,10 @@ def _fmt_point(point, digits=_g6) -> str:
     return "(" + ", ".join(digits(c) for c in point) + ")"
 
 
+#: The published start, as --x0 takes it.
+_DEFAULT_X0 = ",".join(_g6(c) for c in oracle.DEFAULT_X0)
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -91,22 +95,24 @@ def _trace_rows(space, trace: IterationTrace):
     return rows
 
 
-def _render_rows(rows, fmt: str) -> str:
+#: Title line of a rendered block per format; plain, the default, is "title:".
+_TITLES = {"csv": "# {}", "markdown": "### {}\n"}
+
+
+def _render_rows(rows, fmt: str | None, title: str | None = None) -> str:
+    """rows as fmt text (None: plain), under a title line when title is given."""
     if fmt == "csv":
-        return "\n".join(",".join(row) for row in rows) + "\n"
-    if fmt == "markdown":
+        out = [",".join(row) for row in rows]
+    elif fmt == "markdown":
         out = ["| " + " | ".join(rows[0]) + " |"]
         out.append("|" + "|".join(" --- " for _ in rows[0]) + "|")
         out.extend("| " + " | ".join(row) + " |" for row in rows[1:])
-        return "\n".join(out) + "\n"
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return (
-        "\n".join(
-            "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
-            for row in rows
-        )
-        + "\n"
-    )
+    else:
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+        out = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)) for row in rows]
+    if title is not None:
+        out.insert(0, _TITLES.get(fmt, "{}:").format(title))
+    return "\n".join(out) + "\n"
 
 
 def _emit(text: str, out_path: str | None):
@@ -130,7 +136,7 @@ def cmd_solve(args) -> int:
     rule = StopRule(
         kind=StopKind(args.criterion), epsilon=args.eps, max_steps=args.max_steps
     )
-    approx, stopped_at, trace = run_with_stop(spec, x0, rule)
+    approx, stopped_at, trace = run_with_stop(spec, x0, rule, store_iterates=bool(args.out))
     print(f"map: example1(lambda={_g6(args.lam)}, p={_g6(args.p)})")
     print(f"start: x0 = {_fmt_point(x0)}")
     print(f"criterion: {args.criterion}, eps = {_g6(args.eps)}")
@@ -150,7 +156,7 @@ def cmd_solve(args) -> int:
     print(f"reference point: {_fmt_point(xi)}")
     print(f"true error: {_g6(dist(spec.space, approx, xi))}")
     if args.out:
-        _emit(_render_rows(_trace_rows(spec.space, trace), args.format or "plain"), args.out)
+        _emit(_render_rows(_trace_rows(spec.space, trace), args.format), args.out)
         print(f"trace written to {args.out}")
     return 0
 
@@ -181,7 +187,7 @@ def cmd_table(args) -> int:
     ):
         raise InputError(
             "--compare-paper requires the benchmark grid "
-            "(lambda=0.5, x0=1000,8, default eps and p lists)"
+            f"(lambda={_g6(oracle.DEFAULT_LAMBDA)}, x0={_DEFAULT_X0}, default eps and p lists)"
         )
     result = oracle.reproduce_table(
         kind, lam=args.lam, x0=x0, eps_list=eps_list, p_list=p_list
@@ -191,19 +197,14 @@ def cmd_table(args) -> int:
     if args.compare_paper:
         blocks.append(("reference", result.reference_counts))
         blocks.append(("delta", result.deltas))
-        tolerance = 2 if kind is StopKind.APOSTERIORI else 4
+        tolerance = oracle.PUBLISHED_TOLERANCE[kind]
         if not oracle.grid_within(result, tolerance)[0]:
             exit_code = 1
 
-    pieces = []
-    for label, grid in blocks:
-        rows = _grid_rows(result.eps_list, result.p_list, grid)
-        if args.format == "markdown":
-            pieces.append(f"### {label}\n\n" + _render_rows(rows, "markdown"))
-        elif args.format == "csv":
-            pieces.append(f"# {label}\n" + _render_rows(rows, "csv"))
-        else:
-            pieces.append(f"{label}:\n" + _render_rows(rows, "plain"))
+    pieces = [
+        _render_rows(_grid_rows(result.eps_list, result.p_list, grid), args.format, label)
+        for label, grid in blocks
+    ]
     _emit("\n".join(pieces), args.out)
     if args.compare_paper and exit_code == 1:
         print(
@@ -270,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def shared(sp):
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.5,
+        sp.add_argument("--lambda", dest="lam", type=float, default=oracle.DEFAULT_LAMBDA,
                         help="contraction factor in (0, 1)")
-        sp.add_argument("--x0", default="1000,8", help="start point, e.g. 1000,8")
+        sp.add_argument("--x0", default=_DEFAULT_X0, help="start point, e.g. %(default)s")
         sp.add_argument("--criterion", choices=["apriori", "aposteriori"],
                         default="aposteriori", help="which bound drives the run")
         sp.add_argument("--out", default=None, help="write output to this path")

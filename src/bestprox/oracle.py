@@ -31,7 +31,9 @@ the limit to machine precision); `stop_with_escalation` is the one place
 that falls back from a floored float64 run to working precision.
 
 Grid cells are independent pure computations; reports are assembled in a
-fixed order regardless of evaluation order.
+fixed order regardless of evaluation order.  That holds for float64 cells
+only: mpmath's working precision is process-global, so working-precision
+cells must not run in threads of one process.
 """
 
 from __future__ import annotations
@@ -86,11 +88,14 @@ from .solver import (
     stop_excess,
 )
 
-#: Default grids of the benchmark scenario (lam = 1/2, x0 = (1000, 8)).
+#: The published scenario of both reference grids, whose headers are these
+#: eps and p lists.
 DEFAULT_EPS_LIST = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 DEFAULT_P_LIST = (1.1, 1.5, 2.0, 3.0, 5.0, 20.0)
 DEFAULT_LAMBDA = 0.5
 DEFAULT_X0 = (1000.0, 8.0)
+#: Largest |computed - published| count a reproduced grid may show, per kind.
+PUBLISHED_TOLERANCE = {StopKind.APOSTERIORI: 2, StopKind.APRIORI: 4}
 
 #: Float64 step cap of `stop_with_escalation`.
 FLOAT64_CAP = 4000
@@ -320,10 +325,10 @@ def load_reference_counts(kind: StopKind) -> tuple[tuple, tuple, list]:
 
 
 def benchmark_scenario(kind: StopKind, lam, x0: Vector, eps_list, p_list) -> bool:
-    """Whether a grid is the scenario of the published `kind` grid: lam =
-    1/2 and x0 = (1000, 8) over the published eps and p lists.  First
-    raises InputError naming a bad kind, lam, eps or p, so that a caller
-    can ask before any cell runs."""
+    """Whether a grid is the published scenario: DEFAULT_LAMBDA and
+    DEFAULT_X0 over DEFAULT_EPS_LIST and DEFAULT_P_LIST.  First raises
+    InputError naming a bad kind, lam, eps or p, so that a caller can ask
+    before any cell runs."""
     if kind not in (StopKind.APRIORI, StopKind.APOSTERIORI):
         raise InputError(f"table kind must be APRIORI or APOSTERIORI, got {kind}")
     if not (0 < lam < 1):
@@ -332,9 +337,8 @@ def benchmark_scenario(kind: StopKind, lam, x0: Vector, eps_list, p_list) -> boo
         check_target(eps)
     for p in p_list:
         check_exponent(p)
-    published = load_reference_counts(kind)[:2]
     return (lam, tuple(x0), tuple(eps_list), tuple(p_list)) == (
-        DEFAULT_LAMBDA, DEFAULT_X0, *published
+        DEFAULT_LAMBDA, DEFAULT_X0, DEFAULT_EPS_LIST, DEFAULT_P_LIST
     )
 
 
@@ -361,11 +365,13 @@ def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: fl
     is below the float64 normal range, where the stop would evaluate the
     certificate at every even step, at thousands of digits: InputError
     naming p.  Returns (stopped_at, true_error) with the true error
-    measured against the map's exact best proximity point (as a float).
+    measured against `reference_best_proximity`, checked before the cell
+    runs (as a float).
     """
     check_target(eps)
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
+    xi = reference_best_proximity(spec)
     consts = power_type_constants(p)
     with mp.workprec(max(mp.mp.prec, 53)):  # resolved at any ambient precision
         h = stop_excess(mp.mpf(spec.d), lam, consts, mp.mpf(eps))
@@ -391,7 +397,7 @@ def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: fl
             kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=WORKING_PRECISION_CAP
         )
         approx, stopped_at, _ = run_with_stop(spec, start, rule, store_iterates=False)
-        err = dist(spec.space, approx, spec.best_proximity)
+        err = dist(spec.space, approx, xi)
     return stopped_at, float(err)
 
 
@@ -451,7 +457,8 @@ def suite_map(lam: float, p: float, k_override: float | None = None) -> CyclicMa
 
 def stop_with_escalation(lam, p, x0: Vector, eps: float, k_override: float | None = None):
     """Stop the built-in map by the a posteriori rule at eps; returns
-    (stopped_at, true_error, escalated).
+    (stopped_at, true_error, escalated), the true error measured against
+    `reference_best_proximity`.
 
     Float64 runs up to FLOAT64_CAP steps.  A run that raises
     ResolutionFloorError has stalled at the float64 resolution floor and is
@@ -468,7 +475,7 @@ def stop_with_escalation(lam, p, x0: Vector, eps: float, k_override: float | Non
         if k_override is not None:
             raise
         return (*aposteriori_stop_working_precision(lam, p, x0, eps), True)
-    return stopped_at, dist(spec.space, approx, spec.best_proximity), False
+    return stopped_at, dist(spec.space, approx, reference_best_proximity(spec)), False
 
 
 def modulus_on_grid(p: float) -> list:
@@ -570,8 +577,17 @@ def proof_chain_holds(spec: CyclicMapSpec):
     )
 
 
+def _published_counts(result: TableResult) -> list:
+    """The published counts of a reproduced grid; InputError when the grid
+    is not the published scenario, which has none."""
+    if result.reference_counts is None:
+        raise InputError("the grid is not the published scenario, so it has no published counts")
+    return result.reference_counts
+
+
 def grid_within(result: TableResult, tolerance: int):
     """Every cell of a reproduced grid within +-tolerance of the reference."""
+    _published_counts(result)
     worst = max(abs(d) for row in result.deltas for d in row)
     return worst <= tolerance, f"worst |delta| = {worst}"
 
@@ -580,7 +596,7 @@ def columns_match_reference(result: TableResult, columns):
     """The given columns of a reproduced grid equal the reference exactly."""
     return all(
         row[j] == ref[j]
-        for row, ref in zip(result.counts, result.reference_counts)
+        for row, ref in zip(result.counts, _published_counts(result))
         for j in columns
     ), ""
 
@@ -599,25 +615,46 @@ def apriori_dominates(pri: TableResult, post: TableResult):
     ), ""
 
 
-def norms_suite(seed: int):
-    checks = []
-    for p in SUITE_PS:
-        values = modulus_on_grid(p)
-        checks += [
-            (f"delta_p strictly increasing on (0,2] grid (p={p})", *modulus_increasing(values)),
-            (f"delta_p >= C*eps^q on grid (p={p})", *power_type_dominated(p, values)),
-            (f"inverse bound inverts C*eps^q (p={p})", *inverse_bound_inverts(p)),
-        ]
-        if p < 2:
-            checks.append((f"implicit-equation residual <= 1e-10 (p={p})",
-                           *implicit_residual_small(p, values)))
-        checks.append((f"midpoint convexity inequality, 1e4 random triples (p={p})",
-                       *midpoint_inequality_holds(p, random.Random(seed + int(p * 100)))))
+def norms_checks(p: float, rng: random.Random):
+    """The geometry checks of one p, as (label, passed, detail) triples; the
+    midpoint inequality draws its triples from rng."""
+    values = modulus_on_grid(p)
+    checks = [
+        (f"delta_p strictly increasing on (0,2] grid (p={p})", *modulus_increasing(values)),
+        (f"delta_p >= C*eps^q on grid (p={p})", *power_type_dominated(p, values)),
+        (f"inverse bound inverts C*eps^q (p={p})", *inverse_bound_inverts(p)),
+    ]
+    if p < 2:
+        checks.append((f"implicit-equation residual <= 1e-10 (p={p})",
+                       *implicit_residual_small(p, values)))
+    checks.append((f"midpoint convexity inequality, 1e4 random triples (p={p})",
+                   *midpoint_inequality_holds(p, rng)))
     return checks
 
 
+def norms_suite(seed: int):
+    return [c for p in SUITE_PS for c in norms_checks(p, random.Random(seed + int(p * 100)))]
+
+
+def cyclic_map_checks(spec: CyclicMapSpec, inclusion_sample, pair_sample, tag: str):
+    """The four checks of one map, as (label, passed, detail) triples whose
+    labels end in tag: cyclicity on inclusion_sample and the contraction
+    inequality on pair_sample, two `sample_sets` samples, then the
+    displacement decay and T^2 at the declared point."""
+    return [
+        (f"T(A) in B and T(B) in A, {len(inclusion_sample[0])} samples {tag}",
+         *cyclicity_holds(spec, inclusion_sample)),
+        (f"contraction inequality, {len(pair_sample[0])} pairs {tag}",
+         *contraction_holds(spec, pair_sample)),
+        (f"displacement-excess geometric decay, 60 steps {tag}", *displacement_decays(spec)),
+        (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
+    ]
+
+
 def cyclic_suite(seed: int, k_override: float | None):
-    """The cyclic-map checks for every (lambda, p) of the suite.
+    """The cyclic-map checks for every (lambda, p) of the suite: those of
+    `cyclic_map_checks`, then the orbit alternation and the separation of
+    sampled pairs.
 
     A, B, their boxes and the seeds do not depend on lambda, p or
     k_override, so the three samples are drawn once, from the first spec,
@@ -635,14 +672,7 @@ def cyclic_suite(seed: int, k_override: float | None):
     checks = []
     for lam, p, spec in specs:
         tag = f"(lambda={lam}, p={p})"
-        checks += [
-            (f"T(A) in B and T(B) in A, 1000 samples {tag}",
-             *cyclicity_holds(spec, inclusion_sample)),
-            (f"contraction inequality, 1000 pairs {tag}", *contraction_holds(spec, pair_sample)),
-            (f"displacement-excess geometric decay, 60 steps {tag}",
-             *displacement_decays(spec)),
-            (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
-        ]
+        checks += cyclic_map_checks(spec, inclusion_sample, pair_sample, tag)
 
         point, alternation = start, True
         for step in range(1, 41):
@@ -692,8 +722,9 @@ def bounds_suite(seed: int, k_override: float | None):
 def tables_suite():
     post = reproduce_table(StopKind.APOSTERIORI)
     pri = reproduce_table(StopKind.APRIORI)
+    tol = PUBLISHED_TOLERANCE[StopKind.APOSTERIORI]
     checks = [
-        ("a posteriori grid matches reference within +-2", *grid_within(post, 2)),
+        (f"a posteriori grid matches reference within +-{tol}", *grid_within(post, tol)),
         ("a posteriori p=2 column matches reference exactly",
          *columns_match_reference(post, [post.p_list.index(2.0)])),
         ("a priori p<2 columns match reference exactly",

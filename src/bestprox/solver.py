@@ -37,7 +37,9 @@ Bound evaluators and the iteration engine use only `**`, `abs` and
 comparisons, so they run unchanged on higher-precision number types
 (useful when displacement excesses decay below float64 resolution; see
 the oracle module).  Each run is sequential by nature, but independent
-runs may proceed concurrently; everything here is reentrant.
+float64 runs may proceed concurrently; everything here is reentrant.
+mpmath's working precision is process-global, so runs at working
+precision must not share one process's threads.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bestprox import oracle
+from bestprox import StopKind, cli, oracle, solver
 from bestprox.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -79,6 +79,23 @@ class TestSolve:
         )
         assert code == 0
         assert path.read_bytes() == (DATA / "solve_x0_1000_8_eps_1e-2.csv").read_bytes()
+
+    @pytest.mark.parametrize("out", [False, True], ids=["without-out", "with-out"])
+    def test_orbit_is_kept_only_for_the_out_trace(self, capsys, monkeypatch, tmp_path, out):
+        # the final budgets read the displacements alone, so a solve that
+        # writes no trace keeps only x0
+        traces = []
+
+        def recording(*args, **kwargs):
+            result = solver.run_with_stop(*args, **kwargs)
+            traces.append(result[2])
+            return result
+
+        monkeypatch.setattr(cli, "run_with_stop", recording)
+        argv = ["solve", "--eps", "1e-2"] + (["--out", str(tmp_path / "trace.txt")] if out else [])
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0 and "stopped at even step: 30" in stdout
+        assert len(traces[0].iterates) == (31 if out else 1)
 
     def test_overflowed_apriori_budget_is_named(self, capsys):
         # the a posteriori stop certifies, so the run succeeds, but its
@@ -164,6 +181,11 @@ class TestSolve:
         assert code == 2
 
 
+@pytest.fixture(scope="module")
+def published_grids():
+    return {kind: oracle.reproduce_table(kind) for kind in StopKind}
+
+
 class TestTable:
     def test_single_cell(self, capsys):
         code, out, _ = run_cli(
@@ -227,6 +249,32 @@ class TestTable:
         )
         assert code == 0
         assert out.count("|") > 10
+
+    @pytest.mark.parametrize("compare", [False, True], ids=["alone", "compare-paper"])
+    @pytest.mark.parametrize("fmt", ["csv", "markdown", "plain", None])
+    @pytest.mark.parametrize("criterion", ["aposteriori", "apriori"])
+    def test_grids_match_golden_bytes(
+        self, capsys, monkeypatch, published_grids, criterion, fmt, compare
+    ):
+        # each published grid is computed once, and the table must ask for
+        # it; no --format renders plain; only the a priori comparison
+        # exceeds its tolerance, by the documented offset of the p >= 2 columns
+        def computed(kind, **scenario):
+            assert oracle.benchmark_scenario(kind, **scenario)
+            return published_grids[kind]
+
+        monkeypatch.setattr(oracle, "reproduce_table", computed)
+        argv = ["table", "--criterion", criterion]
+        argv += (["--format", fmt] if fmt else []) + (["--compare-paper"] if compare else [])
+        code, out, err = run_cli(capsys, *argv)
+        golden = DATA / f"table_{criterion}_{fmt or 'plain'}{'_compare' if compare else ''}.txt"
+        assert out == golden.read_text(encoding="ascii")
+        offset = compare and criterion == "apriori"
+        assert code == (1 if offset else 0)
+        assert err == (
+            "deltas exceed +-4 for the apriori grid (computed counts are "
+            "authoritative; see the delta block)\n" if offset else ""
+        )
 
     def test_table_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "table", "--criterion", "apriori", "--format", "csv")

@@ -41,13 +41,17 @@ def bisect_modulus(p, eps, tol=1e-14):
 
 
 def reference_lp_norm(space, v):
-    """The two-pass generator form of lp_norm, the reference that lp_norm
-    must match bit for bit."""
+    """The two-pass form of lp_norm, the reference that lp_norm must match
+    bit for bit.  Its terms are added left to right by a loop, not by
+    sum(), which from Python 3.12 compensates float sums."""
     p = space.p
     scale = max(abs(c) for c in v)
     if scale == 0:
         return 0.0
-    return scale * sum((abs(c) / scale) ** p for c in v) ** (1 / p)
+    total = 0.0
+    for c in v:
+        total += (abs(c) / scale) ** p
+    return scale * total ** (1 / p)
 
 
 BIT_EXPONENTS = [1.1, 1.5, 2, 3, 5, 20]

@@ -34,11 +34,13 @@ from bestprox.oracle import (
     SUITE_PS,
     apex_fixed_by_t2,
     apriori_dominates,
+    columns_match_reference,
     columns_monotone,
     contraction_holds,
     cyclic_suite,
     cyclicity_holds,
     displacement_decays,
+    grid_within,
     load_reference_counts,
     midpoint_inequality_holds,
     stop_with_escalation,
@@ -97,6 +99,12 @@ class TestReferenceBestProximity:
     def test_wrong_declaration_is_a_declaration_error(self):
         spec = dataclasses.replace(benchmark_map(), best_proximity=(2.0, 0.0))
         with pytest.raises(DeclarationError, match=r"\(2\.0, 0\.0\)"):
+            reference_best_proximity(spec)
+
+    def test_declaration_just_beyond_1e_12_is_a_declaration_error(self):
+        # T^2 maps (1, y) to (1, lam^2 y): 7.5e-12 away at lam = 0.5
+        spec = dataclasses.replace(benchmark_map(), best_proximity=(1.0, 1e-11))
+        with pytest.raises(DeclarationError, match=r"\(1\.0, 1e-11\)"):
             reference_best_proximity(spec)
 
     def test_wrong_declaration_fails_the_soundness_audit(self):
@@ -281,6 +289,26 @@ class TestCyclicSuite:
         assert calls == [1000, 1000, 1000, 1000, 1, 200, 200]
 
 
+class TestTrueErrorsCheckTheDeclaredPoint:
+    @pytest.fixture(autouse=True)
+    def wrong_point(self, monkeypatch):
+        build = oracle.make_example1
+        monkeypatch.setattr(
+            oracle, "make_example1",
+            lambda params: dataclasses.replace(build(params), best_proximity=(1.0, 1e-3)),
+        )
+
+    # a float64 stop, and a floored one that escalates to working precision
+    @pytest.mark.parametrize("lam, eps", [(0.5, 1e-2), (0.9, 1e-10)])
+    def test_escalating_stop(self, lam, eps):
+        with pytest.raises(DeclarationError, match=r"\(1\.0, 0\.001\)"):
+            stop_with_escalation(lam, 2.0, (1000.0, 8.0), eps)
+
+    def test_working_precision_stop(self):
+        with pytest.raises(DeclarationError, match=r"\(1\.0, 0\.001\)"):
+            oracle.aposteriori_stop_working_precision(0.5, 2.0, (1000.0, 8.0), 1e-2)
+
+
 class TestStopWithEscalation:
     def test_floored_run_escalates_and_certifies(self):
         # at lam = 0.9 the float64 displacement pins a few ulps above d
@@ -411,7 +439,10 @@ class TestReferenceGrids:
         assert p_list == DEFAULT_P_LIST
         assert post[0] == [34, 32, 30, 42, 66, 266]
         assert post[4] == [88, 84, 84, 122, 200, 798]
-        _, _, pri = load_reference_counts(StopKind.APRIORI)
+        # benchmark_scenario compares a grid with these lists, not the headers
+        eps_list, p_list, pri = load_reference_counts(StopKind.APRIORI)
+        assert eps_list == DEFAULT_EPS_LIST
+        assert p_list == DEFAULT_P_LIST
         assert pri[0] == [54, 50, 46, 64, 104, 428]
         assert pri[4] == [106, 104, 98, 144, 238, 960]
         assert all(c % 2 == 0 and c >= 2 for grid in (post, pri) for row in grid for c in row)
@@ -435,6 +466,17 @@ class TestReproduceTable:
         i, j = full.eps_list.index(1e-10), full.p_list.index(20.0)
         assert full.reference_counts[i][j] == 960
         assert full.deltas[i][j] == 28
+
+    @pytest.mark.parametrize(
+        "check",
+        [lambda grid: grid_within(grid, 2), lambda grid: columns_match_reference(grid, [0])],
+        ids=["grid_within", "columns_match_reference"],
+    )
+    def test_grid_checks_refuse_a_grid_without_published_counts(self, check):
+        grid = reproduce_table(StopKind.APRIORI, lam=0.9)
+        assert grid.reference_counts is None
+        with pytest.raises(InputError, match="not the published scenario"):
+            check(grid)
 
     def test_default_aposteriori_grid_matches_reference(self, default_grids):
         result = default_grids[StopKind.APOSTERIORI]

@@ -67,6 +67,8 @@ MUTANTS = [
     Mutant("stop_excess guard drops _FLOAT_MIN < Cd", SOLVER,
            "if not (_FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd):",
            "if not (Cd * (1 + 2.0 ** -40) > Cd):"),
+    Mutant("reference check 1e-12 -> 1e-6", ORACLE,
+           "if abs(gap) > 1e-12 or period > 1e-12:", "if abs(gap) > 1e-6 or period > 1e-6:"),
     Mutant("audit_soundness slack 1e-9 -> 1e-3", ORACLE,
            "true_error > budget.apriori + 1e-9 or true_error > budget.aposteriori + 1e-9",
            "true_error > budget.apriori + 1e-3 or true_error > budget.aposteriori + 1e-3"),
