@@ -406,6 +406,15 @@ class TestVerify:
         assert "FAIL" in out
         assert "contraction inequality" in out
 
+    def test_corrupted_k_matches_golden_bytes(self, capsys):
+        # every label and every FAIL detail of the cyclic suite, the moved
+        # "max violation" and "max envelope excess" figures included
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "cyclic", "--seed", "42", "--k-override", "0.05",
+        )
+        assert code == 1
+        assert out == (DATA / "verify_cyclic_seed42_k0.05.txt").read_text(encoding="ascii")
+
     def test_tables_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "tables")
         assert code == 0
