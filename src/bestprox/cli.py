@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import oracle
@@ -115,12 +116,28 @@ def _render_rows(rows, fmt: str | None, title: str | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_out(out_path: str | None):
+    """InputError naming --out unless its directory exists and is writable
+    and it is no directory itself.  The file is not opened, so a run that
+    fails later leaves an existing file as it was."""
+    if not out_path:
+        return
+    directory = os.path.dirname(os.path.abspath(out_path))
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise InputError(f"--out {out_path}: directory {directory} is missing or not writable")
+    if os.path.isdir(out_path):
+        raise InputError(f"--out {out_path} is a directory")
+
+
 def _emit(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="ascii") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write --out {out_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +148,15 @@ def _emit(text: str, out_path: str | None):
 def cmd_solve(args) -> int:
     if args.format and not args.out:
         raise InputError("--format formats the --out trace; give --out PATH or drop --format")
+    _check_out(args.out)
     spec = make_example1(Example1Params(lam=args.lam, p=args.p))
     x0 = _parse_floats(args.x0)
     rule = StopRule(
         kind=StopKind(args.criterion), epsilon=args.eps, max_steps=args.max_steps
     )
     approx, stopped_at, trace = run_with_stop(spec, x0, rule, store_iterates=bool(args.out))
+    if args.out:  # written before the summary, so a failed write prints nothing
+        _emit(_render_rows(_trace_rows(spec.space, trace), args.format), args.out)
     print(f"map: example1(lambda={_g6(args.lam)}, p={_g6(args.p)})")
     print(f"start: x0 = {_fmt_point(x0)}")
     print(f"criterion: {args.criterion}, eps = {_g6(args.eps)}")
@@ -156,7 +176,6 @@ def cmd_solve(args) -> int:
     print(f"reference point: {_fmt_point(xi)}")
     print(f"true error: {_g6(dist(spec.space, approx, xi))}")
     if args.out:
-        _emit(_render_rows(_trace_rows(spec.space, trace), args.format), args.out)
         print(f"trace written to {args.out}")
     return 0
 
@@ -178,6 +197,7 @@ def _grid_rows(eps_list, p_list, counts):
 
 
 def cmd_table(args) -> int:
+    _check_out(args.out)
     kind = StopKind(args.criterion)
     eps_list = _parse_floats(args.eps) if args.eps else oracle.DEFAULT_EPS_LIST
     p_list = _parse_floats(args.p) if args.p else oracle.DEFAULT_P_LIST
@@ -221,6 +241,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k_override is not None and not 0 < args.k_override < 1:
+        raise InputError(f"--k-override must lie in (0, 1), got {args.k_override}")
     suites = {
         "norms": lambda: oracle.norms_suite(args.seed),
         "cyclic": lambda: oracle.cyclic_suite(args.seed, args.k_override),

@@ -9,11 +9,13 @@ where d = dist(A, B).  A `CyclicMapSpec` carries the map together with
 its *declared* k and d and membership predicates for A and B.  The
 validators below audit those declarations by sampling; inferring k or d
 from samples would be ill-posed, so declarations are checked, never
-inferred.  `sample_sets` draws the points; the validators check the
-points they are given.  A sample depends only on A, B, their boxes, the
-count and the seed, never on the map or its declared k and d, so one
-sample serves every spec over the same sets (`oracle.cyclic_suite` checks
-all its (lambda, p) configurations on one sample).
+inferred.  Each validator returns (passed, detail), the pair that
+`bestprox verify` prints, like every checked property in `oracle`.
+`sample_sets` draws the points; the validators check the points they are
+given.  A sample depends only on A, B, their boxes, the count and the
+seed, never on the map or its declared k and d, so one sample serves
+every spec over the same sets (`oracle.cyclic_suite` checks all its
+(lambda, p) configurations on one sample).
 
 The built-in instance lives on two closed convex cones in the plane,
 
@@ -35,7 +37,7 @@ all operations here are safe to call concurrently.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError, InputError
@@ -219,80 +221,46 @@ def sample_sets(
     )
 
 
-@dataclass
-class CyclicityReport:
-    passed: bool
-    #: (source set, point, image) for every point whose image landed outside
-    #: the opposite set.
-    violations: list[tuple[str, Vector, Vector]] = field(default_factory=list)
+def verify_cyclicity(spec: CyclicMapSpec, points_a: list[Vector], points_b: list[Vector]):
+    """Check T(A) in B on the given points of A and T(B) in A on those of B.
 
-
-def verify_cyclicity(
-    spec: CyclicMapSpec, points_a: list[Vector], points_b: list[Vector]
-) -> CyclicityReport:
-    """Check T(A) in B on the given points of A and T(B) in A on those of B."""
-    violations = []
-    for label, points, other in (("A", points_a, spec.in_b), ("B", points_b, spec.in_a)):
-        for point in points:
-            image = apply_map(spec, point)
-            if not other(image):
-                violations.append((label, point, image))
-    return CyclicityReport(
-        passed=not violations,
-        violations=violations,
+    Returns (passed, detail), the detail "{n} violations" for the n points
+    whose image lands outside the opposite set, and empty when none does.
+    """
+    violations = sum(
+        not other(apply_map(spec, point))
+        for points, other in ((points_a, spec.in_b), (points_b, spec.in_a))
+        for point in points
     )
+    return not violations, (f"{violations} violations" if violations else "")
 
 
-@dataclass
-class ContractionReport:
-    passed: bool
-    #: Largest value of ||Tx - Ty|| - (k ||x - y|| + (1 - k) d) over the sample.
-    max_violation: float
-    worst_pair: tuple[Vector, Vector] | None
-
-
-def verify_contraction(
-    spec: CyclicMapSpec, xs: list[Vector], ys: list[Vector]
-) -> ContractionReport:
+def verify_contraction(spec: CyclicMapSpec, xs: list[Vector], ys: list[Vector]):
     """Check the contraction inequality on the pairs (xs[i] in A, ys[i] in B).
 
     A pair passes when the slack ||Tx - Ty|| - (k||x - y|| + (1 - k)d)
-    stays below 1e-9 * (1 + ||x - y||); the report carries the largest
-    slack seen and the pair that produced it.  InputError, naming both
-    counts, unless there are equally many points of A and B, at least one.
+    stays below 1e-9 * (1 + ||x - y||).  Returns (passed, detail), the
+    detail "max violation {x:.3g}" for the largest slack seen.  InputError,
+    naming both counts, unless there are equally many points of A and B, at
+    least one.
     """
     if not xs or len(xs) != len(ys):
         raise InputError(
             f"need equally many points of A and B, at least one; got {len(xs)} and {len(ys)}"
         )
     max_violation = float("-inf")
-    worst = None
     passed = True
     for x, y in zip(xs, ys):
         dxy = dist(spec.space, x, y)
         dtxty = dist(spec.space, apply_map(spec, x), apply_map(spec, y))
         violation = dtxty - (spec.k * dxy + (1 - spec.k) * spec.d)
-        if violation > max_violation:
-            max_violation = violation
-            worst = (x, y)
+        max_violation = max(max_violation, violation)
         if violation > 1e-9 * (1 + dxy):
             passed = False
-    return ContractionReport(
-        passed=passed,
-        max_violation=max_violation,
-        worst_pair=worst,
-    )
+    return passed, f"max violation {max_violation:.3g}"
 
 
-@dataclass
-class DisplacementDecayReport:
-    passed: bool
-    #: Largest excess of (disp_n - d) over the geometric envelope k^n (disp_0 - d).
-    max_envelope_excess: float
-    min_displacement: float
-
-
-def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int) -> DisplacementDecayReport:
+def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int):
     """Audit the geometric decay of displacement excesses along an orbit.
 
     Successive displacements of a cyclic contraction satisfy
@@ -300,8 +268,10 @@ def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int) -> Dis
         ||T^n x - T^{n+1} x|| - d <= k^n (||x - Tx|| - d),
 
     and, because consecutive iterates lie in opposite sets, every
-    displacement is at least d.  Both facts are checked for n = 0..n_max
-    within 1e-9 relative tolerance.
+    displacement is at least d.  Both facts are checked for n = 0..n_max,
+    the first within 1e-9 * (1 + |envelope|), the second within 1e-9.
+    Returns (passed, detail), the detail "max envelope excess {x:.3g}" for
+    the largest excess of disp_n - d over the envelope k^n (disp_0 - d).
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
@@ -323,8 +293,4 @@ def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int) -> Dis
             passed = False
         if disp < spec.d - 1e-9:
             passed = False
-    return DisplacementDecayReport(
-        passed=passed,
-        max_envelope_excess=max_excess,
-        min_displacement=min(disps),
-    )
+    return passed, f"max envelope excess {max_excess:.3g}"

@@ -537,23 +537,6 @@ def midpoint_inequality_holds(p: float, rng: random.Random):
     return True, ""
 
 
-def cyclicity_holds(spec: CyclicMapSpec, sample):
-    """T(A) in B and T(B) in A on a `sample_sets` sample."""
-    report = verify_cyclicity(spec, *sample)
-    return report.passed, (f"{len(report.violations)} violations" if report.violations else "")
-
-
-def contraction_holds(spec: CyclicMapSpec, sample):
-    """The contraction inequality on the pairs of a `sample_sets` sample."""
-    report = verify_contraction(spec, *sample)
-    return report.passed, f"max violation {report.max_violation:.3g}"
-
-
-def displacement_decays(spec: CyclicMapSpec):
-    report = displacement_decay_check(spec, DEFAULT_X0, n_max=60)
-    return report.passed, f"max envelope excess {report.max_envelope_excess:.3g}"
-
-
 def apex_fixed_by_t2(spec: CyclicMapSpec):
     """T^2 fixes the declared best proximity point to 1e-15."""
     xi = spec.best_proximity
@@ -643,10 +626,11 @@ def cyclic_map_checks(spec: CyclicMapSpec, inclusion_sample, pair_sample, tag: s
     displacement decay and T^2 at the declared point."""
     return [
         (f"T(A) in B and T(B) in A, {len(inclusion_sample[0])} samples {tag}",
-         *cyclicity_holds(spec, inclusion_sample)),
+         *verify_cyclicity(spec, *inclusion_sample)),
         (f"contraction inequality, {len(pair_sample[0])} pairs {tag}",
-         *contraction_holds(spec, pair_sample)),
-        (f"displacement-excess geometric decay, 60 steps {tag}", *displacement_decays(spec)),
+         *verify_contraction(spec, *pair_sample)),
+        (f"displacement-excess geometric decay, 60 steps {tag}",
+         *displacement_decay_check(spec, DEFAULT_X0, n_max=60)),
         (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
     ]
 

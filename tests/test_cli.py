@@ -442,6 +442,58 @@ def test_table_takes_no_step_cap(capsys):
     assert "unrecognized arguments: --max-steps 1" in capsys.readouterr().err
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("the run started before the refusal")
+
+
+_OUT_COMMANDS = pytest.mark.parametrize(
+    "argv", [["solve", "--eps", "1e-2"], ["table", "--eps", "1e-2", "--p", "2"]],
+    ids=["solve", "table"],
+)
+
+
+@_OUT_COMMANDS
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_out_is_exit_2_before_the_run(capsys, monkeypatch, tmp_path, argv, where):
+    monkeypatch.setattr(cli, "run_with_stop", _no_run)
+    monkeypatch.setattr(oracle, "reproduce_table", _no_run)
+    path = tmp_path / "missing" / "out.txt" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert f"--out {path}" in err
+
+
+@_OUT_COMMANDS
+def test_failed_write_is_exit_2_naming_out(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    path = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    # solve writes its trace before its summary, so neither prints anything
+    assert (code, out) == (2, "")
+    assert f"cannot write --out {path}: [Errno 13] Permission denied" in err
+
+
+def test_failed_solve_leaves_an_existing_out_file_as_it_was(capsys, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("kept\n")
+    code, _, _ = run_cli(capsys, "solve", "--eps", "1e-2", "--max-steps", "10", "--out", str(path))
+    assert code == 1
+    assert path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("k", ["0", "1.5", "nan"])
+def test_k_override_outside_the_unit_interval_is_exit_2_before_any_suite(
+    capsys, monkeypatch, k
+):
+    monkeypatch.setattr(oracle, "norms_suite", _no_run)
+    code, out, err = run_cli(capsys, "verify", "--k-override", k)
+    assert (code, out) == (2, "")
+    assert f"--k-override must lie in (0, 1), got {float(k)}" in err
+
+
 def test_readme_cli_examples_parse():
     text = README.read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

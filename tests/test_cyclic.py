@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -103,15 +104,13 @@ class TestApplyMap:
 class TestVerifyCyclicity:
     def test_benchmark_map_passes(self):
         spec = two_cone_map()
-        report = verify_cyclicity(spec, *sample_sets(spec, 1000, 11))
-        assert report.passed and not report.violations
+        assert verify_cyclicity(spec, *sample_sets(spec, 1000, 11)) == (True, "")
 
     def test_near_degenerate_contraction_passes(self):
         spec = two_cone_map(lam=0.99)
-        report = verify_cyclicity(spec, *sample_sets(spec, 1000, 11))
-        assert report.passed
+        assert verify_cyclicity(spec, *sample_sets(spec, 1000, 11)) == (True, "")
 
-    def test_identity_map_fails_with_witnesses(self):
+    def test_identity_map_fails_on_every_point(self):
         base = two_cone_map()
         broken = CyclicMapSpec(
             space=base.space,
@@ -123,11 +122,8 @@ class TestVerifyCyclicity:
             box_a=base.box_a,
             box_b=base.box_b,
         )
-        report = verify_cyclicity(broken, *sample_sets(broken, 50, 3))
-        assert not report.passed
-        assert len(report.violations) == 100  # every A and B sample stays put
-        label, point, image = report.violations[0]
-        assert label == "A" and point == image
+        # every A and B sample stays put
+        assert verify_cyclicity(broken, *sample_sets(broken, 50, 3)) == (False, "100 violations")
 
     def test_sampler_without_boxes_is_config_error(self):
         base = two_cone_map()
@@ -163,14 +159,13 @@ class TestVerifyCyclicity:
 class TestVerifyContraction:
     def test_benchmark_map_passes(self):
         spec = two_cone_map()
-        report = verify_contraction(spec, *sample_sets(spec, 1000, 5))
-        assert report.passed
-        assert report.max_violation <= 0 + 1e-9
+        assert verify_contraction(spec, *sample_sets(spec, 1000, 5)) == (
+            True, "max violation -1.35e-08")
 
     def test_high_p_passes(self):
         spec = two_cone_map(p=20)
-        report = verify_contraction(spec, *sample_sets(spec, 1000, 5))
-        assert report.passed
+        passed, _ = verify_contraction(spec, *sample_sets(spec, 1000, 5))
+        assert passed
 
     def test_equality_at_apex_pair(self):
         spec = two_cone_map()
@@ -182,14 +177,18 @@ class TestVerifyContraction:
         assert rhs == pytest.approx(2.0, abs=1e-15)
 
     def test_understated_k_fails(self):
-        import dataclasses
-
         # declaring k = 0.2 for a map that contracts at 0.9 must be caught
         spec = dataclasses.replace(two_cone_map(lam=0.9), k=0.2)
-        report = verify_contraction(spec, *sample_sets(spec, 500, 5))
-        assert not report.passed
-        assert report.max_violation > 0
-        assert report.worst_pair is not None
+        passed, detail = verify_contraction(spec, *sample_sets(spec, 500, 5))
+        assert not passed
+        assert float(detail.removeprefix("max violation ")) > 0
+
+    def test_k_declared_just_low_fails_within_the_relative_slack(self):
+        # the largest violation, 0.0019, lies far below 1e-3 * (1 + ||x - y||),
+        # so only a slack near 1e-9 relative catches it
+        spec = dataclasses.replace(two_cone_map(lam=0.5), k=0.5 - 1e-6)
+        assert verify_contraction(spec, *sample_sets(spec, 1000, 5)) == (
+            False, "max violation 0.00191")
 
     @pytest.mark.parametrize("xs, ys", [([], []), ([E1, E1], [(-1.0, 0.0)])])
     def test_unpaired_or_empty_points_are_an_input_error_naming_the_counts(self, xs, ys):
@@ -199,30 +198,41 @@ class TestVerifyContraction:
 
 class TestDisplacementDecayCheck:
     def test_benchmark_orbit(self):
-        report = displacement_decay_check(two_cone_map(), (1000.0, 8.0), n_max=60)
-        assert report.passed
-        assert report.min_displacement >= 2.0 - 1e-9
+        assert displacement_decay_check(two_cone_map(), (1000.0, 8.0), n_max=60) == (
+            True, "max envelope excess 3.22e-16")
 
     def test_apex_orbit_is_flat(self):
-        report = displacement_decay_check(two_cone_map(), E1, n_max=10)
-        assert report.passed
         # orbit alternates the two apexes: displacement stays exactly d
-        assert report.min_displacement == pytest.approx(2.0, abs=1e-15)
-        assert report.max_envelope_excess == pytest.approx(0.0, abs=1e-15)
+        assert displacement_decay_check(two_cone_map(), E1, n_max=10) == (
+            True, "max envelope excess 0")
+
+    def test_k_declared_just_low_fails_within_the_relative_slack(self):
+        # the largest excess, 0.0015, lies far below 1e-3 * (1 + envelope)
+        spec = dataclasses.replace(two_cone_map(lam=0.5), k=0.5 - 1e-6)
+        assert displacement_decay_check(spec, (1000.0, 8.0), n_max=60) == (
+            False, "max envelope excess 0.00147")
+
+    def test_d_declared_too_large_fails_on_a_displacement_below_d(self):
+        # every excess sits within its envelope; only disp_n < d - 1e-9
+        # catches the overstated d.  At lam = 0.9 no displacement falls
+        # below 2.5 within 60 steps, so lam = 0.5.
+        spec = dataclasses.replace(two_cone_map(lam=0.5), d=2.5)
+        assert displacement_decay_check(spec, (1000.0, 8.0), n_max=60) == (
+            False, "max envelope excess 0")
 
     def test_n_zero_is_equality(self):
         spec = two_cone_map(lam=0.7, p=3)
         x0 = (300.0, -12.0)
         tx0 = apply_map(spec, x0)
         disp0 = dist(spec.space, x0, tx0)
-        report = displacement_decay_check(spec, x0, n_max=1)
+        passed, _ = displacement_decay_check(spec, x0, n_max=1)
         # at n = 0 both sides equal disp0 - d by construction
-        assert report.passed
+        assert passed
         assert disp0 - spec.d >= 0
 
     def test_start_in_b_is_accepted(self):
-        report = displacement_decay_check(two_cone_map(), (-800.0, 5.0), n_max=30)
-        assert report.passed
+        passed, _ = displacement_decay_check(two_cone_map(), (-800.0, 5.0), n_max=30)
+        assert passed
 
     def test_outside_union_rejected(self):
         with pytest.raises(InputError):

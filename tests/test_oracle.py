@@ -26,20 +26,24 @@ from bestprox import (
     run_with_stop,
 )
 from bestprox import cyclic, oracle, solver
-from bestprox.cyclic import apply_map, sample_points
+from bestprox.cyclic import (
+    apply_map,
+    displacement_decay_check,
+    sample_points,
+    verify_contraction,
+    verify_cyclicity,
+)
 from bestprox.oracle import (
     DEFAULT_EPS_LIST,
     DEFAULT_P_LIST,
+    DEFAULT_X0,
     SUITE_LAMBDAS,
     SUITE_PS,
     apex_fixed_by_t2,
     apriori_dominates,
     columns_match_reference,
     columns_monotone,
-    contraction_holds,
     cyclic_suite,
-    cyclicity_holds,
-    displacement_decays,
     grid_within,
     load_reference_counts,
     midpoint_inequality_holds,
@@ -250,10 +254,11 @@ def _per_configuration_cyclic_suite(seed, k_override):
                                 sample_points(rng, spec.box_b, spec.in_b, 1000)))
             checks += [
                 (f"T(A) in B and T(B) in A, 1000 samples {tag}",
-                 *cyclicity_holds(spec, samples[0])),
-                (f"contraction inequality, 1000 pairs {tag}", *contraction_holds(spec, samples[1])),
+                 *verify_cyclicity(spec, *samples[0])),
+                (f"contraction inequality, 1000 pairs {tag}",
+                 *verify_contraction(spec, *samples[1])),
                 (f"displacement-excess geometric decay, 60 steps {tag}",
-                 *displacement_decays(spec)),
+                 *displacement_decay_check(spec, DEFAULT_X0, n_max=60)),
                 (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
             ]
             rng = random.Random(seed + 7)

@@ -1,5 +1,6 @@
-"""Mutation probe of the certificate path: apply hand-written mutants, one
-at a time, to a copy of the package and report which the tests kill.
+"""Mutation probe of the certificate path and the cyclic validators: apply
+hand-written mutants, one at a time, to a copy of the package and report
+which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another.  The copy lives in a temporary directory; the checkout is never
@@ -30,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/bestprox/solver.py"
 ORACLE = "src/bestprox/oracle.py"
+CYCLIC = "src/bestprox/cyclic.py"
 TIMEOUT_S = 600.0  # a run this long counts as killed by a hang
 
 
@@ -78,6 +80,12 @@ MUTANTS = [
            "lo, n = n, 2 * n", "lo, n = n, n + 1"),
     Mutant("a priori search returns 2 n + 2", SOLVER,
            "else (mid, n)\n    return 2 * n\n", "else (mid, n)\n    return 2 * n + 2\n"),
+    Mutant("contraction slack 1e-9 -> 1e-3", CYCLIC,
+           "if violation > 1e-9 * (1 + dxy):", "if violation > 1e-3 * (1 + dxy):"),
+    Mutant("decay check drops disp < d - 1e-9", CYCLIC,
+           "        if disp < spec.d - 1e-9:\n            passed = False\n", ""),
+    Mutant("envelope slack 1e-9 -> 1e-3", CYCLIC,
+           "if excess > 1e-9 * (1 + abs(envelope)):", "if excess > 1e-3 * (1 + abs(envelope)):"),
 ]
 
 
