@@ -415,6 +415,15 @@ class TestVerify:
         assert code == 1
         assert out == (DATA / "verify_cyclic_seed42_k0.05.txt").read_text(encoding="ascii")
 
+    @pytest.mark.parametrize("k_override, want", [(None, 0), ("0.05", 1)])
+    def test_bounds_suite_matches_golden_bytes(self, capsys, k_override, want):
+        # the bounds suite's soundness audits, proof chains and escalating
+        # stops over every (lambda, p); under a corrupted k, every FAIL detail
+        extra = ["--k-override", k_override] if k_override else []
+        code, out, _ = run_cli(capsys, "verify", "--suite", "bounds", "--seed", "42", *extra)
+        golden = DATA / f"verify_bounds_seed42{'_k' + k_override if k_override else ''}.txt"
+        assert (code, out) == (want, golden.read_text(encoding="ascii"))
+
     def test_tables_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "tables")
         assert code == 0
