@@ -17,6 +17,7 @@ from .cyclic import (
     make_example1,
     verify_contraction,
     verify_cyclicity,
+    verify_period,
 )
 from .errors import (
     BudgetExhaustedError,
@@ -101,4 +102,5 @@ __all__ = [
     "run_with_stop",
     "verify_contraction",
     "verify_cyclicity",
+    "verify_period",
 ]

@@ -241,8 +241,13 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.k_override is not None and not 0 < args.k_override < 1:
-        raise InputError(f"--k-override must lie in (0, 1), got {args.k_override}")
+    if args.k_override is not None:
+        if not 0 < args.k_override < 1:
+            raise InputError(f"--k-override must lie in (0, 1), got {args.k_override}")
+        if args.suite in ("norms", "tables"):
+            raise InputError(
+                f"--k-override applies to the cyclic and bounds suites, not --suite {args.suite}"
+            )
     suites = {
         "norms": lambda: oracle.norms_suite(args.seed),
         "cyclic": lambda: oracle.cyclic_suite(args.seed, args.k_override),

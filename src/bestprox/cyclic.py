@@ -11,6 +11,9 @@ validators below audit those declarations by sampling; inferring k or d
 from samples would be ill-posed, so declarations are checked, never
 inferred.  Each validator returns (passed, detail), the pair that
 `bestprox verify` prints, like every checked property in `oracle`.
+The declared k, d and best proximity point each have one slack, K_SLACK,
+D_SLACK and XI_PERIOD_SLACK, listed beside the validators and read by every
+check of that declaration, here and in `oracle`.
 `sample_sets` draws the points; the validators check the points they are
 given.  A sample depends only on A, B, their boxes, the count and the
 seed, never on the map or its declared k and d, so one sample serves
@@ -61,8 +64,8 @@ class CyclicMapSpec:
     `apply` must be pure.  `box_a`/`box_b` are per-coordinate bounds used
     by rejection samplers; None disables sampling-based validators.
     `best_proximity` optionally records an exactly known best proximity
-    point in A; `oracle.reference_best_proximity` checks it and makes it
-    the reference of every true error.
+    point in A; `oracle.reference_best_proximity` checks it (with
+    `verify_period`) and makes it the reference of every true error.
     """
 
     space: LpSpace
@@ -221,6 +224,15 @@ def sample_sets(
     )
 
 
+#: k, relative: a value may exceed its contraction bound (the contraction
+#: inequality or the decay envelope) by K_SLACK * (1 + the bound's scale).
+K_SLACK = 1e-9
+#: d, absolute: a computed distance between A and B may fall below d by D_SLACK.
+D_SLACK = 1e-9
+#: xi: T^2 may move each coordinate of the declared point by XI_PERIOD_SLACK.
+XI_PERIOD_SLACK = 1e-15
+
+
 def verify_cyclicity(spec: CyclicMapSpec, points_a: list[Vector], points_b: list[Vector]):
     """Check T(A) in B on the given points of A and T(B) in A on those of B.
 
@@ -239,7 +251,7 @@ def verify_contraction(spec: CyclicMapSpec, xs: list[Vector], ys: list[Vector]):
     """Check the contraction inequality on the pairs (xs[i] in A, ys[i] in B).
 
     A pair passes when the slack ||Tx - Ty|| - (k||x - y|| + (1 - k)d)
-    stays below 1e-9 * (1 + ||x - y||).  Returns (passed, detail), the
+    stays below K_SLACK * (1 + ||x - y||).  Returns (passed, detail), the
     detail "max violation {x:.3g}" for the largest slack seen.  InputError,
     naming both counts, unless there are equally many points of A and B, at
     least one.
@@ -255,7 +267,7 @@ def verify_contraction(spec: CyclicMapSpec, xs: list[Vector], ys: list[Vector]):
         dtxty = dist(spec.space, apply_map(spec, x), apply_map(spec, y))
         violation = dtxty - (spec.k * dxy + (1 - spec.k) * spec.d)
         max_violation = max(max_violation, violation)
-        if violation > 1e-9 * (1 + dxy):
+        if violation > K_SLACK * (1 + dxy):
             passed = False
     return passed, f"max violation {max_violation:.3g}"
 
@@ -269,7 +281,7 @@ def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int):
 
     and, because consecutive iterates lie in opposite sets, every
     displacement is at least d.  Both facts are checked for n = 0..n_max,
-    the first within 1e-9 * (1 + |envelope|), the second within 1e-9.
+    the first within K_SLACK * (1 + |envelope|), the second within D_SLACK.
     Returns (passed, detail), the detail "max envelope excess {x:.3g}" for
     the largest excess of disp_n - d over the envelope k^n (disp_0 - d).
     """
@@ -289,8 +301,19 @@ def displacement_decay_check(spec: CyclicMapSpec, x0: Vector, n_max: int):
         envelope = (spec.k ** n) * base_gap
         excess = (disp - spec.d) - envelope
         max_excess = max(max_excess, excess)
-        if excess > 1e-9 * (1 + abs(envelope)):
+        if excess > K_SLACK * (1 + abs(envelope)):
             passed = False
-        if disp < spec.d - 1e-9:
+        if disp < spec.d - D_SLACK:
             passed = False
     return passed, f"max envelope excess {max_excess:.3g}"
+
+
+def verify_period(spec: CyclicMapSpec):
+    """Check that T^2 moves no coordinate of the declared best proximity
+    point xi by more than XI_PERIOD_SLACK.  Returns (passed, detail), the
+    detail "T^2 xi = {T^2 xi}"; ConfigurationError when there is no xi."""
+    xi = spec.best_proximity
+    if xi is None:
+        raise ConfigurationError("the map declares no best proximity point")
+    twice = apply_map(spec, apply_map(spec, xi))
+    return max(abs(a - b) for a, b in zip(twice, xi)) <= XI_PERIOD_SLACK, f"T^2 xi = {twice}"

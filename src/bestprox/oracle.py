@@ -4,7 +4,8 @@ Four jobs live here:
 
 * the reference best proximity point: the one the map declares, checked
   to realize the set distance and to be fixed by T^2
-  (`reference_best_proximity`);
+  (`reference_best_proximity`, whose period check is the cyclic suite's,
+  `cyclic.verify_period`);
 
 * auditing the solver's certificates: bound soundness against that
   reference at every even step, and the two inner inequalities of the
@@ -47,6 +48,7 @@ from importlib import resources
 import mpmath as mp
 
 from .cyclic import (
+    D_SLACK,
     CyclicMapSpec,
     Example1Params,
     apply_map,
@@ -57,10 +59,10 @@ from .cyclic import (
     sample_sets,
     verify_contraction,
     verify_cyclicity,
+    verify_period,
 )
 from .errors import (
     BudgetExhaustedError,
-    ConfigurationError,
     DeclarationError,
     InputError,
     ResolutionFloorError,
@@ -109,22 +111,19 @@ WORKING_DPS_FLOOR = 60
 
 def reference_best_proximity(spec: CyclicMapSpec) -> Vector:
     """The map's declared best proximity point xi, the reference of every
-    true error, after checking that ||xi - T xi|| - d and ||xi - T^2 xi||
-    are both within 1e-12 of 0.
+    true error, after checking that ||xi - T xi|| is within 1e-12 of d and
+    that T^2 fixes xi (`cyclic.verify_period`).
 
     Raises ConfigurationError when the map declares no point, and
     DeclarationError naming the point when it fails either check.
     """
+    periodic, period = verify_period(spec)
     xi = spec.best_proximity
-    if xi is None:
-        raise ConfigurationError("the map declares no best proximity point")
-    t_xi = apply_map(spec, xi)
-    gap = dist(spec.space, xi, t_xi) - spec.d
-    period = dist(spec.space, xi, apply_map(spec, t_xi))
-    if abs(gap) > 1e-12 or period > 1e-12:
+    gap = dist(spec.space, xi, apply_map(spec, xi)) - spec.d
+    if abs(gap) > 1e-12 or not periodic:
         raise DeclarationError(
             f"declared best proximity point {xi} is wrong: "
-            f"||xi - T xi|| - d = {gap}, ||xi - T^2 xi|| = {period}"
+            f"||xi - T xi|| - d = {gap}, {period}"
         )
     return tuple(xi)
 
@@ -253,8 +252,8 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
     and the u closest to that v.  Refines that pair by pattern search with
     a halving step, moving either endpoint while its membership predicate
     allows.  Raises DeclarationError when the refined estimate undercuts
-    the declared d by more than 1e-6 (the declaration claims a separation
-    the sets do not have).
+    the declared d by more than `cyclic.D_SLACK` (the declaration claims a
+    separation the sets do not have).
     """
     space = spec.space
     us, vs = sample_sets(spec, sample_count, seed)
@@ -281,7 +280,7 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
         if not improved:
             step /= 2
 
-    if best < spec.d - 1e-6:
+    if best < spec.d - D_SLACK:
         raise DeclarationError(
             f"declared d={spec.d} is too large: refined separation is {best}"
         )
@@ -537,13 +536,6 @@ def midpoint_inequality_holds(p: float, rng: random.Random):
     return True, ""
 
 
-def apex_fixed_by_t2(spec: CyclicMapSpec):
-    """T^2 fixes the declared best proximity point to 1e-15."""
-    xi = spec.best_proximity
-    twice = apply_map(spec, apply_map(spec, xi))
-    return max(abs(a - b) for a, b in zip(twice, xi)) <= 1e-15, f"T^2 e1 = {twice}"
-
-
 def bounds_sound(spec: CyclicMapSpec, starts, steps: int):
     """True error within both certificates at every even step, from each start."""
     for x0 in starts:
@@ -631,7 +623,7 @@ def cyclic_map_checks(spec: CyclicMapSpec, inclusion_sample, pair_sample, tag: s
          *verify_contraction(spec, *pair_sample)),
         (f"displacement-excess geometric decay, 60 steps {tag}",
          *displacement_decay_check(spec, DEFAULT_X0, n_max=60)),
-        (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
+        (f"T^2 fixes (1, 0) to 1e-15 {tag}", *verify_period(spec)),
     ]
 
 
@@ -664,7 +656,7 @@ def cyclic_suite(seed: int, k_override: float | None):
             alternation = alternation and (spec.in_b if step % 2 else spec.in_a)(point)
         checks.append((f"orbit alternates between A and B {tag}", alternation, ""))
 
-        separated = all(dist(spec.space, u, v) >= spec.d - 1e-9 for u, v in zip(us, vs))
+        separated = all(dist(spec.space, u, v) >= spec.d - D_SLACK for u, v in zip(us, vs))
         checks.append((f"sampled pairs separated by at least d {tag}", separated, ""))
     return checks
 

@@ -300,8 +300,8 @@ def test_criterion_7_proof_chain():
 
 
 def test_criterion_8_uniqueness_periodicity():
-    """The declared point realizes d and is fixed by T^2 (checked by
-    `reference_best_proximity` to 1e-12), and the orbit from every start
+    """The declared point realizes d to 1e-12 and is fixed by T^2 to 1e-15
+    (checked by `reference_best_proximity`), and the orbit from every start
     converges to it: the a priori stop at 1e-8 lands within 1e-8."""
     t0 = time.perf_counter()
     problems = []
@@ -324,7 +324,7 @@ def test_criterion_8_uniqueness_periodicity():
     ok = not problems
     _report(
         "orbits from 20 starts converge to the reference (a priori stop at "
-        "1e-8), which realizes d and is fixed by T^2 (1e-12), set distance "
+        "1e-8), which realizes d (1e-12) and is fixed by T^2 (1e-15), set distance "
         "re-derived as 2 +- 1e-6",
         ok,
         f"{len(problems)} problems, {elapsed:.1f}s",

@@ -503,6 +503,28 @@ def test_k_override_outside_the_unit_interval_is_exit_2_before_any_suite(
     assert f"--k-override must lie in (0, 1), got {float(k)}" in err
 
 
+@pytest.mark.parametrize("suite", ["norms", "tables"])
+def test_k_override_of_a_suite_without_a_map_is_exit_2_before_any_suite(
+    capsys, monkeypatch, suite
+):
+    monkeypatch.setattr(oracle, f"{suite}_suite", _no_run)
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--k-override", "0.5")
+    assert (code, out) == (2, "")
+    assert f"--k-override applies to the cyclic and bounds suites, not --suite {suite}" in err
+
+
+def test_k_override_of_all_suites_reaches_the_cyclic_and_bounds_suites(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(oracle, "norms_suite", lambda seed: [])
+    monkeypatch.setattr(oracle, "tables_suite", lambda: [])
+    for name in ("cyclic", "bounds"):
+        monkeypatch.setattr(oracle, f"{name}_suite",
+                            lambda seed, k, name=name: seen.append((name, seed, k)) or [])
+    code, _, _ = run_cli(capsys, "verify", "--seed", "3", "--k-override", "0.5")
+    assert code == 0
+    assert seen == [("cyclic", 3, 0.5), ("bounds", 3, 0.5)]
+
+
 def test_readme_cli_examples_parse():
     text = README.read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

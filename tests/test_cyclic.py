@@ -18,6 +18,7 @@ from bestprox import (
     make_example1,
     verify_contraction,
     verify_cyclicity,
+    verify_period,
 )
 from bestprox.cyclic import (
     EXAMPLE1_BOX_A,
@@ -88,10 +89,14 @@ class TestMakeExample1:
             Example1Params(lam=0.5, p=1.0)
 
     def test_square_fixes_apex_exactly(self):
-        for lam in (0.3, 0.5, 0.9):
-            spec = two_cone_map(lam=lam)
-            twice = apply_map(spec, apply_map(spec, E1))
-            assert max(abs(a - b) for a, b in zip(twice, E1)) <= 1e-15
+        # so the cyclic suite's "T^2 fixes (1, 0)" is true of every map it builds
+        for lam in (0.3, 0.5, 0.9, 0.9999999999999999, 5e-324):
+            assert verify_period(two_cone_map(lam=lam)) == (True, "T^2 xi = (1.0, 0.0)")
+
+    def test_declared_point_moved_by_t2_beyond_the_slack_fails_naming_its_image(self):
+        # T^2 maps (1, y) to (1, y / 4) at lam = 0.5: 1.05e-15 away
+        spec = dataclasses.replace(two_cone_map(), best_proximity=(1.0, 1.4e-15))
+        assert verify_period(spec) == (False, "T^2 xi = (1.0, 3.5e-16)")
 
 
 class TestApplyMap:

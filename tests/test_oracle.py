@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 
 import mpmath as mp
 import pytest
@@ -32,6 +33,7 @@ from bestprox.cyclic import (
     sample_points,
     verify_contraction,
     verify_cyclicity,
+    verify_period,
 )
 from bestprox.oracle import (
     DEFAULT_EPS_LIST,
@@ -39,7 +41,6 @@ from bestprox.oracle import (
     DEFAULT_X0,
     SUITE_LAMBDAS,
     SUITE_PS,
-    apex_fixed_by_t2,
     apriori_dominates,
     columns_match_reference,
     columns_monotone,
@@ -106,10 +107,20 @@ class TestReferenceBestProximity:
             reference_best_proximity(spec)
 
     def test_declaration_just_beyond_1e_12_is_a_declaration_error(self):
-        # T^2 maps (1, y) to (1, lam^2 y): 7.5e-12 away at lam = 0.5
-        spec = dataclasses.replace(benchmark_map(), best_proximity=(1.0, 1e-11))
-        with pytest.raises(DeclarationError, match=r"\(1\.0, 1e-11\)"):
+        # (1, 0) is fixed by T^2, but ||xi - T xi|| = 2 falls 2e-12 short of d
+        spec = dataclasses.replace(benchmark_map(), d=2.0 + 2e-12)
+        with pytest.raises(DeclarationError, match=r"\(1\.0, 0\.0\).* d = -2\.0\d*e-12"):
             reference_best_proximity(spec)
+
+    @pytest.mark.parametrize("y, refused", [(1.4e-15, True), (1.2e-15, False)])
+    def test_declaration_that_t2_moves_beyond_1e_15_is_a_declaration_error(self, y, refused):
+        # T^2 maps (1, y) to (1, y / 4) at lam = 0.5: 1.05e-15 and 0.9e-15 away
+        spec = dataclasses.replace(benchmark_map(), best_proximity=(1.0, y))
+        if refused:
+            with pytest.raises(DeclarationError, match=re.escape(f"T^2 xi = (1.0, {y / 4})")):
+                reference_best_proximity(spec)
+        else:
+            assert reference_best_proximity(spec) == (1.0, y)
 
     def test_wrong_declaration_fails_the_soundness_audit(self):
         # the orbit converges to (1, 0), so a (2, 0) reference would make
@@ -179,6 +190,19 @@ class TestAuditProofChain:
         report = audit_proof_chain(benchmark_map(), E1, steps=20)
         assert report.passed
 
+    @pytest.mark.parametrize("lam, p, k, failures, forms", [
+        # the worst modulus-form excess is 6.4e-5; the distance form holds
+        (0.9, 2.0, 0.8125, 3, {"modulus"}),
+        # the worst distance-form excess is 3.7e-5 relative
+        (0.5, 1.5, 0.15, 21, {"distance", "modulus"}),
+    ])
+    def test_understated_k_fails_each_form_within_its_slack(self, lam, p, k, failures, forms):
+        spec = dataclasses.replace(benchmark_map(lam=lam, p=p), k=k)
+        report = audit_proof_chain(spec, (1000.0, 8.0), steps=60)
+        assert not report.passed
+        assert len(report.failures) == failures
+        assert {failure[2] for failure in report.failures} == forms
+
     def test_steps_validation(self):
         with pytest.raises(InputError):
             audit_proof_chain(benchmark_map(), (1000.0, 8.0), steps=2)
@@ -208,6 +232,12 @@ class TestRederiveDistance:
     def test_overdeclared_distance_is_flagged(self):
         spec = dataclasses.replace(benchmark_map(), d=3.0)
         with pytest.raises(DeclarationError):
+            rederive_distance(spec, sample_count=200, seed=7)
+
+    def test_distance_overdeclared_by_1e_8_is_flagged(self):
+        # the estimate exceeds 2 by 3.4e-10, far short of 2 + 1e-8 - D_SLACK
+        spec = dataclasses.replace(benchmark_map(), d=2.0 + 1e-8)
+        with pytest.raises(DeclarationError, match="refined separation is 2.0000000003441505"):
             rederive_distance(spec, sample_count=200, seed=7)
 
     def test_spec_without_boxes_is_a_configuration_error(self):
@@ -259,7 +289,7 @@ def _per_configuration_cyclic_suite(seed, k_override):
                  *verify_contraction(spec, *samples[1])),
                 (f"displacement-excess geometric decay, 60 steps {tag}",
                  *displacement_decay_check(spec, DEFAULT_X0, n_max=60)),
-                (f"T^2 fixes (1, 0) to 1e-15 {tag}", *apex_fixed_by_t2(spec)),
+                (f"T^2 fixes (1, 0) to 1e-15 {tag}", *verify_period(spec)),
             ]
             rng = random.Random(seed + 7)
             point, alternation = sample_points(rng, spec.box_a, spec.in_a, 1)[0], True

@@ -1,4 +1,5 @@
-"""Mutation probe of the certificate path and the cyclic validators: apply
+"""Mutation probe of the certificate path, the proof-chain audit, the cyclic
+validators and their declaration slacks, and the norm constants: apply
 hand-written mutants, one at a time, to a copy of the package and report
 which the tests kill.
 
@@ -32,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "src/bestprox/solver.py"
 ORACLE = "src/bestprox/oracle.py"
 CYCLIC = "src/bestprox/cyclic.py"
+NORMS = "src/bestprox/norms.py"
 TIMEOUT_S = 600.0  # a run this long counts as killed by a hang
 
 
@@ -70,7 +72,7 @@ MUTANTS = [
            "if not (_FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd):",
            "if not (Cd * (1 + 2.0 ** -40) > Cd):"),
     Mutant("reference check 1e-12 -> 1e-6", ORACLE,
-           "if abs(gap) > 1e-12 or period > 1e-12:", "if abs(gap) > 1e-6 or period > 1e-6:"),
+           "if abs(gap) > 1e-12 or not periodic:", "if abs(gap) > 1e-6 or not periodic:"),
     Mutant("audit_soundness slack 1e-9 -> 1e-3", ORACLE,
            "true_error > budget.apriori + 1e-9 or true_error > budget.aposteriori + 1e-9",
            "true_error > budget.apriori + 1e-3 or true_error > budget.aposteriori + 1e-3"),
@@ -81,11 +83,35 @@ MUTANTS = [
     Mutant("a priori search returns 2 n + 2", SOLVER,
            "else (mid, n)\n    return 2 * n\n", "else (mid, n)\n    return 2 * n + 2\n"),
     Mutant("contraction slack 1e-9 -> 1e-3", CYCLIC,
-           "if violation > 1e-9 * (1 + dxy):", "if violation > 1e-3 * (1 + dxy):"),
-    Mutant("decay check drops disp < d - 1e-9", CYCLIC,
-           "        if disp < spec.d - 1e-9:\n            passed = False\n", ""),
+           "if violation > K_SLACK * (1 + dxy):", "if violation > 1e-3 * (1 + dxy):"),
+    Mutant("decay check drops disp < d - D_SLACK", CYCLIC,
+           "        if disp < spec.d - D_SLACK:\n            passed = False\n", ""),
     Mutant("envelope slack 1e-9 -> 1e-3", CYCLIC,
-           "if excess > 1e-9 * (1 + abs(envelope)):", "if excess > 1e-3 * (1 + abs(envelope)):"),
+           "if excess > K_SLACK * (1 + abs(envelope)):", "if excess > 1e-3 * (1 + abs(envelope)):"),
+    Mutant("K_SLACK 1e-9 -> 1e-3", CYCLIC, "K_SLACK = 1e-9", "K_SLACK = 1e-3"),
+    Mutant("D_SLACK 1e-9 -> 1e-6", CYCLIC, "D_SLACK = 1e-9", "D_SLACK = 1e-6"),
+    Mutant("XI_PERIOD_SLACK 1e-15 -> 1e-12", CYCLIC,
+           "XI_PERIOD_SLACK = 1e-15", "XI_PERIOD_SLACK = 1e-12"),
+    Mutant("proof chain distance slack 1e-9 -> 1e-3", ORACLE,
+           "if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):",
+           "if even_move > rhs_dist + 1e-3 * (1 + rhs_dist):"),
+    Mutant("proof chain drops the distance form", ORACLE,
+           "            if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):\n"
+           "                report.passed = False\n"
+           "                report.failures.append((step, lookback, \"distance\", even_move, rhs_dist))\n",
+           ""),
+    Mutant("proof chain modulus slack 1e-9 -> 1e-3", ORACLE,
+           "if lhs_mod > rhs_mod + 1e-9:", "if lhs_mod > rhs_mod + 1e-3:"),
+    Mutant("proof chain drops the modulus form", ORACLE,
+           "            if lhs_mod > rhs_mod + 1e-9:\n"
+           "                report.passed = False\n"
+           "                report.failures.append((step, lookback, \"modulus\", lhs_mod, rhs_mod))\n",
+           ""),
+    Mutant("C = 1.001/(p 2^p)", NORMS, "C = 1 / (p * 2 ** p)", "C = 1.001 / (p * 2 ** p)"),
+    Mutant("C = (p - 1)/7.99", NORMS, "C=(p - 1) / 8", "C=(p - 1) / 7.99"),
+    Mutant("NEWTON_STEP_TOL 1e-15 -> 1e-6", NORMS,
+           "NEWTON_STEP_TOL = 1e-15", "NEWTON_STEP_TOL = 1e-6"),
+    Mutant("NEWTON_CAP 100 -> 3", NORMS, "NEWTON_CAP = 100", "NEWTON_CAP = 3"),
 ]
 
 
