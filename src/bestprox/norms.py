@@ -82,19 +82,36 @@ def lp_norm(space: LpSpace, v: Vector):
     # p-th powers; 1/p is formed in the same arithmetic as p so that
     # higher-precision spaces do not get a float64-rounded exponent.
     p = space.p
-    mags = tuple(map(abs, v))
-    scale = max(mags)
-    if scale == 0:
-        # max skips a NaN that follows a zero; the sum carries it
-        total = sum(mags)
-        return 0.0 if total == 0 else total
-    # The term of a largest coordinate is exactly 1, in float64 and in
-    # mpmath alike, so 1.0 takes its place in the sum without its division
-    # and power; an infinite coordinate then gives inf, where inf / inf
-    # would give NaN.  The loop adds left to right, as sum() does on 3.11.
-    total = 0.0
-    for c in mags:
-        total += 1.0 if c == scale else (c / scale) ** p
+    if space.dim == 2:
+        # The built-in space: the general path below, unrolled, with the
+        # same operations in the same order and so the same bits; it saves
+        # the tuple, the loop and the call of max on the calls that
+        # dominate every run.  The scale is max(a, b) written out: b only
+        # where b > a, so a tie or a NaN keeps the first, as max does.
+        a, b = v
+        a = abs(a)
+        b = abs(b)
+        scale = b if b > a else a
+        if scale == 0:
+            total = 0 + a + b
+            return 0.0 if total == 0 else total
+        total = 0.0 + (1.0 if a == scale else (a / scale) ** p)
+        total += 1.0 if b == scale else (b / scale) ** p
+    else:
+        mags = tuple(map(abs, v))
+        scale = max(mags)
+        if scale == 0:
+            # max skips a NaN that follows a zero; the sum carries it
+            total = sum(mags)
+            return 0.0 if total == 0 else total
+        # The term of a largest coordinate is exactly 1, in float64 and in
+        # mpmath alike, so 1.0 takes its place in the sum without its
+        # division and power; an infinite coordinate then gives inf, where
+        # inf / inf would give NaN.  The loop adds left to right, as sum()
+        # does on 3.11.
+        total = 0.0
+        for c in mags:
+            total += 1.0 if c == scale else (c / scale) ** p
     # Where every other term rounds away, the sum is exactly 1 and so is
     # its root (1 ** y is 1 in float64 and in mpmath), so the division 1/p
     # and the power are skipped; scale * total still rounds scale to the
@@ -109,6 +126,8 @@ def dist(space: LpSpace, u: Vector, v: Vector):
     differ in length (map would drop the extra coordinates)."""
     if len(u) != len(v):
         raise InputError(f"cannot take the distance of vectors of lengths {len(u)} and {len(v)}")
+    if len(u) == 2:
+        return lp_norm(space, (u[0] - v[0], u[1] - v[1]))
     return lp_norm(space, tuple(map(sub, u, v)))
 
 

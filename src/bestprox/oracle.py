@@ -111,11 +111,11 @@ WORKING_DPS_FLOOR = 60
 
 def reference_best_proximity(spec: CyclicMapSpec) -> Vector:
     """The map's declared best proximity point xi, the reference of every
-    true error, after checking that ||xi - T xi|| is within 1e-12 of d and
-    that T^2 fixes xi (`cyclic.verify_period`).
+    true error, after checking that ||xi - T xi|| is within 1e-12 of d,
+    that T^2 fixes xi (`cyclic.verify_period`) and that xi lies in A.
 
     Raises ConfigurationError when the map declares no point, and
-    DeclarationError naming the point when it fails either check.
+    DeclarationError naming the point when it fails any check.
     """
     periodic, period = verify_period(spec)
     xi = spec.best_proximity
@@ -125,6 +125,8 @@ def reference_best_proximity(spec: CyclicMapSpec) -> Vector:
             f"declared best proximity point {xi} is wrong: "
             f"||xi - T xi|| - d = {gap}, {period}"
         )
+    if not spec.in_a(xi):
+        raise DeclarationError(f"declared best proximity point {xi} is not in A")
     return tuple(xi)
 
 

@@ -48,11 +48,10 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import sub
 
 from .cyclic import CyclicMapSpec, apply_map, check_start
 from .errors import BudgetExhaustedError, InputError, ResolutionFloorError
-from .norms import PowerTypeConstants, Vector, lp_norm, power_type_constants
+from .norms import PowerTypeConstants, Vector, dist, power_type_constants
 
 #: Gap D - d (or P - d) more negative than this is an input error; anything
 #: in (-GAP_CLAMP, 0) is round-off below a true gap of 0 and clamps to 0.
@@ -327,11 +326,7 @@ def _advance(spec: CyclicMapSpec, trace: IterationTrace, current: Vector):
     nxt = apply_map(spec, current)
     step = trace.steps = trace.steps + 1
     if step % 2 == 0 or step == 1:
-        # Not norms.dist: on this per-step path one more Python call per
-        # step is a measurable slowdown of long float64 runs.
-        trace.displacements.append(
-            lp_norm(spec.space, tuple(map(sub, current, nxt)))
-        )
+        trace.displacements.append(dist(spec.space, current, nxt))
     if trace.store_iterates:
         trace.iterates.append(nxt)
     return nxt

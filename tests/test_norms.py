@@ -235,6 +235,77 @@ class TestLpNormBits:
             assert norm != norm
 
 
+#: Coordinates for each slot of a dim-2 vector: NaN and infinities, signed
+#: zeros, a subnormal, the top of the range, and pairs of opposite sign, so
+#: that the product of the list with itself holds every order of NaN and
+#: zero and ties of the largest magnitude.
+EDGE_PAIR_COORDS = [float("nan"), 0.0, -0.0, float("inf"), -float("inf"), 5e-324,
+                    1e308, -1e308, 1.0, -1.0, 0.3]
+EDGE_PAIRS = [(a, b) for a in EDGE_PAIR_COORDS for b in EDGE_PAIR_COORDS]
+#: Second operands of dist; their coordinates differ, so a swapped pairing shows.
+DIST_OPERANDS = [(0.0, 0.0), (0.5, -0.25), (-3.0, 7.0)]
+
+
+def reference_with_specials(space, v):
+    """reference_lp_norm, extended to the coordinates it leaves out by
+    lp_norm's contract: NaN when a coordinate is NaN, else inf when one is
+    infinite.  (The two-pass form would give 0 for (0, NaN) and NaN for an
+    infinite coordinate.)"""
+    for c in v:
+        if c != c:
+            return c
+    for c in v:
+        if abs(c) == float("inf"):
+            return abs(c)
+    return reference_lp_norm(space, v)
+
+
+class TestTwoCoordinateKernel:
+    """lp_norm and dist have a path of their own for dim 2, the built-in
+    space; it must give what the general path gives, to the bit.  Results
+    are compared by repr, which tells NaN, inf, the sign of 0.0, float from
+    mpf, and every bit of a float or of an mpf at its working precision."""
+
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    def test_float_edge_pairs_are_bit_identical(self, p):
+        space = LpSpace(2, p)
+        for v in EDGE_PAIRS:
+            want = repr(reference_with_specials(space, v))
+            assert repr(lp_norm(space, v)) == want, v
+            assert repr(lp_norm(space, list(v))) == want, v
+            for w in DIST_OPERANDS:
+                diff = (v[0] - w[0], v[1] - w[1])
+                assert repr(dist(space, v, w)) == repr(reference_with_specials(space, diff)), (v, w)
+
+    @pytest.mark.parametrize("dps", [50, 300])
+    @pytest.mark.parametrize("p", BIT_EXPONENTS)
+    def test_mpf_edge_pairs_are_bit_identical(self, dps, p):
+        with mp.workdps(dps):
+            space = LpSpace(2, mp.mpf(p))
+            for a, b in EDGE_PAIRS:
+                # thirds are not float64 numbers: every digit is used
+                v = (mp.mpf(a) / 3, mp.mpf(b) / 3)
+                assert repr(lp_norm(space, v)) == repr(reference_with_specials(space, v)), v
+                for w in DIST_OPERANDS:
+                    w = (mp.mpf(w[0]) / 7, mp.mpf(w[1]) / 7)
+                    diff = (v[0] - w[0], v[1] - w[1])
+                    assert repr(dist(space, v, w)) == repr(
+                        reference_with_specials(space, diff)
+                    ), (v, w)
+
+    @pytest.mark.parametrize("v", [("x",), ("x", "y", "z")])
+    def test_other_lengths_are_refused_before_any_unpacking(self, v):
+        # abs of a string would raise TypeError, unpacking three ValueError
+        with pytest.raises(InputError, match=f"vector has {len(v)} coordinates, space has dim 2"):
+            lp_norm(LpSpace(2, 2.0), v)
+
+    def test_dist_refuses_lengths_2_and_3(self):
+        with pytest.raises(InputError, match="lengths 2 and 3"):
+            dist(LpSpace(2, 2.0), (3.0, 4.0), (0.0, 0.0, 100.0))
+        with pytest.raises(InputError, match="vector has 2 coordinates, space has dim 3"):
+            dist(LpSpace(3, 2.0), (3.0, 4.0), (0.0, 0.0))
+
+
 class TestLpNorm:
     def test_pythagorean(self):
         assert lp_norm(LpSpace(2, 2), (3.0, 4.0)) == 5.0

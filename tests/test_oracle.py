@@ -112,15 +112,25 @@ class TestReferenceBestProximity:
         with pytest.raises(DeclarationError, match=r"\(1\.0, 0\.0\).* d = -2\.0\d*e-12"):
             reference_best_proximity(spec)
 
-    @pytest.mark.parametrize("y, refused", [(1.4e-15, True), (1.2e-15, False)])
-    def test_declaration_that_t2_moves_beyond_1e_15_is_a_declaration_error(self, y, refused):
-        # T^2 maps (1, y) to (1, y / 4) at lam = 0.5: 1.05e-15 and 0.9e-15 away
+    @pytest.mark.parametrize("y, moved", [(1.4e-15, True), (1.2e-15, False)])
+    def test_declaration_that_t2_moves_beyond_1e_15_is_a_declaration_error(self, y, moved):
+        # T^2 maps (1, y) to (1, y / 4) at lam = 0.5: 1.05e-15 and 0.9e-15
+        # away.  (1, y) lies outside A, which is refused only after the
+        # period passes, so the message shows which check refused it.
         spec = dataclasses.replace(benchmark_map(), best_proximity=(1.0, y))
-        if refused:
-            with pytest.raises(DeclarationError, match=re.escape(f"T^2 xi = (1.0, {y / 4})")):
-                reference_best_proximity(spec)
-        else:
-            assert reference_best_proximity(spec) == (1.0, y)
+        with pytest.raises(DeclarationError) as raised:
+            reference_best_proximity(spec)
+        period = f"T^2 xi = (1.0, {y / 4})"
+        assert (period in str(raised.value)) == moved
+        assert str(raised.value).endswith("is not in A") != moved
+
+    @pytest.mark.parametrize("xi", [(1.0, 1.2e-15), (-1.0, 0.0)])
+    def test_declaration_outside_a_is_a_declaration_error(self, xi):
+        # both realize d to 1e-12 and T^2 fixes both to 1e-15; (-1, 0) is
+        # the best proximity point of B, the apex of its cone
+        spec = dataclasses.replace(benchmark_map(), best_proximity=xi)
+        with pytest.raises(DeclarationError, match=re.escape(f"point {xi} is not in A")):
+            reference_best_proximity(spec)
 
     def test_wrong_declaration_fails_the_soundness_audit(self):
         # the orbit converges to (1, 0), so a (2, 0) reference would make

@@ -21,7 +21,6 @@ from bestprox import (
     apriori_steps_needed,
     dist,
     error_budget_at,
-    lp_norm,
     make_example1,
     picard_iterate,
     power_type_constants,
@@ -343,11 +342,11 @@ class TestPicardIterate:
     def test_norms_taken_are_d_and_the_even_steps(self, monkeypatch, steps):
         calls = []
 
-        def counted(space, v):
-            calls.append(v)
-            return lp_norm(space, v)
+        def counted(space, u, v):
+            calls.append((u, v))
+            return dist(space, u, v)
 
-        monkeypatch.setattr(solver, "lp_norm", counted)
+        monkeypatch.setattr(solver, "dist", counted)
         picard_iterate(benchmark_map(), (1000.0, 8.0), steps=steps)
         assert len(calls) == 1 + steps // 2
         calls.clear()

@@ -1,7 +1,7 @@
 """Mutation probe of the certificate path, the proof-chain audit, the cyclic
-validators and their declaration slacks, and the norm constants: apply
-hand-written mutants, one at a time, to a copy of the package and report
-which the tests kill.
+validators and their declaration slacks, the norm constants and the
+two-coordinate norm kernel: apply hand-written mutants, one at a time, to a
+copy of the package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another.  The copy lives in a temporary directory; the checkout is never
@@ -112,6 +112,16 @@ MUTANTS = [
     Mutant("NEWTON_STEP_TOL 1e-15 -> 1e-6", NORMS,
            "NEWTON_STEP_TOL = 1e-15", "NEWTON_STEP_TOL = 1e-6"),
     Mutant("NEWTON_CAP 100 -> 3", NORMS, "NEWTON_CAP = 100", "NEWTON_CAP = 3"),
+    Mutant("dim-2 dist pairs u[0] - v[1]", NORMS,
+           "(u[0] - v[0], u[1] - v[1])", "(u[0] - v[1], u[1] - v[0])"),
+    Mutant("dim-2 kernel drops the 1.0 of a largest first term", NORMS,
+           "total = 0.0 + (1.0 if a == scale else (a / scale) ** p)",
+           "total = 0.0 + (a / scale) ** p"),
+    Mutant("dim-2 kernel drops the 1.0 of a largest second term", NORMS,
+           "total += 1.0 if b == scale else (b / scale) ** p", "total += (b / scale) ** p"),
+    Mutant("dim-2 zero branch returns 0.0", NORMS,
+           "total = 0 + a + b\n            return 0.0 if total == 0 else total\n",
+           "return 0.0\n"),
 ]
 
 
