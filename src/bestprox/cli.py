@@ -199,8 +199,8 @@ def _grid_rows(eps_list, p_list, counts):
 def cmd_table(args) -> int:
     _check_out(args.out)
     kind = StopKind(args.criterion)
-    eps_list = _parse_floats(args.eps) if args.eps else oracle.DEFAULT_EPS_LIST
-    p_list = _parse_floats(args.p) if args.p else oracle.DEFAULT_P_LIST
+    eps_list = _parse_floats(args.eps) if args.eps is not None else oracle.DEFAULT_EPS_LIST
+    p_list = _parse_floats(args.p) if args.p is not None else oracle.DEFAULT_P_LIST
     x0 = _parse_floats(args.x0)
     if args.compare_paper and not oracle.benchmark_scenario(
         kind, args.lam, x0, eps_list, p_list

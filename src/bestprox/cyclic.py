@@ -260,12 +260,13 @@ def verify_contraction(spec: CyclicMapSpec, xs: list[Vector], ys: list[Vector]):
         raise InputError(
             f"need equally many points of A and B, at least one; got {len(xs)} and {len(ys)}"
         )
+    space, k = spec.space, spec.k
+    floor = (1 - k) * spec.d
     max_violation = float("-inf")
     passed = True
     for x, y in zip(xs, ys):
-        dxy = dist(spec.space, x, y)
-        dtxty = dist(spec.space, apply_map(spec, x), apply_map(spec, y))
-        violation = dtxty - (spec.k * dxy + (1 - spec.k) * spec.d)
+        dxy = dist(space, x, y)
+        violation = dist(space, apply_map(spec, x), apply_map(spec, y)) - (k * dxy + floor)
         max_violation = max(max_violation, violation)
         if violation > K_SLACK * (1 + dxy):
             passed = False

@@ -267,7 +267,8 @@ def check_convexity_inequality(
     if not (0 <= r <= 2 * R):
         raise InputError(f"r must lie in [0, 2R]=[0, {2 * R}], got {r}")
 
-    slack = 1e-12 * max(R, 1.0)
+    unit = R if R >= 1.0 else 1.0  # max(R, 1.0), as max picks it
+    slack = 1e-12 * unit
     dxz = dist(space, x, z)
     dyz = dist(space, y, z)
     dxy = dist(space, x, y)
@@ -284,10 +285,20 @@ def check_convexity_inequality(
     # round-off of the distances, so the inequality is applied to radius
     # R + 2 slack and separation r - 2 slack: near r = 2R delta is so steep
     # that one ulp of r moves it by a few hundredths (delta_10: 1 -> 0.968).
+    # The ratio is clamped to [0, 2] with comparisons, which give min and
+    # max's result; 2 is passed only by an infinite r, which 0 <= r <= 2R
+    # admits where 2R overflows, and the separation test where x - y does.
     wide = 2 * slack
-    ratio = min(max((r - wide) / (R + wide), 0.0), 2.0)
-    delta = 0.0 if ratio == 0 else modulus_of_convexity(space.p, ratio)
-    mid = [(a + b) / 2.0 - c for a, b, c in zip(x, y, z)]
+    ratio = (r - wide) / (R + wide)
+    delta = 0.0 if ratio <= 0 else modulus_of_convexity(space.p, 2.0 if ratio > 2.0 else ratio)
+    # Halving each coordinate first keeps a midpoint of two finite points
+    # finite; outside the subnormal range it gives the bits of (a + b) / 2.
+    # Dim 2, the only dim `verify` checks, is written out as `dist` writes
+    # its difference.
+    if len(z) == 2:
+        mid = (x[0] / 2.0 + y[0] / 2.0 - z[0], x[1] / 2.0 + y[1] / 2.0 - z[1])
+    else:
+        mid = [a / 2.0 + b / 2.0 - c for a, b, c in zip(x, y, z)]
     lhs = lp_norm(space, mid)
     rhs = (1.0 - delta) * (R + wide)
-    return lhs <= rhs + 1e-9 * max(R, 1.0)
+    return lhs <= rhs + 1e-9 * unit

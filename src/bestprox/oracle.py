@@ -44,6 +44,7 @@ import dataclasses
 import random
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import add
 
 import mpmath as mp
 
@@ -267,20 +268,22 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
     directions = _pattern_directions(space.dim)
     step = max(1.0, best / 4)
     while step > 1e-10:
-        improved = False
-        for direction in directions:
-            cu = tuple([c + step * dc for c, dc in zip(best_u, direction)])
-            if spec.in_a(cu):
-                trial = dist(space, cu, best_v)
-                if trial < best:
-                    best_u, best, improved = cu, trial, True
-            cv = tuple([c + step * dc for c, dc in zip(best_v, direction)])
-            if spec.in_b(cv):
-                trial = dist(space, best_u, cv)
-                if trial < best:
-                    best_v, best, improved = cv, trial, True
-        if not improved:
-            step /= 2
+        moves = [tuple([step * dc for dc in direction]) for direction in directions]
+        improved = True
+        while improved:
+            improved = False
+            for move in moves:
+                cu = tuple(map(add, best_u, move))
+                if spec.in_a(cu):
+                    trial = dist(space, cu, best_v)
+                    if trial < best:
+                        best_u, best, improved = cu, trial, True
+                cv = tuple(map(add, best_v, move))
+                if spec.in_b(cv):
+                    trial = dist(space, best_u, cv)
+                    if trial < best:
+                        best_v, best, improved = cv, trial, True
+        step /= 2
 
     if best < spec.d - D_SLACK:
         raise DeclarationError(
@@ -521,16 +524,19 @@ def midpoint_inequality_holds(p: float, rng: random.Random):
     # lo + (hi - lo) * rng.random(), the expression random.uniform evaluates.
     space = LpSpace(dim=2, p=p)
     draw = rng.random
+
+    def point(z0, z1, R):
+        a0, a1 = -1 + 2 * draw(), -1 + 2 * draw()
+        nrm = lp_norm(space, (a0, a1))
+        s = R * (draw() / nrm) if nrm > 0 else 0.0
+        return (z0 + s * a0, z1 + s * a1)
+
     for _ in range(10_000):
-        z = (-5 + 10 * draw(), -5 + 10 * draw())
+        z0, z1 = -5 + 10 * draw(), -5 + 10 * draw()
         R = 0.1 + (3.0 - 0.1) * draw()
-        pts = []
-        for _i in range(2):
-            raw = (-1 + 2 * draw(), -1 + 2 * draw())
-            nrm = lp_norm(space, raw)
-            scale = draw() / nrm if nrm > 0 else 0.0
-            pts.append((z[0] + R * scale * raw[0], z[1] + R * scale * raw[1]))
-        x, y = pts
+        x = point(z0, z1, R)
+        y = point(z0, z1, R)
+        z = (z0, z1)
         # ||x - y|| <= 2R exactly; round-off may overshoot it by an ulp.
         r = min(dist(space, x, y), 2 * R)
         if not check_convexity_inequality(space, x, y, z, R, r):

@@ -234,6 +234,12 @@ class TestTable:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--eps", "--p"])
+    def test_empty_list_is_exit_2_not_the_published_grid(self, capsys, flag):
+        code, out, err = run_cli(capsys, "table", flag, "")
+        assert code == 2 and out == ""
+        assert "cannot parse number list ''" in err
+
     def test_off_grid_compare_is_refused_before_any_cell_runs(self, capsys, monkeypatch):
         def no_cell(*args, **kwargs):
             raise AssertionError("a grid cell ran before the refusal")

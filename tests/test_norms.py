@@ -541,26 +541,56 @@ class TestInverseModulusBound:
         assert inverse_modulus_bound(t, consts) == pytest.approx(eps, abs=1e-12)
 
 
+def _embed(dim, *points):
+    """Two-coordinate points embedded in R^dim with zero further coordinates."""
+    return tuple(tuple(point) + (0.0,) * (dim - 2) for point in points)
+
+
+#: Each case below that names them runs in both: dim 2 takes the
+#: two-coordinate paths of `lp_norm` and `dist`, dim 3 their general ones.
+MIDPOINT_DIMS = (2, 3)
+
+
 class TestConvexityInequality:
     def test_degenerate_origin(self):
-        space = LpSpace(2, 2)
-        zero = (0.0, 0.0)
-        assert check_convexity_inequality(space, zero, zero, zero, R=1.0, r=0.0)
+        for dim in MIDPOINT_DIMS:
+            x, y, z = _embed(dim, (0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+            assert check_convexity_inequality(LpSpace(dim, 2), x, y, z, R=1.0, r=0.0), dim
 
     def test_equality_at_diameter(self):
-        space = LpSpace(2, 2)
-        assert check_convexity_inequality(
-            space, (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0), R=1.0, r=2.0
-        )
+        for dim in MIDPOINT_DIMS:
+            x, y, z = _embed(dim, (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0))
+            assert check_convexity_inequality(LpSpace(dim, 2), x, y, z, R=1.0, r=2.0), dim
 
     def test_one_ulp_of_r_at_the_diameter_is_not_a_violation(self):
         # ||y|| = (2^-50 + 1)^(1/10) rounds to 1 and ||x - y|| rounds to 2R,
         # where delta_10 = 1; one ulp below 2R it is 0.968.  The check applies
         # the inequality at its slack, so the rounding cannot fail it.
-        space = LpSpace(2, 10.0)
-        x, y, z = (0.0, -1.0), (0.03125, 1.0), (0.0, 0.0)
-        assert dist(space, x, y) == 2.0
-        assert check_convexity_inequality(space, x, y, z, R=1.0, r=2.0)
+        for dim in MIDPOINT_DIMS:
+            space = LpSpace(dim, 10.0)
+            x, y, z = _embed(dim, (0.0, -1.0), (0.03125, 1.0), (0.0, 0.0))
+            assert dist(space, x, y) == 2.0
+            assert check_convexity_inequality(space, x, y, z, R=1.0, r=2.0), dim
+
+    @pytest.mark.parametrize("dim", MIDPOINT_DIMS)
+    @pytest.mark.parametrize("shift", [1e308, -1e308])
+    def test_midpoint_of_far_points_agrees_with_the_origin(self, dim, shift):
+        # the distances are 0.5, 0.5 and 1 in both triples; (a + b) / 2 of
+        # the far first coordinates overflows to inf and failed the check
+        space = LpSpace(dim, 2.0)
+        far = _embed(dim, (shift, 0.0), (shift, 1.0), (shift, 0.5))
+        near = _embed(dim, (0.0, 0.0), (0.0, 1.0), (0.0, 0.5))
+        assert check_convexity_inequality(space, *far, 1.0, 1.0)
+        assert check_convexity_inequality(space, *near, 1.0, 1.0)
+
+    @pytest.mark.parametrize("R", [1e-300, 0.5, 1.0, 3.0, 1e300, 8e307, 1e308])
+    def test_r_at_the_diameter_holds_at_every_scale(self, R):
+        # at R = 1e308, 2R and x - y overflow, so r = inf is admitted and
+        # separated, and the check clamps the ratio to 2 for the modulus
+        space = LpSpace(2, 2)
+        x, y, z = (R, 0.0), (-R, 0.0), (0.0, 0.0)
+        assert dist(space, x, y) == 2 * R
+        assert check_convexity_inequality(space, x, y, z, R=R, r=2 * R)
 
     def test_point_with_an_extra_coordinate_is_an_input_error(self):
         # the third coordinate of x would be dropped, and the check pass
@@ -569,12 +599,37 @@ class TestConvexityInequality:
                 LpSpace(2, 2.0), (0.5, 0.0, 9.0), (-0.5, 0.0), (0.0, 0.0), 1.0, 1.0
             )
 
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1e6])
+    def test_hypotheses_hold_to_the_slack_and_no_further(self, R):
+        # the slack is 1e-12 * max(R, 1); four slacks past R or below r is a
+        # violated hypothesis, half a slack is not
+        space, slack, z = LpSpace(2, 2), 1e-12 * max(R, 1.0), (0.0, 0.0)
+        assert check_convexity_inequality(space, (R + slack / 2, 0.0), z, z, R=R, r=0.0)
+        with pytest.raises(PreconditionError, match="exceeds R"):
+            check_convexity_inequality(space, (R + 4 * slack, 0.0), z, z, R=R, r=0.0)
+        x, y = (R / 2, 0.0), (-R / 2, 0.0)
+        assert check_convexity_inequality(space, x, y, z, R=R, r=R + slack / 2)
+        with pytest.raises(PreconditionError, match="is below r"):
+            check_convexity_inequality(space, x, y, z, R=R, r=R + 4 * slack)
+
+    @pytest.mark.parametrize("eps", [0.25, 1.0])
+    def test_a_modulus_overstated_by_1e_6_fails_at_an_extremal_pair(self, monkeypatch, eps):
+        # for p >= 2, x = (a, eps/2) and y = (a, -eps/2) with
+        # a = (1 - (eps/2)^p)^(1/p) are unit vectors whose midpoint has norm
+        # exactly 1 - delta_p(eps); the check's tolerance is 1e-9 of R
+        space = LpSpace(2, 4.0)
+        a = (1 - (eps / 2) ** 4) ** 0.25
+        x, y, z = (a, eps / 2), (a, -eps / 2), (0.0, 0.0)
+        assert check_convexity_inequality(space, x, y, z, R=1.0, r=eps)
+        modulus = norms.modulus_of_convexity
+        monkeypatch.setattr(norms, "modulus_of_convexity", lambda p, e: modulus(p, e) + 1e-6)
+        assert not check_convexity_inequality(space, x, y, z, R=1.0, r=eps)
+
     def test_precondition_violation_is_distinct(self):
-        space = LpSpace(2, 2)
-        with pytest.raises(PreconditionError):
-            check_convexity_inequality(
-                space, (5.0, 0.0), (0.0, 0.0), (0.0, 0.0), R=1.0, r=0.5
-            )
+        for dim in MIDPOINT_DIMS:
+            x, y, z = _embed(dim, (5.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+            with pytest.raises(PreconditionError):
+                check_convexity_inequality(LpSpace(dim, 2), x, y, z, R=1.0, r=0.5)
 
     def test_bad_radius_inputs(self):
         space = LpSpace(2, 2)
@@ -606,11 +661,10 @@ class TestConvexityInequality:
     def test_overflowing_difference_is_an_input_error_naming_it(self):
         # finite coordinates whose difference overflows give an infinite
         # distance, named as an input error rather than a violated hypothesis
-        space = LpSpace(2, 2)
-        with pytest.raises(InputError, match=r"\|\|x - z\|\| = inf.*must be finite"):
-            check_convexity_inequality(
-                space, (1e308, 0.0), (0.0, 0.0), (-1e308, 0.0), R=1.0, r=0.0
-            )
+        for dim in MIDPOINT_DIMS:
+            x, y, z = _embed(dim, (1e308, 0.0), (0.0, 0.0), (-1e308, 0.0))
+            with pytest.raises(InputError, match=r"\|\|x - z\|\| = inf.*must be finite"):
+                check_convexity_inequality(LpSpace(dim, 2), x, y, z, R=1.0, r=0.0)
 
     @given(
         st.floats(min_value=1.05, max_value=25),

@@ -1,7 +1,8 @@
 """Mutation probe of the certificate path, the proof-chain audit, the cyclic
-validators and their declaration slacks, the norm constants and the
-two-coordinate norm kernel: apply hand-written mutants, one at a time, to a
-copy of the package and report which the tests kill.
+validators and their declaration slacks, the norm constants, the
+two-coordinate norm kernel, the convexity check and the pattern search:
+apply hand-written mutants, one at a time, to a copy of the package and
+report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another.  The copy lives in a temporary directory; the checkout is never
@@ -122,6 +123,22 @@ MUTANTS = [
     Mutant("dim-2 zero branch returns 0.0", NORMS,
            "total = 0 + a + b\n            return 0.0 if total == 0 else total\n",
            "return 0.0\n"),
+    Mutant("convexity check slack 1e-12 -> 1e-6", NORMS,
+           "slack = 1e-12 * unit", "slack = 1e-6 * unit"),
+    Mutant("convexity check tolerance 1e-9 -> 1e-3", NORMS,
+           "return lhs <= rhs + 1e-9 * unit", "return lhs <= rhs + 1e-3 * unit"),
+    Mutant("convexity check ratio floor 0 -> 0.5", NORMS,
+           "0.0 if ratio <= 0 else", "0.0 if ratio <= 0.5 else"),
+    Mutant("convexity check ratio without its clamp at 2", NORMS,
+           "2.0 if ratio > 2.0 else ratio", "ratio"),
+    Mutant("dim-2 midpoint reads z[1] in its first coordinate", NORMS,
+           "x[0] / 2.0 + y[0] / 2.0 - z[0]", "x[0] / 2.0 + y[0] / 2.0 - z[1]"),
+    Mutant("general midpoint reads z reversed", NORMS,
+           "zip(x, y, z)]", "zip(x, y, z[::-1])]"),
+    Mutant("pattern search quarters its step", ORACLE,
+           "        step /= 2\n", "        step /= 4\n"),
+    Mutant("contraction floor x 1.001", CYCLIC,
+           "floor = (1 - k) * spec.d", "floor = (1 - k) * spec.d * 1.001"),
 ]
 
 
