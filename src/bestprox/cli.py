@@ -51,12 +51,23 @@ def _g6(value) -> str:
     return format(float(value), ".6g")
 
 
+def _echo(value, style="g", least=6) -> str:
+    """An echoed input in `style` with the fewest digits, at least `least`,
+    that read back as the value, so that 2.0000001 is not printed as 2."""
+    value = float(value)
+    for digits in range(least, 18):
+        text = format(value, f".{digits}{style}")
+        if float(text) == value:
+            break
+    return text
+
+
 def _fmt_point(point, digits=_g6) -> str:
     return "(" + ", ".join(digits(c) for c in point) + ")"
 
 
 #: The published start, as --x0 takes it.
-_DEFAULT_X0 = ",".join(_g6(c) for c in oracle.DEFAULT_X0)
+_DEFAULT_X0 = ",".join(_echo(c) for c in oracle.DEFAULT_X0)
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -157,9 +168,9 @@ def cmd_solve(args) -> int:
     approx, stopped_at, trace = run_with_stop(spec, x0, rule, store_iterates=bool(args.out))
     if args.out:  # written before the summary, so a failed write prints nothing
         _emit(_render_rows(_trace_rows(spec.space, trace), args.format), args.out)
-    print(f"map: example1(lambda={_g6(args.lam)}, p={_g6(args.p)})")
-    print(f"start: x0 = {_fmt_point(x0)}")
-    print(f"criterion: {args.criterion}, eps = {_g6(args.eps)}")
+    print(f"map: example1(lambda={_echo(args.lam)}, p={_echo(args.p)})")
+    print(f"start: x0 = {_fmt_point(x0, _echo)}")
+    print(f"criterion: {args.criterion}, eps = {_echo(args.eps)}")
     print(f"stopped at even step: {stopped_at}")
     print(f"approximation: {_fmt_point(approx)}")
     final = error_budget_at(trace, trace.steps // 2)
@@ -185,14 +196,10 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _eps_label(eps: float) -> str:
-    return format(eps, ".0e")
-
-
 def _grid_rows(eps_list, p_list, counts):
-    rows = [["eps"] + [_g6(p) for p in p_list]]
+    rows = [["eps"] + [_echo(p) for p in p_list]]
     for eps, row in zip(eps_list, counts):
-        rows.append([_eps_label(eps)] + [str(c) for c in row])
+        rows.append([_echo(eps, "e", 0)] + [str(c) for c in row])
     return rows
 
 
@@ -207,7 +214,7 @@ def cmd_table(args) -> int:
     ):
         raise InputError(
             "--compare-paper requires the benchmark grid "
-            f"(lambda={_g6(oracle.DEFAULT_LAMBDA)}, x0={_DEFAULT_X0}, default eps and p lists)"
+            f"(lambda={_echo(oracle.DEFAULT_LAMBDA)}, x0={_DEFAULT_X0}, default eps and p lists)"
         )
     result = oracle.reproduce_table(
         kind, lam=args.lam, x0=x0, eps_list=eps_list, p_list=p_list
@@ -276,7 +283,7 @@ def cmd_modulus(args) -> int:
     delta = modulus_of_convexity(args.p, args.eps)
     consts = power_type_constants(args.p)
     lower = consts.C * args.eps ** consts.q
-    print(f"delta_p(eps) for p={_g6(args.p)}, eps={_g6(args.eps)}: {_g6(delta)}")
+    print(f"delta_p(eps) for p={_echo(args.p)}, eps={_echo(args.eps)}: {_g6(delta)}")
     print(f"power-type lower bound C*eps^q: {_g6(lower)}")
     print(f"constants: C = {_g6(consts.C)}, q = {_g6(consts.q)}")
     return 0

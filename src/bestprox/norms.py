@@ -225,8 +225,6 @@ def inverse_modulus_bound(t, consts: PowerTypeConstants):
     """
     if not t >= 0:
         raise InputError(f"t must be nonnegative, got t={t}")
-    if t == 0:
-        return 0.0
     return (t / consts.C) ** (1.0 / consts.q)
 
 
@@ -255,20 +253,19 @@ def check_convexity_inequality(
 
         ||(x + y)/2 - z|| <= (1 - delta_p(r/R)) * R.
 
-    The hypotheses are re-verified first, up to an absolute slack of
-    1e-12 * max(R, 1); a violation raises PreconditionError so it can never
-    be mistaken for a failure of the inequality itself, and a non-finite R
-    or coordinate raises InputError.  Returns True iff the displayed
-    inequality, taken at that slack, holds within relative tolerance 1e-9
-    (scaled by R).
+    The hypotheses are re-verified first, up to a slack of 1e-12 R; a
+    violation raises PreconditionError so it can never be mistaken for a
+    failure of the inequality itself, and a non-finite R or coordinate
+    raises InputError.  Returns True iff the displayed inequality, taken
+    at that slack, holds within 1e-9 R.  Both scale with R, as the
+    inequality does, so the check can fail at any radius.
     """
     if not (R > 0 and R - R == 0):
         raise InputError(f"R must be finite and positive, got R={R}")
     if not (0 <= r <= 2 * R):
         raise InputError(f"r must lie in [0, 2R]=[0, {2 * R}], got {r}")
 
-    unit = R if R >= 1.0 else 1.0  # max(R, 1.0), as max picks it
-    slack = 1e-12 * unit
+    slack = 1e-12 * R
     dxz = dist(space, x, z)
     dyz = dist(space, y, z)
     dxy = dist(space, x, y)
@@ -291,14 +288,16 @@ def check_convexity_inequality(
     wide = 2 * slack
     ratio = (r - wide) / (R + wide)
     delta = 0.0 if ratio <= 0 else modulus_of_convexity(space.p, 2.0 if ratio > 2.0 else ratio)
-    # Halving each coordinate first keeps a midpoint of two finite points
-    # finite; outside the subnormal range it gives the bits of (a + b) / 2.
-    # Dim 2, the only dim `verify` checks, is written out as `dist` writes
-    # its difference.
+    # The midpoint's offset from z sums the halved offsets of x and y, the
+    # differences `dist` forms: finite once the hypotheses hold, and exact
+    # where a point lies close to z, so the round-off scales with R however
+    # far z lies from the origin.  Dim 2, the only dim `verify` checks, is
+    # written out as `dist` writes its difference.
     if len(z) == 2:
-        mid = (x[0] / 2.0 + y[0] / 2.0 - z[0], x[1] / 2.0 + y[1] / 2.0 - z[1])
+        mid = ((x[0] - z[0]) / 2.0 + (y[0] - z[0]) / 2.0,
+               (x[1] - z[1]) / 2.0 + (y[1] - z[1]) / 2.0)
     else:
-        mid = [a / 2.0 + b / 2.0 - c for a, b, c in zip(x, y, z)]
+        mid = [(a - c) / 2.0 + (b - c) / 2.0 for a, b, c in zip(x, y, z)]
     lhs = lp_norm(space, mid)
     rhs = (1.0 - delta) * (R + wide)
-    return lhs <= rhs + 1e-9 * unit
+    return lhs <= rhs + 1e-9 * R

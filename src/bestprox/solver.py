@@ -147,24 +147,29 @@ def _check_distance(d):
 
 def _run_constants(d, k, consts: PowerTypeConstants, m):
     """(1 - k^(2/q), C d, k^(m/q)) at the working precision in force now,
-    after checking k in (0, 1) and d > 0."""
+    after checking k in (0, 1) and d > 0.  InputError, naming d, k and q,
+    where d / (1 - k^(2/q)) is not finite, as where k^(2/q) rounds to 1: no
+    bound is then finite, and X = d would not give 0."""
     if not (0 < k < 1):
         raise InputError(f"k must lie in (0, 1), got {k}")
     _check_distance(d)
     q = consts.q
-    return 1 - k ** (2.0 / q), consts.C * d, k ** (m / q)
+    denom = 1 - k ** (2.0 / q)
+    if not (denom > 0 and d / denom < math.inf):
+        raise InputError(f"no bound is finite at d={d}, k={k}, q={q}: 1 - k^(2/q) = {denom}")
+    return denom, consts.C * d, k ** (m / q)
 
 
-def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
+def certificate_evaluator(d, k, consts: PowerTypeConstants, m):
     """The paper's error estimate X/(1 - k^(2/q)) * ((X - d)/(C d))^(1/q) * k^(m/q)
     as a one-argument function of X.
 
     X = D and m = 2n give the a priori bound at step 2n, X = P and m = 1
-    the a posteriori bound, and m = 0 the prefactor of both.  k in (0, 1)
-    and d > 0 are checked here, once; `name` labels X in the error an
-    evaluation raises when X lies below d.  An evaluation returns exactly
-    0 when X = d; a gap X - d in (-GAP_CLAMP, 0) is round-off and counts
-    as 0.
+    the a posteriori bound, and m = 0 the prefactor of both.  k in (0, 1),
+    d > 0 and a finite d / (1 - k^(2/q)) are checked here, once; an
+    evaluation at an X below d raises an error naming X as P (m = 1) or D.  An evaluation
+    returns exactly 0 when X = d; a gap X - d in (-GAP_CLAMP, 0) is
+    round-off and counts as 0.
 
     The factors that do not depend on X are formed here, at the working
     precision in force now, so an evaluator must be built at the
@@ -175,6 +180,7 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
     """
     denom, Cd, tail = _run_constants(d, k, consts, m)
     root = 1.0 / consts.q
+    name = "P" if m == 1 else "D"
 
     def evaluate(X):
         gap = X - d
@@ -182,8 +188,6 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m, name: str):
             if gap < -GAP_CLAMP:
                 raise InputError(f"{name}={X} is below d={d}")
             gap = 0.0
-        if gap == 0:
-            return 0.0
         return X / denom * (gap / Cd) ** root * tail
 
     return evaluate
@@ -260,7 +264,7 @@ def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    return certificate_evaluator(d, k, consts, 2 * n, "D")(D)
+    return certificate_evaluator(d, k, consts, 2 * n)(D)
 
 
 def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
@@ -268,7 +272,7 @@ def aposteriori_bound(P, d, k, consts: PowerTypeConstants):
 
     Returns exactly 0 when P = d.
     """
-    return certificate_evaluator(d, k, consts, 1, "P")(P)
+    return certificate_evaluator(d, k, consts, 1)(P)
 
 
 def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
@@ -284,7 +288,7 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
     certificate at D with m = 0, is finite.
     """
     check_target(eps)
-    prefactor = certificate_evaluator(d, k, consts, 0, "D")(D)
+    prefactor = certificate_evaluator(d, k, consts, 0)(D)
     if not prefactor - prefactor == 0:
         raise InputError(f"the a priori prefactor is not finite at D={D}, got {prefactor}")
     lo, n = 0, 1  # the bound at lo is >= eps (lo = 0: no step yet)
@@ -389,7 +393,7 @@ def run_with_stop(
     # constants and the excess h formed once, at the working
     # precision of this run.
     eps = rule.epsilon
-    bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1, "P")
+    bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1)
     may_fire = powered_stop_test(spec.d, spec.k, trace.constants, eps)
     span = stall_span(spec.k)
     held, previous = 0, None

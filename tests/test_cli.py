@@ -361,6 +361,38 @@ def test_p_beyond_float64_power_type_constant_is_exit_2(capsys, argv):
     assert "p=1100" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "table"])
+@pytest.mark.parametrize("criterion", ["apriori", "aposteriori"])
+def test_k_whose_power_rounds_to_1_is_exit_2_naming_k_and_q(capsys, command, criterion):
+    # at p = 20, k^(2/q) = k^0.1 rounds to 1: no certificate is finite, and
+    # the run is refused before it prints anything
+    code, out, err = run_cli(capsys, command, "--criterion", criterion,
+                             "--lambda", "0.9999999999999999", "--p", "20", "--eps", "1e-2")
+    assert code == 2 and out == ""
+    assert "k=0.9999999999999999, q=20.0" in err
+
+
+def test_echoed_inputs_keep_their_digits(capsys):
+    # each input is printed with the fewest digits, at least the usual six
+    # (none for an eps label), that read back as it; results keep six
+    code, out, _ = run_cli(capsys, "table", "--p", "2,2.0000001", "--eps", "1.5e-2,2e-2,2.5e-2")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[1:]] == [
+        "eps", "1.5e-02", "2e-02", "2.5e-02"
+    ]
+    assert out.splitlines()[1].split() == ["eps", "2", "2.0000001"]
+    code, out, _ = run_cli(capsys, "solve", "--lambda", "0.50000001", "--p", "1.0000001",
+                           "--x0", "1000.000001,8", "--eps", "1.25e-3")
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "map: example1(lambda=0.50000001, p=1.0000001)",
+        "start: x0 = (1000.000001, 8)",
+        "criterion: aposteriori, eps = 0.00125",
+    ]
+    code, out, _ = run_cli(capsys, "modulus", "--p", "1.0000001", "--eps", "0.3")
+    assert out.startswith("delta_p(eps) for p=1.0000001, eps=0.3: 1.12926e-09\n")
+
+
 def test_a_posteriori_table_from_a_far_start_certifies(capsys):
     # the a posteriori stop reads no a priori bound, so a start whose a
     # priori prefactor overflows float64 is still counted

@@ -1,3 +1,5 @@
+import random
+
 import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
@@ -599,11 +601,11 @@ class TestConvexityInequality:
                 LpSpace(2, 2.0), (0.5, 0.0, 9.0), (-0.5, 0.0), (0.0, 0.0), 1.0, 1.0
             )
 
-    @pytest.mark.parametrize("R", [0.5, 1.0, 1e6])
+    @pytest.mark.parametrize("R", [1e-9, 0.5, 1.0, 1e6])
     def test_hypotheses_hold_to_the_slack_and_no_further(self, R):
-        # the slack is 1e-12 * max(R, 1); four slacks past R or below r is a
+        # the slack is 1e-12 * R; four slacks past R or below r is a
         # violated hypothesis, half a slack is not
-        space, slack, z = LpSpace(2, 2), 1e-12 * max(R, 1.0), (0.0, 0.0)
+        space, slack, z = LpSpace(2, 2), 1e-12 * R, (0.0, 0.0)
         assert check_convexity_inequality(space, (R + slack / 2, 0.0), z, z, R=R, r=0.0)
         with pytest.raises(PreconditionError, match="exceeds R"):
             check_convexity_inequality(space, (R + 4 * slack, 0.0), z, z, R=R, r=0.0)
@@ -624,6 +626,38 @@ class TestConvexityInequality:
         modulus = norms.modulus_of_convexity
         monkeypatch.setattr(norms, "modulus_of_convexity", lambda p, e: modulus(p, e) + 1e-6)
         assert not check_convexity_inequality(space, x, y, z, R=1.0, r=eps)
+
+    @pytest.mark.parametrize("R", [1.0, 1e-3, 1e-9, 1e-10])
+    def test_a_modulus_of_1_fails_at_every_radius(self, monkeypatch, R):
+        # a modulus of 1 claims every midpoint is the centre; the midpoint of
+        # (R, 0) and (0, R) is not, and the tolerance, 1e-9 R, scales with
+        # the inequality, so the check fails at small R too
+        monkeypatch.setattr(norms, "modulus_of_convexity", lambda p, e: 1.0)
+        x, y, z = (R, 0.0), (0.0, R), (0.0, 0.0)
+        assert not check_convexity_inequality(LpSpace(2, 2), x, y, z, R=R, r=1.4 * R)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("z, scale", [((1000.0, -7.0), 1e-9), ((5.0, 0.0), 1e-12)])
+    @pytest.mark.parametrize("on_sphere", [False, True])
+    def test_admissible_triples_pass_at_small_radii_far_from_the_origin(
+        self, p, z, scale, on_sphere
+    ):
+        # the slack and the tolerance scale with R, yet coordinates far larger
+        # than R raise no false violation, even for points on the sphere,
+        # where the inequality is tightest; R is the larger computed
+        # distance from z, so every triple is admissible
+        space, rng = LpSpace(2, p), random.Random(5)
+
+        def ball_point():
+            a = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            s = scale * (1.0 if on_sphere else rng.random()) / lp_norm(space, a)
+            return (z[0] + s * a[0], z[1] + s * a[1])
+
+        for _ in range(2000):
+            x, y = ball_point(), ball_point()
+            R = max(dist(space, x, z), dist(space, y, z))
+            r = min(dist(space, x, y), 2 * R)
+            assert check_convexity_inequality(space, x, y, z, R=R, r=r), (x, y)
 
     def test_precondition_violation_is_distinct(self):
         for dim in MIDPOINT_DIMS:

@@ -333,6 +333,31 @@ class TestCyclicSuite:
         cyclic_suite(1, None)
         assert calls == [1000, 1000, 1000, 1000, 1, 200, 200]
 
+    def test_separation_reads_every_sampled_pair(self, monkeypatch):
+        # only the last of the 200 pairs lies closer than d - D_SLACK
+        original = oracle.sample_points
+        last = {cyclic.example1_in_a: (1.0, 0.0), cyclic.example1_in_b: (-1.0 + 1e-8, 0.0)}
+
+        def close_last_pair(rng, box, predicate, count):
+            points = original(rng, box, predicate, count)
+            return points[:-1] + [last[predicate]] if count == 200 else points
+
+        monkeypatch.setattr(oracle, "sample_points", close_last_pair)
+        separated = [
+            ok for label, ok, _ in cyclic_suite(1, None)
+            if label.startswith("sampled pairs separated")
+        ]
+        assert len(separated) == 18 and not any(separated)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5])
+def test_implicit_residual_check_fails_a_modulus_off_by_1e_9(p):
+    # a shift of 1e-9 leaves residuals of a few 1e-9: above the check's
+    # 1e-10, far below 1e-6
+    values = [oracle.modulus_of_convexity(p, eps) for eps in oracle.MODULUS_GRID]
+    assert oracle.implicit_residual_small(p, values) == (True, "")
+    assert oracle.implicit_residual_small(p, [v + 1e-9 for v in values]) == (False, "")
+
 
 class TestTrueErrorsCheckTheDeclaredPoint:
     @pytest.fixture(autouse=True)

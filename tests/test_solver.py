@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import mpmath as mp
@@ -594,19 +595,44 @@ class TestCertificateEvaluator:
             consts = power_type_constants(spec.space.p)
             xs = [d, d - 1e-13, d + 1e-13, d * (1 + num(1e-6)), d + num(0.5), 3 * d, num(1000)]
             for m in (0, 1, 2, 40):
-                evaluate = certificate_evaluator(d, k, consts, m, "X")
+                evaluate = certificate_evaluator(d, k, consts, m)
                 for X in xs:
                     value = evaluate(X)
                     assert value == _inline_certificate(X, d, k, consts, m)
 
     def test_run_constants_are_checked_when_built(self):
         with pytest.raises(InputError, match="k must lie in"):
-            certificate_evaluator(2.0, 1.0, C18_Q2, 1, "P")
+            certificate_evaluator(2.0, 1.0, C18_Q2, 1)
         with pytest.raises(InputError, match="d=0.0"):
-            certificate_evaluator(0.0, 0.5, C18_Q2, 1, "P")
-        evaluate = certificate_evaluator(2.0, 0.5, C18_Q2, 1, "P")
+            certificate_evaluator(0.0, 0.5, C18_Q2, 1)
+        evaluate = certificate_evaluator(2.0, 0.5, C18_Q2, 1)
         with pytest.raises(InputError, match="P=1.5 is below d=2.0"):
             evaluate(1.5)
+        for m in (0, 2, 40):
+            with pytest.raises(InputError, match="D=1.5 is below d=2.0"):
+                certificate_evaluator(2.0, 0.5, C18_Q2, m)(1.5)
+
+    @pytest.mark.parametrize("d, k, p", [
+        # k^(2/q) rounds to 1 at q >= 4, so 1 - k^(2/q) is 0
+        (2.0, 0.9999999999999999, 4.0),
+        (2.0, 0.9999999999999999, 20.0),
+        # d / (1 - k^(2/q)) overflows, so the bound at X = d would be NaN
+        (1e305, 0.99999999, 2.0),
+    ])
+    def test_run_constants_without_a_finite_bound_are_refused_naming_d_k_and_q(self, d, k, p):
+        consts = power_type_constants(p)
+        for build in (lambda: certificate_evaluator(d, k, consts, 1),
+                      lambda: stop_excess(d, k, consts, 1e-2)):
+            with pytest.raises(InputError, match=re.escape(f"finite at d={d}, k={k}, q={p}:")):
+                build()
+
+    def test_at_q_3_the_same_k_gives_finite_bounds_and_0_at_d(self):
+        # 1 - k^(2/3) is 1.1e-16 here; the bound at X = d is exactly 0, at
+        # float64 and on mpmath numbers
+        evaluate = certificate_evaluator(2.0, 0.9999999999999999, power_type_constants(3.0), 1)
+        assert 0 < evaluate(3.0) < math.inf and evaluate(2.0) == 0.0
+        consts = power_type_constants(mp.mpf(3))
+        assert certificate_evaluator(mp.mpf(2), mp.mpf(0.5), consts, 1)(mp.mpf(2)) == 0
 
 
 #: (p, q) of the powered stop tests: q = 2 below p = 2, q = p above, and
@@ -711,7 +737,7 @@ class TestPoweredStopTest:
             # at eps = 1e3 the threshold excess is of the size of P, so
             # one ulp of P moves both forms by about their rounding
             for eps in (1e3, 1e-2, 1e-6, 1e-10):
-                bound = certificate_evaluator(d, k, consts, 1, "P")
+                bound = certificate_evaluator(d, k, consts, 1)
                 may_fire = powered_stop_test(d, k, consts, eps)
                 edge = _stop_threshold(bound, d, k, consts, eps)
                 assert bound(edge) < eps <= bound(edge + _ulp(edge))
@@ -741,7 +767,7 @@ class TestPoweredStopTest:
     def test_agrees_with_the_certificate_in_float64(self, case, log_k, log_eps, log_gap):
         d, k, consts = _stop_case(case[0], 10.0 ** log_k, float)
         eps, P = 10.0 ** log_eps, d + 10.0 ** log_gap
-        bound = certificate_evaluator(d, k, consts, 1, "P")
+        bound = certificate_evaluator(d, k, consts, 1)
         assert _decided_right(powered_stop_test(d, k, consts, eps), bound, P, eps)
 
     @given(
@@ -755,12 +781,12 @@ class TestPoweredStopTest:
         with mp.workdps(60):
             d, k, consts = _stop_case(case[0], mp.mpf(10) ** log_k, mp.mpf)
             eps, P = 10.0 ** log_eps, d + mp.mpf(10) ** log_gap
-            bound = certificate_evaluator(d, k, consts, 1, "P")
+            bound = certificate_evaluator(d, k, consts, 1)
             assert _decided_right(powered_stop_test(d, k, consts, eps), bound, P, eps)
 
     def test_float64_overflow_and_underflow_go_to_the_certificate(self):
         d, k, consts = _stop_case(20, 0.5, float)
-        bound = certificate_evaluator(d, k, consts, 1, "P")
+        bound = certificate_evaluator(d, k, consts, 1)
         # at a target far below every bound, the power factor
         # (eps / (a d))^20 underflows to 0, so h is not formed
         may_fire = powered_stop_test(d, k, consts, 1e-300)
@@ -772,7 +798,7 @@ class TestPoweredStopTest:
         assert may_fire(P) is (bound(P) < 1e300) is True
         # with k = 1e-300 the factor a is tiny and h is about 6e294
         d, k, consts = _stop_case(2, 1e-300, float)
-        bound = certificate_evaluator(d, k, consts, 1, "P")
+        bound = certificate_evaluator(d, k, consts, 1)
         may_fire = powered_stop_test(d, k, consts, 1e-2)
         assert may_fire(P) is (bound(P) < 1e-2) is True
         # an infinite P is screened out; a P below d goes to the
@@ -789,12 +815,12 @@ class TestPoweredStopTest:
         eps, P = 1e160, d + 1e206
         may_fire = powered_stop_test(d, k, consts, eps)
         assert may_fire(P) is True
-        assert certificate_evaluator(d, k, consts, 1, "P")(P) == math.inf
+        assert certificate_evaluator(d, k, consts, 1)(P) == math.inf
         with mp.workdps(30):
-            exact = certificate_evaluator(mp.mpf(d), mp.mpf(k), consts, 1, "P")
+            exact = certificate_evaluator(mp.mpf(d), mp.mpf(k), consts, 1)
             assert exact(mp.mpf(P)) < eps
         assert may_fire(d + 1e220) is True
-        assert certificate_evaluator(d, k, consts, 1, "P")(d + 1e220) >= eps
+        assert certificate_evaluator(d, k, consts, 1)(d + 1e220) >= eps
 
     def test_run_constants_outside_float64_disable_it(self):
         # a / eps subnormal (k tiny, eps huge): eps / (a d) overflows
@@ -804,7 +830,7 @@ class TestPoweredStopTest:
         consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
         may_fire = powered_stop_test(d, k, consts, eps)
         assert may_fire(1e300) is True
-        assert certificate_evaluator(d, k, consts, 1, "P")(1e300) >= eps
+        assert certificate_evaluator(d, k, consts, 1)(1e300) >= eps
         assert all(may_fire(P) is True for P in (d * 1.5, d * 10, 1.0))
         # a band C d below the smallest normal (d = 1e-300, q = 30), where
         # P = 1 gives a finite product far above it; and an arithmetic
@@ -835,10 +861,10 @@ class TestPoweredStopTest:
             d, k, consts = _stop_case(p, 0.5, num)
             q, h = consts.q, stop_excess(d, k, consts, eps)
             assert h == _closed_form_excess(d, k, consts, eps)
-            bound = certificate_evaluator(d, k, consts, 1, "P")
+            bound = certificate_evaluator(d, k, consts, 1)
             assert _stop_threshold(bound, d, k, consts, eps) - d <= h
         with mp.workdps(400):
-            exact = certificate_evaluator(mp.mpf(d), mp.mpf(k), consts, 1, "P")
+            exact = certificate_evaluator(mp.mpf(d), mp.mpf(k), consts, 1)
             assert exact(d + mp.mpf(h) * (1 + q * solver.STOP_MARGIN / 8)) >= eps
 
     def test_threshold_below_the_float64_range_at_working_precision(self):
@@ -846,7 +872,7 @@ class TestPoweredStopTest:
         # at working precision: a deep target at p = 20 (g* near 7e-357)
         with mp.workdps(400):
             d, k, consts = _stop_case(20, 0.5, mp.mpf)
-            bound = certificate_evaluator(d, k, consts, 1, "P")
+            bound = certificate_evaluator(d, k, consts, 1)
             may_fire = powered_stop_test(d, k, consts, 1e-16)
             edge = _stop_threshold(bound, d, k, consts, 1e-16)
             assert 0 < edge - d < mp.mpf(10) ** -350
@@ -860,7 +886,7 @@ class TestPoweredStopTest:
         # relative, far inside the margin, and still screens; g* near
         # 8e-321 is resolved only to 6e-4 and every P goes to the certificate
         d, k, consts = _stop_case(20, 0.5, float)
-        bound = certificate_evaluator(d, k, consts, 1, "P")
+        bound = certificate_evaluator(d, k, consts, 1)
         P = math.nextafter(d, math.inf)
         fine = powered_stop_test(d, k, consts, 1.6e-14)
         assert fine(P) is False and bound(P) >= 1.6e-14

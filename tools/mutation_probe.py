@@ -1,6 +1,7 @@
 """Mutation probe of the certificate path, the proof-chain audit, the cyclic
 validators and their declaration slacks, the norm constants, the
-two-coordinate norm kernel, the convexity check and the pattern search:
+two-coordinate norm kernel, the convexity check, the pattern search and the
+suites' residual and separation checks:
 apply hand-written mutants, one at a time, to a copy of the package and
 report which the tests kill.
 
@@ -60,9 +61,15 @@ MUTANTS = [
     Mutant("certificate x 0.999", SOLVER,
            "return X / denom * (gap / Cd) ** root * tail",
            "return X / denom * (gap / Cd) ** root * tail * 0.999"),
+    Mutant("certificate labels X as D at m = 1", SOLVER,
+           'name = "P" if m == 1 else "D"', 'name = "D" if m == 1 else "P"'),
+    Mutant("certificate admits 1 - k^(2/q) = 0", SOLVER,
+           "if not (denom > 0 and", "if not (denom >= 0 and"),
+    Mutant("certificate admits an infinite d / (1 - k^(2/q))", SOLVER,
+           "d / denom < math.inf", "d / denom <= math.inf"),
     Mutant("C d x 1.001", SOLVER,
-           "return 1 - k ** (2.0 / q), consts.C * d, k ** (m / q)",
-           "return 1 - k ** (2.0 / q), consts.C * d * 1.001, k ** (m / q)"),
+           "return denom, consts.C * d, k ** (m / q)",
+           "return denom, consts.C * d * 1.001, k ** (m / q)"),
     Mutant("GAP_CLAMP 1e-12 -> 1e-6", SOLVER,
            "GAP_CLAMP = 1e-12", "GAP_CLAMP = 1e-6"),
     Mutant("stop_excess guard tol = margin * 8", SOLVER,
@@ -124,17 +131,28 @@ MUTANTS = [
            "total = 0 + a + b\n            return 0.0 if total == 0 else total\n",
            "return 0.0\n"),
     Mutant("convexity check slack 1e-12 -> 1e-6", NORMS,
-           "slack = 1e-12 * unit", "slack = 1e-6 * unit"),
+           "slack = 1e-12 * R", "slack = 1e-6 * R"),
+    Mutant("convexity check slack scaled by max(R, 1)", NORMS,
+           "slack = 1e-12 * R", "slack = 1e-12 * max(R, 1.0)"),
     Mutant("convexity check tolerance 1e-9 -> 1e-3", NORMS,
-           "return lhs <= rhs + 1e-9 * unit", "return lhs <= rhs + 1e-3 * unit"),
+           "return lhs <= rhs + 1e-9 * R", "return lhs <= rhs + 1e-3 * R"),
+    Mutant("convexity check tolerance scaled by max(R, 1)", NORMS,
+           "return lhs <= rhs + 1e-9 * R", "return lhs <= rhs + 1e-9 * max(R, 1.0)"),
     Mutant("convexity check ratio floor 0 -> 0.5", NORMS,
            "0.0 if ratio <= 0 else", "0.0 if ratio <= 0.5 else"),
     Mutant("convexity check ratio without its clamp at 2", NORMS,
            "2.0 if ratio > 2.0 else ratio", "ratio"),
     Mutant("dim-2 midpoint reads z[1] in its first coordinate", NORMS,
-           "x[0] / 2.0 + y[0] / 2.0 - z[0]", "x[0] / 2.0 + y[0] / 2.0 - z[1]"),
+           "(y[0] - z[0]) / 2.0,", "(y[0] - z[1]) / 2.0,"),
+    Mutant("dim-2 midpoint subtracts z after the halved sum", NORMS,
+           "(x[0] - z[0]) / 2.0 + (y[0] - z[0]) / 2.0,", "x[0] / 2.0 + y[0] / 2.0 - z[0],"),
     Mutant("general midpoint reads z reversed", NORMS,
            "zip(x, y, z)]", "zip(x, y, z[::-1])]"),
+    Mutant("implicit residual tolerance 1e-10 -> 1e-6", ORACLE,
+           "abs(_implicit_equation(delta, p, eps)[0]) > 1e-10",
+           "abs(_implicit_equation(delta, p, eps)[0]) > 1e-6"),
+    Mutant("separation check reads 20 of its 200 pairs", ORACLE,
+           "zip(us, vs)", "zip(us[:20], vs[:20])"),
     Mutant("pattern search quarters its step", ORACLE,
            "        step /= 2\n", "        step /= 4\n"),
     Mutant("contraction floor x 1.001", CYCLIC,
