@@ -115,8 +115,9 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
 
     Works verbatim with higher-precision `lam` and point coordinates
     (all closures use only `*`, `+`, `-` and comparisons).  The map's
-    constants 1 - lam and -lam are formed here, once, at the working
-    precision in force now, so build the spec at the precision it is
+    constants 1 - lam, its signed multiples and -lam are formed here,
+    once, at the working precision in force now, and so is the space's
+    threshold (`norms.LpSpace`), so build the spec at the precision it is
     applied at (as for `solver.certificate_evaluator`).  d = 2 for every
     p; `oracle.rederive_distance` re-derives it numerically, a cross-check
     that acceptance criterion 8 and the `verify` benchmark workload run.
@@ -125,11 +126,14 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
     """
     lam = params.lam
     rest, flip = 1 - lam, -lam
+    # rest * sign(x) for each sign, formed once: the same bits as the
+    # product, without an mpf x int product on every step
+    pos, neg, zero = rest * 1, rest * -1, rest * 0
 
     def apply(v: Vector) -> Vector:
         x, y = v
-        sign = (x > 0) - (x < 0)
-        return (-(rest * sign + lam * x), flip * y)
+        term = pos if x > 0 else neg if x < 0 else zero
+        return (-(term + lam * x), flip * y)
 
     return CyclicMapSpec(
         space=LpSpace(dim=2, p=params.p),

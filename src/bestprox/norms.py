@@ -1,7 +1,8 @@
-"""Finite-dimensional l_p geometry: norms and the modulus of convexity.
+"""l_p geometry of the plane: the norm and the modulus of convexity.
 
-The modulus of convexity delta_p quantifies how "round" the unit ball of
-l_p is.  Two facts drive everything downstream:
+The system has one space, R^2 with the l_p norm.  The modulus of
+convexity delta_p quantifies how "round" its unit ball is.  Two facts
+drive everything downstream:
 
 * for p >= 2 there is a closed form
       delta_p(eps) = 1 - (1 - (eps/2)^p)^(1/p),
@@ -22,8 +23,7 @@ pure function; concurrent callers need no coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from operator import sub
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import InputError, NumericalError, PreconditionError
@@ -44,17 +44,50 @@ def check_exponent(p):
         raise InputError(f"uniform convexity requires a finite p > 1, got p={p}")
 
 
+def _significand_bits(one):
+    """The significand bits b of one's arithmetic: the least b with
+    one + 2^-b == one (53 in float64, the working precision in bits for an
+    mpf).  Doubles, then bisects, on exact powers of two."""
+    two, lo, hi = one + one, 0, 1  # one + 2^-lo != one throughout
+    while one + two ** -hi != one:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if one + two ** -mid == one else (mid, hi)
+    return hi
+
+
 @dataclass(frozen=True)
 class LpSpace:
-    """Ambient space R^dim equipped with the l_p norm, p > 1."""
+    """The plane R^2 equipped with the l_p norm, p > 1; dim must be 2.
+
+    Three fields are derived from p when the space is built, in p's own
+    arithmetic (float64, or an mpf at the working precision in force then):
+    `one`, `root` = 1/p, and `negligible` = 2^(-(b + 3)/p), where b is the
+    arithmetic's significand bits.  A ratio below `negligible` has a p-th
+    power below 2^-(b + 3), which cannot move 1 + t off 1, so `lp_norm`
+    skips that term.  A space must therefore be built at the precision it
+    is used at, as `cyclic.make_example1` and
+    `solver.certificate_evaluator` already require; its coordinates are
+    numbers of that arithmetic.
+    """
 
     dim: int
     p: float
+    one: float = field(init=False, repr=False, compare=False)
+    root: float = field(init=False, repr=False, compare=False)
+    negligible: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError(f"dim must be >= 1, got {self.dim}")
-        check_exponent(self.p)
+        if self.dim != 2:
+            raise InputError(f"the space is the plane: dim must be 2, got {self.dim}")
+        p = self.p
+        check_exponent(p)
+        one = p / p
+        bits = _significand_bits(one)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "root", 1 / p)
+        object.__setattr__(self, "negligible", (one + one) ** (-(bits + 3) / p))
 
 
 @dataclass(frozen=True)
@@ -78,47 +111,27 @@ def lp_norm(space: LpSpace, v: Vector):
         raise InputError(
             f"vector has {len(v)} coordinates, space has dim {space.dim}"
         )
-    # Scaling by the largest coordinate prevents overflow/underflow of the
-    # p-th powers; 1/p is formed in the same arithmetic as p so that
-    # higher-precision spaces do not get a float64-rounded exponent.
-    p = space.p
-    if space.dim == 2:
-        # The built-in space: the general path below, unrolled, with the
-        # same operations in the same order and so the same bits; it saves
-        # the tuple, the loop and the call of max on the calls that
-        # dominate every run.  The scale is max(a, b) written out: b only
-        # where b > a, so a tie or a NaN keeps the first, as max does.
-        a, b = v
-        a = abs(a)
-        b = abs(b)
-        scale = b if b > a else a
-        if scale == 0:
-            total = 0 + a + b
-            return 0.0 if total == 0 else total
-        total = 0.0 + (1.0 if a == scale else (a / scale) ** p)
-        total += 1.0 if b == scale else (b / scale) ** p
+    # Scaling by the larger coordinate prevents overflow/underflow of the
+    # p-th powers.  A NaN in the first slot is the scale, as with max.
+    a, b = v
+    a = abs(a)
+    b = abs(b)
+    if b > a:
+        scale, small = b, a
     else:
-        mags = tuple(map(abs, v))
-        scale = max(mags)
-        if scale == 0:
-            # max skips a NaN that follows a zero; the sum carries it
-            total = sum(mags)
-            return 0.0 if total == 0 else total
-        # The term of a largest coordinate is exactly 1, in float64 and in
-        # mpmath alike, so 1.0 takes its place in the sum without its
-        # division and power; an infinite coordinate then gives inf, where
-        # inf / inf would give NaN.  The loop adds left to right, as sum()
-        # does on 3.11.
-        total = 0.0
-        for c in mags:
-            total += 1.0 if c == scale else (c / scale) ** p
-    # Where every other term rounds away, the sum is exactly 1 and so is
-    # its root (1 ** y is 1 in float64 and in mpmath), so the division 1/p
-    # and the power are skipped; scale * total still rounds scale to the
-    # working precision, as scale * total ** (1 / p) does.
-    if total == 1:
-        return scale * total
-    return scale * total ** (1 / p)
+        scale, small = a, b
+    if scale == 0:
+        total = 0 + a + b  # a NaN behind a zero is not a zero norm
+        return 0.0 if total == 0 else total
+    # The larger term is exactly 1, so an infinite coordinate gives inf,
+    # where inf / inf would give NaN.  Below `negligible` the smaller term
+    # rounds away and so does the root (1 ** y is 1 in float64 and in
+    # mpmath): scale * one still rounds scale to the working precision, as
+    # scale * total ** root does.
+    if small < scale * space.negligible:
+        return scale * space.one
+    total = 2.0 if small == scale else space.one + (small / scale) ** space.p
+    return scale * total ** space.root
 
 
 def dist(space: LpSpace, u: Vector, v: Vector):
@@ -126,9 +139,9 @@ def dist(space: LpSpace, u: Vector, v: Vector):
     differ in length (map would drop the extra coordinates)."""
     if len(u) != len(v):
         raise InputError(f"cannot take the distance of vectors of lengths {len(u)} and {len(v)}")
-    if len(u) == 2:
-        return lp_norm(space, (u[0] - v[0], u[1] - v[1]))
-    return lp_norm(space, tuple(map(sub, u, v)))
+    if len(u) != 2:
+        raise InputError(f"vector has {len(u)} coordinates, space has dim {space.dim}")
+    return lp_norm(space, (u[0] - v[0], u[1] - v[1]))
 
 
 def power_type_constants(p: float) -> PowerTypeConstants:
@@ -291,13 +304,10 @@ def check_convexity_inequality(
     # The midpoint's offset from z sums the halved offsets of x and y, the
     # differences `dist` forms: finite once the hypotheses hold, and exact
     # where a point lies close to z, so the round-off scales with R however
-    # far z lies from the origin.  Dim 2, the only dim `verify` checks, is
-    # written out as `dist` writes its difference.
-    if len(z) == 2:
-        mid = ((x[0] - z[0]) / 2.0 + (y[0] - z[0]) / 2.0,
-               (x[1] - z[1]) / 2.0 + (y[1] - z[1]) / 2.0)
-    else:
-        mid = [(a - c) / 2.0 + (b - c) / 2.0 for a, b, c in zip(x, y, z)]
+    # far z lies from the origin.  The distances above have checked that
+    # x, y and z are points of the plane.
+    mid = ((x[0] - z[0]) / 2.0 + (y[0] - z[0]) / 2.0,
+           (x[1] - z[1]) / 2.0 + (y[1] - z[1]) / 2.0)
     lhs = lp_norm(space, mid)
     rhs = (1.0 - delta) * (R + wide)
     return lhs <= rhs + 1e-9 * R

@@ -228,27 +228,14 @@ def audit_proof_chain(spec: CyclicMapSpec, x0: Vector, steps: int) -> ProofChain
     return report
 
 
-def _pattern_directions(dim: int):
-    """Unit coordinate moves plus pairwise diagonals.
-
-    Diagonals matter: on a polyhedral boundary like x = 1 + |y| the only
-    improving feasible directions can be edge-parallel, where pure
-    coordinate moves stall.
-    """
-    directions = []
-    for i in range(dim):
-        for sign in (1.0, -1.0):
-            vec = [0.0] * dim
-            vec[i] = sign
-            directions.append(tuple(vec))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    vec = [0.0] * dim
-                    vec[i], vec[j] = si, sj
-                    directions.append(tuple(vec))
-    return directions
+#: Pattern-search moves of the plane: unit coordinate moves, then the four
+#: diagonals.  Diagonals matter: on a polyhedral boundary like x = 1 + |y|
+#: the only improving feasible directions can be edge-parallel, where pure
+#: coordinate moves stall.
+PATTERN_DIRECTIONS = (
+    (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+    (1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0),
+)
 
 
 def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> float:
@@ -269,10 +256,9 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
     best_u = min(us, key=lambda u: dist(space, u, best_v))
     best = dist(space, best_u, best_v)
 
-    directions = _pattern_directions(space.dim)
     step = max(1.0, best / 4)
     while step > 1e-10:
-        moves = [tuple([step * dc for dc in direction]) for direction in directions]
+        moves = [(step * dx, step * dy) for dx, dy in PATTERN_DIRECTIONS]
         improved = True
         while improved:
             improved = False

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import random
 import re
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -500,6 +501,57 @@ class TestWorkingPrecisionDigits:
         assert _cell_excess(0.5, 1014.0, 1e-2) is None
         with pytest.raises(InputError, match=r"p=1014"):
             oracle.aposteriori_stop_working_precision(0.5, 1014.0, (1000.0, 8.0), 1e-2)
+
+
+#: Digests of working-precision orbits, one cell a line: lam, p, eps, the
+#: stopping step and the sha256 that `_orbit_digest` forms.
+ORBIT_DIGESTS = Path(__file__).parent / "data" / "working_precision_orbits.txt"
+
+
+def _orbit_digest(monkeypatch, lam, p, eps):
+    """Run one working-precision cell and return its stopping step and the
+    sha256 of every displacement it recorded (D and each P), the returned
+    point and the stopping step.  Each mpf enters as its exact signed
+    mantissa, in hex, and exponent, so the digest reads every bit whatever
+    the ambient precision and mpmath's backend."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(run_with_stop(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(oracle, "run_with_stop", recorded)
+    oracle.aposteriori_stop_working_precision(lam, p, DEFAULT_X0, eps)
+    (approx, stopped_at, trace), = runs
+
+    def exact(value):
+        man, exp = value.man_exp
+        return f"{int(man):x}p{int(exp)}"
+
+    text = "\n".join([*map(exact, trace.displacements), *map(exact, approx), repr(stopped_at)])
+    return stopped_at, hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def _pinned_orbits():
+    rows = [line.split() for line in ORBIT_DIGESTS.read_text(encoding="ascii").splitlines()]
+    return [
+        (float(lam), float(p), float(eps), int(step), digest)
+        for lam, p, eps, step, digest in (row for row in rows if row and row[0] != "#")
+    ]
+
+
+class TestWorkingPrecisionOrbitBits:
+    """mpmath rounds on exact integers, with no libm, so a working-precision
+    orbit has the same bits on every platform; the float64 stops are pinned
+    by the benchmark's fingerprint instead, since libm's pow may differ."""
+
+    def test_seven_cells_are_pinned(self):
+        assert len(_pinned_orbits()) == 7
+
+    @pytest.mark.parametrize("cell", _pinned_orbits(), ids=lambda cell: "-".join(map(str, cell[:3])))
+    def test_orbit_keeps_its_bits(self, monkeypatch, cell):
+        lam, p, eps, step, digest = cell
+        assert _orbit_digest(monkeypatch, lam, p, eps) == (step, digest)
 
 
 class TestReferenceGrids:

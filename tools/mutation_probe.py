@@ -1,6 +1,7 @@
 """Mutation probe of the certificate path, the proof-chain audit, the cyclic
 validators and their declaration slacks, the norm constants, the
-two-coordinate norm kernel, the convexity check, the pattern search and the
+two-coordinate norm kernel and its skip of a negligible term, the map's
+signed term, the convexity check, the pattern search and the
 suites' residual and separation checks:
 apply hand-written mutants, one at a time, to a copy of the package and
 report which the tests kill.
@@ -120,16 +121,22 @@ MUTANTS = [
     Mutant("NEWTON_STEP_TOL 1e-15 -> 1e-6", NORMS,
            "NEWTON_STEP_TOL = 1e-15", "NEWTON_STEP_TOL = 1e-6"),
     Mutant("NEWTON_CAP 100 -> 3", NORMS, "NEWTON_CAP = 100", "NEWTON_CAP = 3"),
-    Mutant("dim-2 dist pairs u[0] - v[1]", NORMS,
+    Mutant("dist pairs u[0] - v[1]", NORMS,
            "(u[0] - v[0], u[1] - v[1])", "(u[0] - v[1], u[1] - v[0])"),
-    Mutant("dim-2 kernel drops the 1.0 of a largest first term", NORMS,
-           "total = 0.0 + (1.0 if a == scale else (a / scale) ** p)",
-           "total = 0.0 + (a / scale) ** p"),
-    Mutant("dim-2 kernel drops the 1.0 of a largest second term", NORMS,
-           "total += 1.0 if b == scale else (b / scale) ** p", "total += (b / scale) ** p"),
-    Mutant("dim-2 zero branch returns 0.0", NORMS,
-           "total = 0 + a + b\n            return 0.0 if total == 0 else total\n",
+    Mutant("kernel drops the 1 of the larger term", NORMS,
+           "else space.one + (small / scale) ** space.p", "else (small / scale) ** space.p"),
+    Mutant("kernel's skip returns scale unrounded", NORMS,
+           "return scale * space.one\n", "return scale\n"),
+    Mutant("kernel's tie 2.0 -> 1.0", NORMS,
+           "total = 2.0 if small == scale", "total = 1.0 if small == scale"),
+    Mutant("kernel's zero branch returns 0.0", NORMS,
+           "total = 0 + a + b  # a NaN behind a zero is not a zero norm\n"
+           "        return 0.0 if total == 0 else total\n",
            "return 0.0\n"),
+    Mutant("skip margin bits + 3 -> bits - 1", NORMS,
+           "(-(bits + 3) / p)", "(-(bits - 1) / p)"),
+    Mutant("root formed as 1.0 / float(p)", NORMS,
+           '"root", 1 / p)', '"root", 1.0 / float(p))'),
     Mutant("convexity check slack 1e-12 -> 1e-6", NORMS,
            "slack = 1e-12 * R", "slack = 1e-6 * R"),
     Mutant("convexity check slack scaled by max(R, 1)", NORMS,
@@ -142,12 +149,10 @@ MUTANTS = [
            "0.0 if ratio <= 0 else", "0.0 if ratio <= 0.5 else"),
     Mutant("convexity check ratio without its clamp at 2", NORMS,
            "2.0 if ratio > 2.0 else ratio", "ratio"),
-    Mutant("dim-2 midpoint reads z[1] in its first coordinate", NORMS,
+    Mutant("midpoint reads z[1] in its first coordinate", NORMS,
            "(y[0] - z[0]) / 2.0,", "(y[0] - z[1]) / 2.0,"),
-    Mutant("dim-2 midpoint subtracts z after the halved sum", NORMS,
+    Mutant("midpoint subtracts z after the halved sum", NORMS,
            "(x[0] - z[0]) / 2.0 + (y[0] - z[0]) / 2.0,", "x[0] / 2.0 + y[0] / 2.0 - z[0],"),
-    Mutant("general midpoint reads z reversed", NORMS,
-           "zip(x, y, z)]", "zip(x, y, z[::-1])]"),
     Mutant("implicit residual tolerance 1e-10 -> 1e-6", ORACLE,
            "abs(_implicit_equation(delta, p, eps)[0]) > 1e-10",
            "abs(_implicit_equation(delta, p, eps)[0]) > 1e-6"),
@@ -157,6 +162,8 @@ MUTANTS = [
            "        step /= 2\n", "        step /= 4\n"),
     Mutant("contraction floor x 1.001", CYCLIC,
            "floor = (1 - k) * spec.d", "floor = (1 - k) * spec.d * 1.001"),
+    Mutant("map's neg term built as rest * 1", CYCLIC,
+           "rest * -1,", "rest * 1,"),
 ]
 
 
