@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -344,25 +345,23 @@ def _working_dps(d, h) -> int:
     return max(WORKING_DPS_FLOOR, int(mp.ceil(mp.log10(d / h))) + 20)
 
 
-def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: float):
-    """Run the a posteriori stop rule for the built-in map at working precision.
+def _plan_cell(lam: float, p: float, x0: Vector, eps: float):
+    """Everything a working-precision a posteriori cell decides before it
+    runs, with every refusal it raises: returns (rule, xi, dps).
 
-    Displacement excesses decay like k^m, so certifying small eps at large q
-    requires resolving excesses far below float64; this sizes the working
-    digits from the excess h the stop compares them with (`_working_dps`)
-    and runs the ordinary solver on mpmath numbers, capped at
-    WORKING_PRECISION_CAP steps.  On this map |x_n| - 1 = lam^n (x0 - 1),
-    so the even-step excess P - d is at least lam^(m-1) (1 + lam) (x0 - 1)
-    at step m and the stop needs it below h: a cell whose fewest such step
-    lies beyond the cap raises BudgetExhaustedError before it runs.  On mpf
-    numbers, which neither overflow nor underflow, h is formed unless C d
-    is below the float64 normal range, where the stop would evaluate the
-    certificate at every even step, at thousands of digits: InputError
-    naming p.  Returns (stopped_at, true_error) with the true error
-    measured against `reference_best_proximity`, checked before the cell
-    runs (as a float).
+    The rule holds eps, checked first, and the cap WORKING_PRECISION_CAP;
+    xi is `reference_best_proximity`, checked after the start.  The digits
+    are sized from the excess h the stop compares P - d with
+    (`_working_dps`), formed at 53 bits at least.  On mpf numbers, which
+    neither overflow nor underflow, h is formed unless C d is below the
+    float64 normal range, where the stop would evaluate the certificate at
+    every even step, at thousands of digits: InputError naming p.  On this
+    map |x_n| - 1 = lam^n (x0 - 1), so the even-step excess P - d is at
+    least lam^(m-1) (1 + lam) (x0 - 1) at step m and the stop needs it
+    below h: a cell whose fewest such step lies beyond the cap raises
+    BudgetExhaustedError.
     """
-    check_target(eps)
+    rule = StopRule(StopKind.APOSTERIORI, eps, WORKING_PRECISION_CAP)
     spec = make_example1(Example1Params(lam, p))
     check_start(spec, x0)
     xi = reference_best_proximity(spec)
@@ -382,14 +381,25 @@ def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: fl
                 f"a posteriori criterion needs at least {fewest} steps, "
                 f"cap is {WORKING_PRECISION_CAP}"
             )
-    with mp.workdps(_working_dps(spec.d, h)):
+    return rule, xi, _working_dps(spec.d, h)
+
+
+def aposteriori_stop_working_precision(lam: float, p: float, x0: Vector, eps: float):
+    """Run the a posteriori stop rule for the built-in map at working precision.
+
+    Displacement excesses decay like k^m, so certifying small eps at large q
+    requires resolving excesses far below float64; the cell is planned
+    first (`_plan_cell`, which raises every refusal), then the ordinary
+    solver runs on mpmath numbers at the planned digits, capped at
+    WORKING_PRECISION_CAP steps.  Returns (stopped_at, true_error) with
+    the true error measured against `reference_best_proximity` (as a float).
+    """
+    rule, xi, dps = _plan_cell(lam, p, x0, eps)
+    with mp.workdps(dps):
         # lam, p and the start must all be working-precision numbers;
         # a float64 exponent alone floors displacement excesses near 1e-17.
         spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
         start = tuple(mp.mpf(c) for c in x0)
-        rule = StopRule(
-            kind=StopKind.APOSTERIORI, epsilon=eps, max_steps=WORKING_PRECISION_CAP
-        )
         approx, stopped_at, _ = run_with_stop(spec, start, rule, store_iterates=False)
         err = dist(spec.space, approx, xi)
     return stopped_at, float(err)
@@ -405,7 +415,10 @@ def reproduce_table(
     """Fill the (eps, p) grid of even stopping steps for the two-cone map.
 
     APOSTERIORI cells run the live stopping rule (at working precision
-    sized per cell); APRIORI cells run the a priori step search
+    sized per cell), and every cell is planned (`_plan_cell`) before the
+    first one runs, so that a refusal of any cell comes before any step;
+    the first cell plans itself as it runs, so a one-cell table is planned
+    once.  APRIORI cells run the a priori step search
     (`apriori_steps_needed`) from D = ||x0 - Tx0||_p.  When the scenario
     matches the embedded benchmark grids (`benchmark_scenario`), the
     published counts are attached, and the result's deltas are reported as
@@ -413,6 +426,10 @@ def reproduce_table(
     """
     eps_list, p_list = tuple(eps_list), tuple(p_list)
     on_benchmark = benchmark_scenario(kind, lam, x0, eps_list, p_list)
+    if kind is StopKind.APOSTERIORI:
+        # every refusal before the first cell runs; the first plans itself
+        for p, eps in itertools.islice(itertools.product(p_list, eps_list), 1, None):
+            _plan_cell(lam, p, x0, eps)
     counts = [[0] * len(p_list) for _ in eps_list]
     for j, p in enumerate(p_list):
         if kind is StopKind.APRIORI:

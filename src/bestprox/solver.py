@@ -18,20 +18,20 @@ Both are one expression, built by `certificate_evaluator`.  The a
 posteriori form is a direct stopping criterion: halt at the first even
 step whose bound falls below the target eps.  The bound is at least
 d a ((P - d)/(C d))^(1/q), with a = k^(1/q) / (1 - k^(2/q)), so it can
-fall below eps only where P - d < h = C d (eps / (a d))^q; `run_with_stop`
-forms h once per run and screens out each even step whose P - d lies
-clearly above it (`powered_stop_test` gives the full account).  Such a
-step pays one subtraction and one comparison besides its one norm, P;
+fall below eps only where P - d < h = C d (eps / (a d))^q.  Before its
+first step, `run_with_stop` forms h and screens out each even step whose
+P - d lies clearly above it (its docstring gives the full account).  Such
+a step pays one subtraction and one comparison besides its one norm, P;
 the certificate decides every stop, and is evaluated as a rule only
 there.
 The bound can fire only while the computed excess P - d keeps shrinking:
 once the even-step displacement has held still for STALL_HALF_LIVES
 half-lives of the excess decay, the run is at the resolution floor of
 its arithmetic and raises ResolutionFloorError rather than stepping on
-to the cap.  The a priori form predicts the required step count before
-iterating.  A run records only its orbit, D and the even-step
-displacements P; the per-even-step budgets of a trace are derived from
-those when read (`IterationTrace.budgets`, `error_budget_at`).
+to the cap.  The a priori form predicts the required step count from
+x0 before the first step.  A run records only its orbit, D and the
+even-step displacements P; the per-even-step budgets of a trace are
+derived from those when read (`IterationTrace.budgets`, `error_budget_at`).
 
 Bound evaluators and the iteration engine use only `**`, `abs` and
 comparisons, so they run unchanged on higher-precision number types
@@ -64,8 +64,8 @@ GAP_CLAMP = 1e-12
 STALL_HALF_LIVES = 10
 
 #: Relative margin, per unit of q, above the closed-form excess h beyond
-#: which `powered_stop_test` screens a step out without the certificate;
-#: its docstring says why the margin suffices.
+#: which the screen of `run_with_stop` rules a step out without the
+#: certificate; its docstring says why the margin suffices.
 STOP_MARGIN = 2.0 ** -20
 
 #: Smallest normal float64; a C d below it has lost relative precision to
@@ -117,7 +117,7 @@ class IterationTrace:
     step's displacement.  `iterates[0]` is always x0; when `store_iterates`
     is False it is the only point kept (long runs).
     `confirmations` counts the even steps of an a posteriori stop at which
-    the certificate was evaluated: those the screen of `powered_stop_test`
+    the certificate was evaluated: those the screen of `run_with_stop`
     does not rule out.  A certified stop confirms once, at its stop.
     The declared (k, d) and power-type constants are carried so that
     `budgets` can be derived from the displacements when read; on mpmath
@@ -198,7 +198,7 @@ def stop_excess(d, k, consts: PowerTypeConstants, eps):
     the arithmetic of its arguments, or None where that arithmetic cannot
     resolve it.  The a posteriori bound is at least d a ((P - d)/(C d))^(1/q),
     which equals eps at P - d = h, so it is below eps only where P - d < h.
-    The screen of `powered_stop_test`, and the digit sizing and the cap
+    The screen of `run_with_stop`, and the digit sizing and the cap
     refusal of a working-precision run, all read h from here.
 
     None when C d is not a normal float64 number, the arithmetic resolves
@@ -217,43 +217,6 @@ def stop_excess(d, k, consts: PowerTypeConstants, eps):
     # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
     tol = q * STOP_MARGIN / 8
     return h if all(x * (1 + tol) > x for x in (h, h / Cd)) else None
-
-
-def powered_stop_test(d, k, consts: PowerTypeConstants, eps):
-    """A screen for the a posteriori stop test bound(P) < eps: a one-argument
-    function of P that is False where the excess P - d shows the bound to
-    be at least eps, and True where the certificate must decide.
-
-    The screen returns False only above h (1 + q STOP_MARGIN), for the
-    excess h of `stop_excess`.  There, since the bound is at least
-    d a ((P - d)/(C d))^(1/q), it exceeds eps (1 + q STOP_MARGIN)^(1/q),
-    so eps by about STOP_MARGIN relative.  That is wider than the rounding
-    of the certificate, a few units plus the rounding of the exponent 1/q
-    times |log(gap / (C d))|, under 1e-13 relative in float64, and than
-    that of h and its power factor, each resolved to within an eighth of
-    the margin.  So a screened-out step is one whose certificate would not
-    fire (an infinite P among them), and every stop fires on the
-    certificate.  The bound equals eps at an excess g with h = g (1 + g/d)^q,
-    so h is close to g where it is small against d, and a run evaluates
-    the certificate, as a rule, once, at its stop.
-
-    The screen is True for every P where `stop_excess` forms no h.  Built,
-    like `certificate_evaluator`, at the precision it is evaluated at.
-    """
-    h = stop_excess(d, k, consts, eps)
-    if h is None:
-        return lambda P: True
-    hi = h * (1 + consts.q * STOP_MARGIN)
-    # d in the run's arithmetic, so that an even step converts no number;
-    # only where the conversion is exact
-    num = type(h)
-    if num(d) == d:
-        d = num(d)
-
-    def may_fire(P):
-        return not (P - d > hi)
-
-    return may_fire
 
 
 def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
@@ -298,18 +261,6 @@ def apriori_steps_needed(D, d, k, consts: PowerTypeConstants, eps) -> int:
         mid = (lo + n) // 2
         lo, n = (lo, mid) if apriori_bound(D, d, k, consts, mid) < eps else (mid, n)
     return 2 * n
-
-
-def stall_span(k):
-    """Even steps of unchanged displacement after which the a posteriori
-    stop gives up: STALL_HALF_LIVES half-lives of the decay k^2 per even
-    step, for the declared k taken as a float (inf if that rounds to 1,
-    1 if it rounds to 0)."""
-    k = float(k)
-    if k == 0:
-        return 1
-    rate = -2.0 * math.log(k)
-    return math.ceil(STALL_HALF_LIVES * math.log(2.0) / rate) if rate > 0 else math.inf
 
 
 def _start_trace(spec: CyclicMapSpec, x0: Vector, store_iterates: bool) -> IterationTrace:
@@ -357,51 +308,75 @@ def run_with_stop(
 ):
     """Iterate until the rule fires; returns (approx, stopped_at, trace).
 
+    Everything the run decides is formed once, before its first step, and
+    every refusal is raised there.  Hitting the cap before a criterion
+    fires raises BudgetExhaustedError carrying the partial trace.  With
+    `store_iterates` False the trace keeps only x0; approx is the final
+    point either way.
+
+    APRIORI predicts the step count from D = ||x0 - Tx0|| and runs exactly
+    that many steps; a prediction above the cap raises BudgetExhaustedError
+    before any step, carrying the trace of 0 steps.
+
     APOSTERIORI stops at the first even step 2n whose a posteriori bound
-    is strictly below eps.  When instead the displacement of
-    `stall_span(k)` consecutive even steps equals that of the even step
-    before each, it raises ResolutionFloorError carrying the trace and the
-    stalled bound as `floor`.  The certificate decides every stop; the
-    screen of `powered_stop_test` only spares it the steps whose excess
-    P - d lies clearly above h, and the trace counts the steps
-    it is evaluated at as `confirmations`.  APRIORI predicts the step count from
-    the initial displacement and runs exactly that many steps; a
-    prediction above the cap raises BudgetExhaustedError at once,
-    carrying the one-step trace the prediction was read from.  Hitting
-    the cap before a criterion fires raises BudgetExhaustedError carrying
-    the partial trace.  With `store_iterates` False the trace keeps only
-    x0; approx is the final point either way.
+    is strictly below eps.  The certificate decides every stop; a screen
+    rules out, without it, each step whose excess P - d lies above
+    hi = h (1 + q STOP_MARGIN), for the excess h of `stop_excess`, and the
+    trace counts the steps the certificate is evaluated at as
+    `confirmations`.  The screen is sound: since the bound is at least
+    d a ((P - d)/(C d))^(1/q), above hi it exceeds
+    eps (1 + q STOP_MARGIN)^(1/q), so eps by about STOP_MARGIN relative.
+    That is wider than the rounding of the certificate, a few units plus
+    the rounding of the exponent 1/q times |log(gap / (C d))|, under 1e-13
+    relative in float64, and than that of h and its power factor, each
+    resolved to within an eighth of the margin.  So a screened-out step is
+    one whose certificate would not fire (an infinite P among them), and
+    every stop fires on the certificate.  The bound equals eps at an excess
+    g with h = g (1 + g/d)^q, so h is close to g where it is small against
+    d, and a run evaluates the certificate, as a rule, once, at its stop.
+    Where `stop_excess` forms no h, the certificate decides every step.
+
+    When the displacement of each of a span of consecutive even steps
+    equals that of the even step before it, the run raises
+    ResolutionFloorError carrying the trace and the stalled bound as
+    `floor`.  The span is STALL_HALF_LIVES half-lives of the decay k^2 per
+    even step, for the declared k taken as a float: inf if that rounds to
+    1, and 1 if it rounds to 0.
     """
     trace = _start_trace(spec, x0, store_iterates)
     current = trace.iterates[0]
+    d, k, consts, eps = spec.d, spec.k, trace.constants, rule.epsilon
 
     if rule.kind is StopKind.APRIORI:
-        current = _advance(spec, trace, current)  # need D = ||x0 - Tx0||
-        target = apriori_steps_needed(
-            trace.displacements[0], spec.d, spec.k, trace.constants, rule.epsilon
-        )
+        D = dist(spec.space, current, apply_map(spec, current))
+        target = apriori_steps_needed(D, d, k, consts, eps)
         if target > rule.max_steps:
             raise BudgetExhaustedError(
                 f"a priori criterion needs {target} steps, cap is {rule.max_steps}",
                 trace=trace,
             )
-        for _ in range(target - 1):
+        for _ in range(target):
             current = _advance(spec, trace, current)
         return current, target, trace
 
-    # APOSTERIORI: aposteriori_bound and its screen, with their run
-    # constants and the excess h formed once, at the working
-    # precision of this run.
-    eps = rule.epsilon
-    bound = certificate_evaluator(spec.d, spec.k, trace.constants, 1)
-    may_fire = powered_stop_test(spec.d, spec.k, trace.constants, eps)
-    span = stall_span(spec.k)
+    # APOSTERIORI: the certificate, its screen and the stall span, formed
+    # at the working precision of this run
+    bound = certificate_evaluator(d, k, consts, 1)
+    h = stop_excess(d, k, consts, eps)
+    hi = math.inf if h is None else h * (1 + consts.q * STOP_MARGIN)
+    # d in the screen's arithmetic, so that an even step converts no
+    # number; only where the conversion is exact
+    if type(hi)(d) == d:
+        d = type(hi)(d)
+    # a k below the float64 normal range, 0 included, gives a span of 1
+    rate = -2.0 * math.log(max(float(k), _FLOAT_MIN))
+    span = math.ceil(STALL_HALF_LIVES * math.log(2.0) / rate) if rate > 0 else math.inf
     held, previous = 0, None
     while trace.steps < rule.max_steps:  # max_steps is even: step in pairs
         current = _advance(spec, trace, current)
         current = _advance(spec, trace, current)
         P = trace.displacements[-1]
-        if may_fire(P):
+        if not P - d > hi:
             trace.confirmations += 1
             if bound(P) < eps:
                 return current, trace.steps, trace

@@ -428,6 +428,17 @@ def test_a_posteriori_table_beyond_the_cap_is_refused_before_it_runs(capsys, mon
     assert "needs at least 7283664 steps, cap is 1000000" in err
 
 
+def test_a_table_refuses_a_later_cell_before_the_first_runs(capsys, monkeypatch):
+    # the p = 2 cell would run; the p = 20 cell is refused before it does
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran before the refusal")
+
+    monkeypatch.setattr(oracle, "run_with_stop", no_run)
+    code, out, err = run_cli(capsys, "table", "--lambda", "0.9999", "--p", "2,20", "--eps", "1e-10")
+    assert code == 1 and out == ""
+    assert "needs at least 7283664 steps" in err
+
+
 class TestVerify:
     def test_cyclic_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "cyclic", "--seed", "42")

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -36,8 +37,6 @@ from bestprox.oracle import (
 )
 from bestprox.solver import (
     certificate_evaluator,
-    powered_stop_test,
-    stall_span,
     stop_excess,
 )
 
@@ -428,7 +427,19 @@ class TestRunWithStop:
                 benchmark_map(), (1000.0, 8.0),
                 StopRule(StopKind.APRIORI, 1e-10, max_steps=20),
             )
-        assert excinfo.value.trace.steps == 1
+        assert excinfo.value.trace.steps == 0
+
+    def test_apriori_refusal_takes_no_step(self, monkeypatch):
+        # the prediction reads D from the map, not from a step
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the refusal")
+
+        monkeypatch.setattr(solver, "_advance", no_step)
+        with pytest.raises(BudgetExhaustedError, match="needs 104 steps, cap is 20"):
+            run_with_stop(
+                benchmark_map(), (1000.0, 8.0),
+                StopRule(StopKind.APRIORI, 1e-10, max_steps=20),
+            )
 
     def test_zero_set_distance_rejected_before_stepping(self):
         spec = dataclasses.replace(benchmark_map(), d=0.0)
@@ -505,8 +516,8 @@ class TestRunWithStop:
 class TestResolutionFloor:
     def test_stalled_run_raises_at_the_floor(self):
         # at lam = 0.9 the float64 displacement pins a few ulps above d;
-        # the run gives up after stall_span(0.9) = 33 still even steps
-        # instead of running on to its cap
+        # the run gives up after the span of 33 still even steps at
+        # k = 0.9 instead of running on to its cap
         spec = benchmark_map(lam=0.9, p=2)
         rule = StopRule(StopKind.APOSTERIORI, 1e-10, max_steps=1_000_000)
         with pytest.raises(ResolutionFloorError) as excinfo:
@@ -519,9 +530,9 @@ class TestResolutionFloor:
         P = dist(spec.space, trace.iterates[-2], trace.iterates[-1])
         assert exc.floor == aposteriori_bound(P, spec.d, spec.k, trace.constants)
         assert exc.floor >= 1e-10
-        held = trace.displacements[-1 - stall_span(spec.k) :]
-        assert len(set(held)) == 1
-        # the powered test decided every even step on its own
+        held = trace.displacements[-1 - 33 :]
+        assert len(set(held)) == 1 and "(33 even steps)" in str(exc)
+        # the screen decided every even step on its own
         assert trace.confirmations == 0
 
     def test_stalled_run_at_working_precision_raises_too(self):
@@ -537,7 +548,7 @@ class TestResolutionFloor:
     def test_stall_that_breaks_still_certifies(self):
         # the longest stall that later broke in a sweep over lam 0.6-0.999,
         # p 1.01-20 and ten starts: 108 even steps, 1.57 half-lives of the
-        # 692 that stall_span allows at lam = 0.995
+        # 692 that the span allows at lam = 0.995
         spec = benchmark_map(lam=0.995, p=1.01)
         x0 = (536.3461223023825, -268.622166174829)
         trace = picard_iterate(spec, x0, steps=8400)
@@ -548,7 +559,7 @@ class TestResolutionFloor:
                 runs.append((i - 1 - start, start))
                 start = i
         held, start = max(runs)
-        assert held == 108 and held < stall_span(spec.k)
+        assert held == 108 and held < _stall_span(spec.k) == 692
         breaks_at = 2 * (start + held + 2)
         bound_held, bound_after = (
             aposteriori_bound(P, spec.d, spec.k, trace.constants)
@@ -563,13 +574,44 @@ class TestResolutionFloor:
         assert stopped_at == breaks_at
 
     def test_span_is_ten_half_lives_of_the_declared_k(self):
-        assert stall_span(0.9) == 33
-        assert stall_span(0.995) == 692
-        assert stall_span(mp.mpf(0.9)) == 33
+        assert _stall_span(0.9) == 33
+        assert _stall_span(0.995) == 692
+        assert _stall_span(mp.mpf(0.9)) == 33
         # a declared k that rounds to 1 in float64 never gives up, and one
         # that rounds to 0 gives up at the first repeat
-        assert stall_span(1 - mp.mpf(10) ** -30) == math.inf
-        assert stall_span(mp.mpf(10) ** -400) == stall_span(1e-300) == 1
+        assert _stall_span(1 - mp.mpf(10) ** -30) == math.inf
+        assert _stall_span(mp.mpf(10) ** -400) == _stall_span(1e-300) == 1
+
+    @pytest.mark.parametrize("k", [1e-300, mp.mpf(10) ** -400], ids=["1e-300", "1e-400"])
+    def test_a_run_whose_k_is_tiny_gives_up_at_the_first_repeat(self, k):
+        # the float64 orbit at lam = 0.9 holds its displacement from step
+        # 390; eps lies below every bound, so only the span of 1 ends the run
+        spec = dataclasses.replace(benchmark_map(lam=0.9, p=2), k=k)
+        rule = StopRule(StopKind.APOSTERIORI, 1e-300, max_steps=1000)
+        with pytest.raises(ResolutionFloorError, match=r"\(1 even steps\)$") as excinfo:
+            run_with_stop(spec, (1000.0, 8.0), rule, store_iterates=False)
+        assert excinfo.value.trace.steps == 392
+
+    def test_a_run_whose_k_rounds_to_1_never_gives_up(self):
+        spec = benchmark_map(lam=0.9, p=2)
+        with mp.workdps(40):
+            spec = dataclasses.replace(spec, k=1 - mp.mpf(10) ** -30)
+            rule = StopRule(StopKind.APOSTERIORI, 1e-2, max_steps=600)
+            with pytest.raises(BudgetExhaustedError, match="within 600 steps") as excinfo:
+                run_with_stop(spec, (1000.0, 8.0), rule, store_iterates=False)
+        assert excinfo.value.trace.steps == 600
+
+
+def _stall_span(k):
+    """The even steps of unchanged displacement after which an a
+    posteriori run gives up, as `run_with_stop` documents them:
+    STALL_HALF_LIVES half-lives of the decay k^2 per even step, for k taken
+    as a float, inf if that rounds to 1 and 1 if it rounds to 0."""
+    k = float(k)
+    if k == 0:
+        return 1
+    rate = -2.0 * math.log(k)
+    return math.ceil(solver.STALL_HALF_LIVES * math.log(2.0) / rate) if rate > 0 else math.inf
 
 
 def _inline_certificate(X, d, k, consts, m):
@@ -635,7 +677,7 @@ class TestCertificateEvaluator:
         assert certificate_evaluator(mp.mpf(2), mp.mpf(0.5), consts, 1)(mp.mpf(2)) == 0
 
 
-#: (p, q) of the powered stop tests: q = 2 below p = 2, q = p above, and
+#: (p, q) of the screen tests: q = 2 below p = 2, q = p above, and
 #: one non-integral q.
 POWER_CASES = [(1.5, 2), (2, 2), (3, 3), (5, 5), (20, 20), (2.5, 2.5)]
 
@@ -680,6 +722,18 @@ def _stop_case(p, k, num):
     return num(2), num(k), consts
 
 
+def _screen(d, k, consts, eps):
+    """The screen of `run_with_stop` as a function of P, built from
+    `stop_excess` and STOP_MARGIN as the run builds it: False where the
+    run rules P out without the certificate, True where the certificate
+    decides, as at every P where no h is formed."""
+    h = stop_excess(d, k, consts, eps)
+    if h is None:
+        return lambda P: True
+    hi = h * (1 + consts.q * solver.STOP_MARGIN)
+    return lambda P: not P - d > hi
+
+
 def _decided_right(may_fire, bound, P, eps):
     """The screen at P is sound: it rules P out only where the certificate
     would not fire."""
@@ -721,11 +775,11 @@ class TestStopExcess:
         factor, tol = h / (consts.C * d), consts.q * solver.STOP_MARGIN / 8
         assert h * (1 + tol) > h and factor * (1 + tol) == factor
         assert stop_excess(d, k, consts, eps) is None
-        may_fire = powered_stop_test(d, k, consts, eps)
+        may_fire = _screen(d, k, consts, eps)
         assert all(may_fire(P) is True for P in (math.nextafter(d, math.inf), 2 * d))
 
 
-class TestPoweredStopTest:
+class TestStopScreen:
     @pytest.mark.parametrize("p, q", POWER_CASES)
     @pytest.mark.parametrize("dps", [None, 60, 300])
     @pytest.mark.parametrize("k", [0.5, 0.9])
@@ -738,7 +792,7 @@ class TestPoweredStopTest:
             # one ulp of P moves both forms by about their rounding
             for eps in (1e3, 1e-2, 1e-6, 1e-10):
                 bound = certificate_evaluator(d, k, consts, 1)
-                may_fire = powered_stop_test(d, k, consts, eps)
+                may_fire = _screen(d, k, consts, eps)
                 edge = _stop_threshold(bound, d, k, consts, eps)
                 assert bound(edge) < eps <= bound(edge + _ulp(edge))
                 near = [edge + j * _ulp(edge) for j in range(-8, 9)] + [d]
@@ -768,7 +822,7 @@ class TestPoweredStopTest:
         d, k, consts = _stop_case(case[0], 10.0 ** log_k, float)
         eps, P = 10.0 ** log_eps, d + 10.0 ** log_gap
         bound = certificate_evaluator(d, k, consts, 1)
-        assert _decided_right(powered_stop_test(d, k, consts, eps), bound, P, eps)
+        assert _decided_right(_screen(d, k, consts, eps), bound, P, eps)
 
     @given(
         st.sampled_from(POWER_CASES),
@@ -782,24 +836,24 @@ class TestPoweredStopTest:
             d, k, consts = _stop_case(case[0], mp.mpf(10) ** log_k, mp.mpf)
             eps, P = 10.0 ** log_eps, d + mp.mpf(10) ** log_gap
             bound = certificate_evaluator(d, k, consts, 1)
-            assert _decided_right(powered_stop_test(d, k, consts, eps), bound, P, eps)
+            assert _decided_right(_screen(d, k, consts, eps), bound, P, eps)
 
     def test_float64_overflow_and_underflow_go_to_the_certificate(self):
         d, k, consts = _stop_case(20, 0.5, float)
         bound = certificate_evaluator(d, k, consts, 1)
         # at a target far below every bound, the power factor
         # (eps / (a d))^20 underflows to 0, so h is not formed
-        may_fire = powered_stop_test(d, k, consts, 1e-300)
+        may_fire = _screen(d, k, consts, 1e-300)
         P = math.nextafter(d, math.inf)
         assert may_fire(P) is True and bound(P) >= 1e-300
         # at a target far above every bound, the power factor overflows
         # float64, so h is not formed
-        may_fire = powered_stop_test(d, k, consts, 1e300)
+        may_fire = _screen(d, k, consts, 1e300)
         assert may_fire(P) is (bound(P) < 1e300) is True
         # with k = 1e-300 the factor a is tiny and h is about 6e294
         d, k, consts = _stop_case(2, 1e-300, float)
         bound = certificate_evaluator(d, k, consts, 1)
-        may_fire = powered_stop_test(d, k, consts, 1e-2)
+        may_fire = _screen(d, k, consts, 1e-2)
         assert may_fire(P) is (bound(P) < 1e-2) is True
         # an infinite P is screened out; a P below d goes to the
         # certificate, which checks it
@@ -813,7 +867,7 @@ class TestPoweredStopTest:
         # certificate, which cannot fire, decides it
         d, k, consts = _stop_case(1.5, 1e-299, float)
         eps, P = 1e160, d + 1e206
-        may_fire = powered_stop_test(d, k, consts, eps)
+        may_fire = _screen(d, k, consts, eps)
         assert may_fire(P) is True
         assert certificate_evaluator(d, k, consts, 1)(P) == math.inf
         with mp.workdps(30):
@@ -828,7 +882,7 @@ class TestPoweredStopTest:
         # overflows it decides
         d, k, q, eps = 2.0, 1e-300, 2, 1e170
         consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
-        may_fire = powered_stop_test(d, k, consts, eps)
+        may_fire = _screen(d, k, consts, eps)
         assert may_fire(1e300) is True
         assert certificate_evaluator(d, k, consts, 1)(1e300) >= eps
         assert all(may_fire(P) is True for P in (d * 1.5, d * 10, 1.0))
@@ -838,14 +892,14 @@ class TestPoweredStopTest:
         d, k, q, eps = 1e-300, 0.5, 30, 1e-2
         consts = PowerTypeConstants(C=1 / (q * 2.0 ** q), q=q)
         assert consts.C * d < sys.float_info.min
-        may_fire = powered_stop_test(d, k, consts, eps)
+        may_fire = _screen(d, k, consts, eps)
         assert all(may_fire(P) is True for P in (d * 1.5, d * 10, 1.0, 1e300))
         with mp.workprec(30):
             d, k, consts = _stop_case(2, 0.5, mp.mpf)
-            assert powered_stop_test(d, k, consts, 1e-2)(mp.mpf(1000)) is True
+            assert _screen(d, k, consts, 1e-2)(mp.mpf(1000)) is True
         with mp.workprec(53):
             d, k, consts = _stop_case(2, 0.5, mp.mpf)
-            assert powered_stop_test(d, k, consts, 1e-2)(mp.mpf(1000)) is False
+            assert _screen(d, k, consts, 1e-2)(mp.mpf(1000)) is False
 
     @pytest.mark.parametrize("p", [1.5, 2.5, 3, 20])
     @pytest.mark.parametrize("dps", [None, 60])
@@ -873,7 +927,7 @@ class TestPoweredStopTest:
         with mp.workdps(400):
             d, k, consts = _stop_case(20, 0.5, mp.mpf)
             bound = certificate_evaluator(d, k, consts, 1)
-            may_fire = powered_stop_test(d, k, consts, 1e-16)
+            may_fire = _screen(d, k, consts, 1e-16)
             edge = _stop_threshold(bound, d, k, consts, 1e-16)
             assert 0 < edge - d < mp.mpf(10) ** -350
             for P in [edge + j * _ulp(edge) for j in range(-8, 9)]:
@@ -888,9 +942,9 @@ class TestPoweredStopTest:
         d, k, consts = _stop_case(20, 0.5, float)
         bound = certificate_evaluator(d, k, consts, 1)
         P = math.nextafter(d, math.inf)
-        fine = powered_stop_test(d, k, consts, 1.6e-14)
+        fine = _screen(d, k, consts, 1.6e-14)
         assert fine(P) is False and bound(P) >= 1.6e-14
-        coarse = powered_stop_test(d, k, consts, 6.4e-15)
+        coarse = _screen(d, k, consts, 6.4e-15)
         assert all(coarse(X) is True for X in (P, d + 1e-3, 3.0))
 
     def test_threshold_resolved_within_the_margin_but_not_its_eighth(self):
@@ -906,7 +960,7 @@ class TestPoweredStopTest:
         assert 4e-318 < h < 6e-318
         assert h * (1 + width) > h and h * (1 + width / 8) == h
         assert stop_excess(d, k, consts, eps) is None
-        may_fire = powered_stop_test(d, k, consts, eps)
+        may_fire = _screen(d, k, consts, eps)
         for P in (math.nextafter(d, math.inf), d + 1e-3, 3.0):
             assert may_fire(P) is True
 
@@ -915,7 +969,7 @@ class TestPoweredStopTest:
         # a NaN P, d and a P below d go to the certificate; an infinite P,
         # whose certificate is inf, is screened out
         d, k, consts = _stop_case(2, 0.5, num)
-        may_fire = powered_stop_test(d, k, consts, 1e-2)
+        may_fire = _screen(d, k, consts, 1e-2)
         assert may_fire(d + num(1000)) is False and may_fire(d + num(1e-9)) is True
         for P in (num("nan"), d, d - num(1e-13)):
             assert may_fire(P) is True
@@ -932,6 +986,23 @@ class TestPoweredStopTest:
                 spec, start, StopRule(StopKind.APOSTERIORI, 1e-6), store_iterates=False
             )
         assert trace.confirmations == 1 < stopped_at // 2
+
+    @pytest.mark.parametrize("p", [2.0, 20.0, 2.5])
+    @pytest.mark.parametrize("dps", [None, 80])
+    def test_a_run_stops_at_a_step_just_inside_the_threshold(self, dps, p):
+        # eps 1e-9 relative above the certificate at step 38, where P - d
+        # is about 5e-9 d: that excess lies below h by less than the
+        # screen's margin, and the run still asks the certificate there
+        with mp.workdps(dps or mp.mp.dps):
+            num = float if dps is None else mp.mpf
+            spec = make_example1(Example1Params(lam=num(0.5), p=num(p)))
+            start = (num(1000), num(8))
+            P = picard_iterate(spec, start, steps=38).displacements[19]
+            assert 0 < P - spec.d < 1e-8 * spec.d
+            eps = float(aposteriori_bound(P, spec.d, spec.k, power_type_constants(spec.space.p)))
+            eps *= 1 + 1e-9
+            _, stopped_at, trace = run_with_stop(spec, start, StopRule(StopKind.APOSTERIORI, eps))
+        assert (stopped_at, trace.confirmations) == (38, 1)
 
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.9])
     def test_every_float64_stop_confirms_once(self, lam):
@@ -967,6 +1038,44 @@ class TestPoweredStopTest:
         assert _cell_dps(0.5, 2.0, 5e-324) == 669
         stopped_at, trace = _working_precision_run(0.5, 2.0, 5e-324)
         assert (stopped_at, trace.confirmations) == (2166, 1)
+
+
+#: Stopping steps and confirmation counts of a posteriori runs from
+#: (1000, 8), one run a line: at the digits the oracle sizes for a cell,
+#: and in float64 at FLOAT64_CAP, where a give-up is its error class and
+#: the step it raised at.
+STOPS_AND_CONFIRMATIONS = Path(__file__).parent / "data" / "stops_and_confirmations.csv"
+
+
+def _stop_outcome(run):
+    """(outcome, step, confirmations) of a run: "stopped", or the class of
+    the error it gave up with."""
+    try:
+        _, stopped_at, trace = run()
+        return "stopped", stopped_at, trace.confirmations
+    except BudgetExhaustedError as exc:
+        return type(exc).__name__, exc.trace.steps, exc.trace.confirmations
+
+
+def test_stops_and_confirmations_match_golden():
+    rows = []
+    for p in (1.1, 3.0, 20.0):
+        for eps in (1e-2, 1e-6):
+            outcome = _stop_outcome(lambda: (None, *_working_precision_run(0.5, p, eps)))
+            rows.append(("working", 0.5, p, eps, *outcome))
+    for lam in (0.3, 0.5, 0.9):
+        for p in (1.1, 2.0, 20.0):
+            spec = benchmark_map(lam=lam, p=p)
+            for eps in (1e-2, 1e-10):
+                rule = StopRule(StopKind.APOSTERIORI, eps, max_steps=FLOAT64_CAP)
+                outcome = _stop_outcome(
+                    lambda: run_with_stop(spec, (1000.0, 8.0), rule, store_iterates=False)
+                )
+                rows.append(("float64", lam, p, eps, *outcome))
+    lines = [",".join(map(str, (a, f"{lam:g}", f"{p:g}", f"{eps:.0e}", *rest)))
+             for a, lam, p, eps, *rest in rows]
+    expected = STOPS_AND_CONFIRMATIONS.read_text(encoding="ascii").splitlines()
+    assert ["arithmetic,lambda,p,eps,outcome,step,confirmations", *lines] == expected
 
 
 class TestTargetCheck:

@@ -1,10 +1,10 @@
-"""Mutation probe of the certificate path, the proof-chain audit, the cyclic
-validators and their declaration slacks, the norm constants, the
-two-coordinate norm kernel and its skip of a negligible term, the map's
-signed term, the convexity check, the pattern search and the
-suites' residual and separation checks:
-apply hand-written mutants, one at a time, to a copy of the package and
-report which the tests kill.
+"""Mutation probe of the certificate path, the run's screen and stall span,
+the a priori run, the table's refusals before its first cell, the
+proof-chain audit, the cyclic validators and their declaration slacks, the
+norm constants, the two-coordinate norm kernel and its skip of a negligible
+term, the map's signed term, the convexity check, the pattern search and
+the suites' residual and separation checks: apply hand-written mutants,
+one at a time, to a copy of the package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another.  The copy lives in a temporary directory; the checkout is never
@@ -52,11 +52,17 @@ MUTANTS = [
     Mutant("STOP_MARGIN 2^-20 -> 2^-8", SOLVER,
            "STOP_MARGIN = 2.0 ** -20", "STOP_MARGIN = 2.0 ** -8"),
     Mutant("screen hi = h (1 - width)", SOLVER,
-           "hi = h * (1 + consts.q * STOP_MARGIN)", "hi = h * (1 - consts.q * STOP_MARGIN)"),
+           "else h * (1 + consts.q * STOP_MARGIN)", "else h * (1 - consts.q * STOP_MARGIN)"),
     Mutant("STALL_HALF_LIVES 10 -> 3", SOLVER,
            "STALL_HALF_LIVES = 10", "STALL_HALF_LIVES = 3"),
+    Mutant("span taken with floor, not ceil", SOLVER,
+           "span = math.ceil(", "span = math.floor("),
+    Mutant("a priori loop one step short", SOLVER,
+           "for _ in range(target):", "for _ in range(target - 1):"),
     Mutant("cap refusal's fewest step + 2", ORACLE,
            "/ mp.log(lam)) / 2))\n", "/ mp.log(lam)) / 2)) + 2\n"),
+    Mutant("table pre-pass skipped", ORACLE,
+           "            _plan_cell(lam, p, x0, eps)\n", "            pass\n"),
     Mutant("digit cushion 20 -> 8", ORACLE,
            "int(mp.ceil(mp.log10(d / h))) + 20)", "int(mp.ceil(mp.log10(d / h))) + 8)"),
     Mutant("certificate x 0.999", SOLVER,
