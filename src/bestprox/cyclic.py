@@ -115,8 +115,9 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
 
     Works verbatim with higher-precision `lam` and point coordinates
     (all closures use only `*`, `+`, `-` and comparisons).  The map's
-    constants 1 - lam, its signed multiples and -lam are formed here,
-    once, at the working precision in force now, and so is the space's
+    constants 1 - lam, the negated signed multiples -((1 - lam) sign(x)),
+    its zero and -lam are formed here, once, at the working precision in
+    force now, and so is the space's
     threshold (`norms.LpSpace`), so build the spec at the precision it is
     applied at (as for `solver.certificate_evaluator`).  d = 2 for every
     p; `oracle.rederive_distance` re-derives it numerically, a cross-check
@@ -126,14 +127,21 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
     """
     lam = params.lam
     rest, flip = 1 - lam, -lam
-    # rest * sign(x) for each sign, formed once: the same bits as the
-    # product, without an mpf x int product on every step
-    pos, neg, zero = rest * 1, rest * -1, rest * 0
+    # The negated terms -(rest * sign(x)), formed once, and x compared with
+    # the map's own zero: a step converts no int.  Round to nearest is
+    # symmetric in float64 and in mpmath, so term + flip * x has the bits of
+    # -(rest * sign(x) + lam * x); not at a zero x, where that sum would take
+    # the sign of x, and the image is -0.0 from either zero.
+    zero = rest * 0
+    pos, neg, nzero = -(rest * 1), -(rest * -1), -zero
 
     def apply(v: Vector) -> Vector:
         x, y = v
-        term = pos if x > 0 else neg if x < 0 else zero
-        return (-(term + lam * x), flip * y)
+        if x > zero:
+            return (pos + flip * x, flip * y)
+        if x:  # x < 0, or NaN
+            return (neg + flip * x, flip * y)
+        return (nzero, flip * y)
 
     return CyclicMapSpec(
         space=LpSpace(dim=2, p=params.p),
@@ -150,7 +158,7 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
 
 def apply_map(spec: CyclicMapSpec, x: Vector) -> Vector:
     """Apply T once, after checking the dimension."""
-    if len(x) != spec.space.dim:
+    if len(x) != 2:  # the only dim LpSpace admits
         raise InputError(
             f"point has {len(x)} coordinates, space has dim {spec.space.dim}"
         )

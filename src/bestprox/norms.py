@@ -107,20 +107,19 @@ class PowerTypeConstants:
 def lp_norm(space: LpSpace, v: Vector):
     """Return (sum |v_i|^p)^(1/p); zero exactly when v is the zero vector,
     inf when a coordinate is infinite, NaN when one is NaN."""
-    if len(v) != space.dim:
-        raise InputError(
-            f"vector has {len(v)} coordinates, space has dim {space.dim}"
-        )
+    try:  # the unpacking checks the length; only a refusal reads len
+        a, b = v
+    except ValueError:
+        raise InputError(f"vector has {len(v)} coordinates, space has dim {space.dim}") from None
     # Scaling by the larger coordinate prevents overflow/underflow of the
     # p-th powers.  A NaN in the first slot is the scale, as with max.
-    a, b = v
     a = abs(a)
     b = abs(b)
     if b > a:
         scale, small = b, a
     else:
         scale, small = a, b
-    if scale == 0:
+    if not scale:  # scale == 0, for floats and mpfs alike, NaN included
         total = 0 + a + b  # a NaN behind a zero is not a zero norm
         return 0.0 if total == 0 else total
     # The larger term is exactly 1, so an infinite coordinate gives inf,
@@ -137,11 +136,15 @@ def lp_norm(space: LpSpace, v: Vector):
 def dist(space: LpSpace, u: Vector, v: Vector):
     """Return ||u - v||_p; InputError, naming both lengths, when u and v
     differ in length (map would drop the extra coordinates)."""
-    if len(u) != len(v):
-        raise InputError(f"cannot take the distance of vectors of lengths {len(u)} and {len(v)}")
-    if len(u) != 2:
-        raise InputError(f"vector has {len(u)} coordinates, space has dim {space.dim}")
-    return lp_norm(space, (u[0] - v[0], u[1] - v[1]))
+    try:
+        (u0, u1), (v0, v1) = u, v
+    except ValueError:
+        if len(u) != len(v):
+            raise InputError(
+                f"cannot take the distance of vectors of lengths {len(u)} and {len(v)}"
+            ) from None
+        raise InputError(f"vector has {len(u)} coordinates, space has dim {space.dim}") from None
+    return lp_norm(space, (u0 - v0, u1 - v1))
 
 
 def power_type_constants(p: float) -> PowerTypeConstants:

@@ -372,10 +372,11 @@ def run_with_stop(
     rate = -2.0 * math.log(max(float(k), _FLOAT_MIN))
     span = math.ceil(STALL_HALF_LIVES * math.log(2.0) / rate) if rate > 0 else math.inf
     held, previous = 0, None
-    while trace.steps < rule.max_steps:  # max_steps is even: step in pairs
+    cap, displacements = rule.max_steps, trace.displacements
+    while trace.steps < cap:  # the cap is even: step in pairs
         current = _advance(spec, trace, current)
         current = _advance(spec, trace, current)
-        P = trace.displacements[-1]
+        P = displacements[-1]
         if not P - d > hi:
             trace.confirmations += 1
             if bound(P) < eps:

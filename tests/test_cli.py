@@ -1,8 +1,13 @@
+import contextlib
+import io
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bestprox import StopKind, cli, oracle, solver
 from bestprox.cli import build_parser, main
@@ -598,3 +603,71 @@ def test_readme_library_quick_start_runs():
     trace = namespace["trace"]
     assert namespace["approx"] == trace.iterates[-1]
     assert [b.step for b in trace.budgets] == list(range(2, 31, 2))
+
+
+#: Edge-heavy CLI inputs (ROADMAP item 13), each list led by the CLI's
+#: default, then lambda 5e-324, 1e-300 and 1 - 2^-53; p 1 + 2^-52, 1013 and
+#: 1014; eps from 5e-324 to 1e300; the apex, one ulp inside A and 1e308.
+LAMBDA_ULP, P_ULP = "0.9999999999999999", "1.0000000000000002"
+CONTRACT_DRAWS = {
+    "--lambda": ("0.5", "5e-324", "1e-300", LAMBDA_ULP),
+    "--p": ("2", P_ULP, "1013", "1014"),
+    "--eps": ("1e-6", "5e-324", "1e-300", "1e-10", "1e-2", "1", "1e300"),
+    "--x0": ("1000,8", "1,0", "1.0000000000000002,0", "1e308,0"),
+    "--criterion": ("aposteriori", "apriori"),
+}
+#: An input a refusal names: the value of lambda (as k), p (or q), eps or
+#: x0 (or D = ||x0 - Tx0||, through which the start enters the a priori
+#: bound).
+NAMES_AN_INPUT = re.compile(r"\b(lambda|k|p|q|eps|x0|D)=")
+
+
+def _known_defect(command, options):
+    """The draws of CONTRACT_DRAWS, every combination of which was run, that
+    meet a known defect, and are left out until it is mended:
+
+    * a posteriori table cells that run past 2 s: at p = 1013 below
+      eps = 1e-2, whose digits grow like p log10(1/eps); at p = 1 + 2^-52
+      and eps <= 1e-300 (1.5 to 2.6 s); and at lambda = 1 - 2^-53 and eps = 1e300
+      from 1e308, which run the working-precision cap;
+    * a posteriori solves at lambda = 1 - 2^-53 and p 2 or 1 + 2^-52 from
+      (1000, 8) or 1e308, which, but at eps = 1e300, run the float64 cap of
+      10^6 steps, about 0.5 s each (ROADMAP item 3; pinned below).
+    """
+    if options["--criterion"] != "aposteriori":
+        return False
+    lam, p, eps, x0 = (options[name] for name in ("--lambda", "--p", "--eps", "--x0"))
+    if command == "solve":
+        return lam == LAMBDA_ULP and p in ("2", P_ULP) and x0 in ("1000,8", "1e308,0")
+    return ((p == "1013" and float(eps) < 1e-2) or (p == P_ULP and float(eps) <= 1e-300)
+            or (lam == LAMBDA_ULP and eps == "1e300" and x0 == "1e308,0"))
+
+
+@given(st.sampled_from(("solve", "table")),
+       st.fixed_dictionaries({name: st.sampled_from(values)
+                              for name, values in CONTRACT_DRAWS.items()}))
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+def test_solve_and_table_keep_the_contract(command, options):
+    """Every call exits 0, 1 or 2 with no exception escaping, within 2 s;
+    an exit 2 prints nothing to stdout and names an input on stderr.  Exit 0
+    on a true error below eps is left to ROADMAP items 3 and 4(c), which
+    remove the stops that break it."""
+    assume(not _known_defect(command, options))
+    argv = [command, *(part for item in options.items() for part in item)]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    seconds = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == "" and NAMES_AN_INPUT.search(err.getvalue()), err.getvalue()
+    assert seconds <= 2.0, f"{shlex.join(argv)} took {seconds:.2f} s"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a float64 run whose screen bound "
+                   "lies below the spacing at d is to be refused before its first step")
+def test_a_solve_that_cannot_certify_does_not_run_the_step_cap(capsys):
+    code, out, err = run_cli(capsys, "solve", "--lambda", LAMBDA_ULP, "--p", "3", "--eps", "1e-2")
+    assert code == 1 and out == ""
+    assert "within 1000000 steps" not in err

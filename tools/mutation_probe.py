@@ -2,22 +2,26 @@
 the a priori run, the table's refusals before its first cell, the
 proof-chain audit, the cyclic validators and their declaration slacks, the
 norm constants, the two-coordinate norm kernel and its skip of a negligible
-term, the map's signed term, the convexity check, the pattern search and
-the suites' residual and separation checks: apply hand-written mutants,
+term, the length checks of `lp_norm` and `dist`, the map's signed terms and
+its zero branch, the convexity check, the pattern search and the suites'
+residual and separation checks: apply hand-written mutants,
 one at a time, to a copy of the package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
-by another.  The copy lives in a temporary directory; the checkout is never
-written.  Run from anywhere, with the standard library and the test
-dependencies only:
+by another, and names the test that kills it.  The copy lives in a
+temporary directory; the checkout is never written.  Run from anywhere,
+with the standard library and the test dependencies only:
 
     python3 tools/mutation_probe.py
 
-Every mutant runs against all of `tests`.  A mutant is killed when the tests
-fail on it, or when they run past TIMEOUT_S (a mutant that makes a search
-walk can hang the suite instead of failing it).  The tests run first on the
-unmutated copy, which must pass.  Exits 1 unless every mutant is killed.
-Each run of the full suite takes about as long as Tier-1.
+Each mutant runs its named test first.  Where that test passes on the
+mutant, the probe prints that the map of mutants to tests is stale and runs
+all of `tests` on it.  A mutant is killed when the tests fail on it, or
+when they run past TIMEOUT_S (a mutant that makes a search walk can hang
+the suite instead of failing it).  The unmutated copy runs first: all of
+`tests`, then the named tests together, and both must pass.  Exits 1
+unless every mutant is killed.  A named test takes about a second, most of
+it pytest's start; a run of the full suite about as long as Tier-1.
 """
 
 from __future__ import annotations
@@ -46,130 +50,199 @@ class Mutant:
     path: str
     old: str
     new: str
+    test: str  # a test id that fails on the mutant
 
 
 MUTANTS = [
     Mutant("STOP_MARGIN 2^-20 -> 2^-8", SOLVER,
-           "STOP_MARGIN = 2.0 ** -20", "STOP_MARGIN = 2.0 ** -8"),
+           "STOP_MARGIN = 2.0 ** -20", "STOP_MARGIN = 2.0 ** -8",
+           "tests/test_solver.py::TestStopExcess::test_unresolved_power_factor_forms_no_threshold"),
     Mutant("screen hi = h (1 - width)", SOLVER,
-           "else h * (1 + consts.q * STOP_MARGIN)", "else h * (1 - consts.q * STOP_MARGIN)"),
+           "else h * (1 + consts.q * STOP_MARGIN)", "else h * (1 - consts.q * STOP_MARGIN)",
+           "tests/test_solver.py::TestStopScreen::test_a_run_stops_at_a_step_just_inside_the_threshold[None-2.0]"),
     Mutant("STALL_HALF_LIVES 10 -> 3", SOLVER,
-           "STALL_HALF_LIVES = 10", "STALL_HALF_LIVES = 3"),
+           "STALL_HALF_LIVES = 10", "STALL_HALF_LIVES = 3",
+           "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("span taken with floor, not ceil", SOLVER,
-           "span = math.ceil(", "span = math.floor("),
+           "span = math.ceil(", "span = math.floor(",
+           "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("a priori loop one step short", SOLVER,
-           "for _ in range(target):", "for _ in range(target - 1):"),
+           "for _ in range(target):", "for _ in range(target - 1):",
+           "tests/test_acceptance.py::test_criterion_8_uniqueness_periodicity"),
     Mutant("cap refusal's fewest step + 2", ORACLE,
-           "/ mp.log(lam)) / 2))\n", "/ mp.log(lam)) / 2)) + 2\n"),
+           "/ mp.log(lam)) / 2))\n", "/ mp.log(lam)) / 2)) + 2\n",
+           "tests/test_cli.py::test_a_posteriori_table_beyond_the_cap_is_refused_before_it_runs"),
     Mutant("table pre-pass skipped", ORACLE,
-           "            _plan_cell(lam, p, x0, eps)\n", "            pass\n"),
+           "            _plan_cell(lam, p, x0, eps)\n", "            pass\n",
+           "tests/test_cli.py::test_a_table_refuses_a_later_cell_before_the_first_runs"),
     Mutant("digit cushion 20 -> 8", ORACLE,
-           "int(mp.ceil(mp.log10(d / h))) + 20)", "int(mp.ceil(mp.log10(d / h))) + 8)"),
+           "int(mp.ceil(mp.log10(d / h))) + 20)", "int(mp.ceil(mp.log10(d / h))) + 8)",
+           "tests/test_oracle.py::TestWorkingPrecisionDigits::test_deepest_cell_is_sized_from_its_threshold_excess"),
     Mutant("certificate x 0.999", SOLVER,
            "return X / denom * (gap / Cd) ** root * tail",
-           "return X / denom * (gap / Cd) ** root * tail * 0.999"),
+           "return X / denom * (gap / Cd) ** root * tail * 0.999",
+           "tests/test_cli.py::TestSolve::test_trace_csv_matches_golden_bytes"),
     Mutant("certificate labels X as D at m = 1", SOLVER,
-           'name = "P" if m == 1 else "D"', 'name = "D" if m == 1 else "P"'),
+           'name = "P" if m == 1 else "D"', 'name = "D" if m == 1 else "P"',
+           "tests/test_solver.py::TestAprioriBound::test_gap_just_beyond_the_clamp_is_rejected"),
     Mutant("certificate admits 1 - k^(2/q) = 0", SOLVER,
-           "if not (denom > 0 and", "if not (denom >= 0 and"),
+           "if not (denom > 0 and", "if not (denom >= 0 and",
+           "tests/test_cli.py::test_k_whose_power_rounds_to_1_is_exit_2_naming_k_and_q[apriori-solve]"),
     Mutant("certificate admits an infinite d / (1 - k^(2/q))", SOLVER,
-           "d / denom < math.inf", "d / denom <= math.inf"),
+           "d / denom < math.inf", "d / denom <= math.inf",
+           "tests/test_solver.py::TestCertificateEvaluator::test_run_constants_without_a_finite_bound_are_refused_naming_d_k_and_q[1e+305-0.99999999-2.0]"),
     Mutant("C d x 1.001", SOLVER,
            "return denom, consts.C * d, k ** (m / q)",
-           "return denom, consts.C * d * 1.001, k ** (m / q)"),
+           "return denom, consts.C * d * 1.001, k ** (m / q)",
+           "tests/test_cli.py::TestSolve::test_trace_csv_matches_golden_bytes"),
     Mutant("GAP_CLAMP 1e-12 -> 1e-6", SOLVER,
-           "GAP_CLAMP = 1e-12", "GAP_CLAMP = 1e-6"),
+           "GAP_CLAMP = 1e-12", "GAP_CLAMP = 1e-6",
+           "tests/test_solver.py::TestAprioriBound::test_gap_just_beyond_the_clamp_is_rejected"),
     Mutant("stop_excess guard tol = margin * 8", SOLVER,
-           "tol = q * STOP_MARGIN / 8", "tol = q * STOP_MARGIN * 8"),
+           "tol = q * STOP_MARGIN / 8", "tol = q * STOP_MARGIN * 8",
+           "tests/test_solver.py::TestStopScreen::test_threshold_resolved_within_the_margin_but_not_its_eighth"),
     Mutant("stop_excess guard drops h / Cd", SOLVER,
-           "for x in (h, h / Cd)", "for x in (h,)"),
+           "for x in (h, h / Cd)", "for x in (h,)",
+           "tests/test_solver.py::TestStopExcess::test_unresolved_power_factor_forms_no_threshold"),
     Mutant("stop_excess guard drops _FLOAT_MIN < Cd", SOLVER,
            "if not (_FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd):",
-           "if not (Cd * (1 + 2.0 ** -40) > Cd):"),
+           "if not (Cd * (1 + 2.0 ** -40) > Cd):",
+           "tests/test_cli.py::test_a_posteriori_table_without_a_threshold_is_exit_2_naming_p"),
     Mutant("reference check 1e-12 -> 1e-6", ORACLE,
-           "if abs(gap) > 1e-12 or not periodic:", "if abs(gap) > 1e-6 or not periodic:"),
+           "if abs(gap) > 1e-12 or not periodic:", "if abs(gap) > 1e-6 or not periodic:",
+           "tests/test_oracle.py::TestReferenceBestProximity::test_declaration_just_beyond_1e_12_is_a_declaration_error"),
     Mutant("audit_soundness slack 1e-9 -> 1e-3", ORACLE,
            "true_error > budget.apriori + 1e-9 or true_error > budget.aposteriori + 1e-9",
-           "true_error > budget.apriori + 1e-3 or true_error > budget.aposteriori + 1e-3"),
+           "true_error > budget.apriori + 1e-3 or true_error > budget.aposteriori + 1e-3",
+           "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("a priori search starts at lo, n = 1, 2", SOLVER,
-           "lo, n = 0, 1", "lo, n = 1, 2"),
+           "lo, n = 0, 1", "lo, n = 1, 2",
+           "tests/test_solver.py::TestAprioriStepsNeeded::test_gap_zero_gives_two"),
     Mutant("a priori search scans linearly", SOLVER,
-           "lo, n = n, 2 * n", "lo, n = n, n + 1"),
+           "lo, n = n, 2 * n", "lo, n = n, n + 1",
+           "tests/test_solver.py::TestAprioriStepsNeeded::test_subnormal_target_is_the_first_crossing[2.0-1e-310]"),
     Mutant("a priori search returns 2 n + 2", SOLVER,
-           "else (mid, n)\n    return 2 * n\n", "else (mid, n)\n    return 2 * n + 2\n"),
+           "else (mid, n)\n    return 2 * n\n", "else (mid, n)\n    return 2 * n + 2\n",
+           "tests/test_acceptance.py::test_criterion_2_apriori_table"),
     Mutant("contraction slack 1e-9 -> 1e-3", CYCLIC,
-           "if violation > K_SLACK * (1 + dxy):", "if violation > 1e-3 * (1 + dxy):"),
+           "if violation > K_SLACK * (1 + dxy):", "if violation > 1e-3 * (1 + dxy):",
+           "tests/test_cyclic.py::TestVerifyContraction::test_k_declared_just_low_fails_within_the_relative_slack"),
     Mutant("decay check drops disp < d - D_SLACK", CYCLIC,
-           "        if disp < spec.d - D_SLACK:\n            passed = False\n", ""),
+           "        if disp < spec.d - D_SLACK:\n            passed = False\n", "",
+           "tests/test_cyclic.py::TestDisplacementDecayCheck::test_d_declared_too_large_fails_on_a_displacement_below_d"),
     Mutant("envelope slack 1e-9 -> 1e-3", CYCLIC,
-           "if excess > K_SLACK * (1 + abs(envelope)):", "if excess > 1e-3 * (1 + abs(envelope)):"),
-    Mutant("K_SLACK 1e-9 -> 1e-3", CYCLIC, "K_SLACK = 1e-9", "K_SLACK = 1e-3"),
-    Mutant("D_SLACK 1e-9 -> 1e-6", CYCLIC, "D_SLACK = 1e-9", "D_SLACK = 1e-6"),
+           "if excess > K_SLACK * (1 + abs(envelope)):", "if excess > 1e-3 * (1 + abs(envelope)):",
+           "tests/test_cyclic.py::TestDisplacementDecayCheck::test_k_declared_just_low_fails_within_the_relative_slack"),
+    Mutant("K_SLACK 1e-9 -> 1e-3", CYCLIC, "K_SLACK = 1e-9", "K_SLACK = 1e-3",
+           "tests/test_cyclic.py::TestVerifyContraction::test_k_declared_just_low_fails_within_the_relative_slack"),
+    Mutant("D_SLACK 1e-9 -> 1e-6", CYCLIC, "D_SLACK = 1e-9", "D_SLACK = 1e-6",
+           "tests/test_oracle.py::TestRederiveDistance::test_distance_overdeclared_by_1e_8_is_flagged"),
     Mutant("XI_PERIOD_SLACK 1e-15 -> 1e-12", CYCLIC,
-           "XI_PERIOD_SLACK = 1e-15", "XI_PERIOD_SLACK = 1e-12"),
+           "XI_PERIOD_SLACK = 1e-15", "XI_PERIOD_SLACK = 1e-12",
+           "tests/test_cli.py::TestVerify::test_corrupted_k_matches_golden_bytes"),
     Mutant("proof chain distance slack 1e-9 -> 1e-3", ORACLE,
            "if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):",
-           "if even_move > rhs_dist + 1e-3 * (1 + rhs_dist):"),
+           "if even_move > rhs_dist + 1e-3 * (1 + rhs_dist):",
+           "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("proof chain drops the distance form", ORACLE,
            "            if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):\n"
            "                report.passed = False\n"
            "                report.failures.append((step, lookback, \"distance\", even_move, rhs_dist))\n",
-           ""),
+           "",
+           "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("proof chain modulus slack 1e-9 -> 1e-3", ORACLE,
-           "if lhs_mod > rhs_mod + 1e-9:", "if lhs_mod > rhs_mod + 1e-3:"),
+           "if lhs_mod > rhs_mod + 1e-9:", "if lhs_mod > rhs_mod + 1e-3:",
+           "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("proof chain drops the modulus form", ORACLE,
            "            if lhs_mod > rhs_mod + 1e-9:\n"
            "                report.passed = False\n"
            "                report.failures.append((step, lookback, \"modulus\", lhs_mod, rhs_mod))\n",
-           ""),
-    Mutant("C = 1.001/(p 2^p)", NORMS, "C = 1 / (p * 2 ** p)", "C = 1.001 / (p * 2 ** p)"),
-    Mutant("C = (p - 1)/7.99", NORMS, "C=(p - 1) / 8", "C=(p - 1) / 7.99"),
+           "",
+           "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
+    Mutant("C = 1.001/(p 2^p)", NORMS, "C = 1 / (p * 2 ** p)", "C = 1.001 / (p * 2 ** p)",
+           "tests/test_acceptance.py::test_criterion_5_geometry_suite"),
+    Mutant("C = (p - 1)/7.99", NORMS, "C=(p - 1) / 8", "C=(p - 1) / 7.99",
+           "tests/test_acceptance.py::test_criterion_5_geometry_suite"),
     Mutant("NEWTON_STEP_TOL 1e-15 -> 1e-6", NORMS,
-           "NEWTON_STEP_TOL = 1e-15", "NEWTON_STEP_TOL = 1e-6"),
-    Mutant("NEWTON_CAP 100 -> 3", NORMS, "NEWTON_CAP = 100", "NEWTON_CAP = 3"),
+           "NEWTON_STEP_TOL = 1e-15", "NEWTON_STEP_TOL = 1e-6",
+           "tests/test_norms.py::TestModulusOfConvexity::test_agrees_with_independent_bisection_on_the_grid[1.1]"),
+    Mutant("NEWTON_CAP 100 -> 3", NORMS, "NEWTON_CAP = 100", "NEWTON_CAP = 3",
+           "tests/test_acceptance.py::test_criterion_5_geometry_suite"),
     Mutant("dist pairs u[0] - v[1]", NORMS,
-           "(u[0] - v[0], u[1] - v[1])", "(u[0] - v[1], u[1] - v[0])"),
+           "(u0 - v0, u1 - v1)", "(u0 - v1, u1 - v0)",
+           "tests/test_acceptance.py::test_criterion_1_aposteriori_table"),
     Mutant("kernel drops the 1 of the larger term", NORMS,
-           "else space.one + (small / scale) ** space.p", "else (small / scale) ** space.p"),
+           "else space.one + (small / scale) ** space.p", "else (small / scale) ** space.p",
+           "tests/test_acceptance.py::test_criterion_1_aposteriori_table"),
     Mutant("kernel's skip returns scale unrounded", NORMS,
-           "return scale * space.one\n", "return scale\n"),
+           "return scale * space.one\n", "return scale\n",
+           "tests/test_norms.py::TestNegligibleTerm::test_a_skipped_term_keeps_the_result_type_of_the_space[v0]"),
     Mutant("kernel's tie 2.0 -> 1.0", NORMS,
-           "total = 2.0 if small == scale", "total = 1.0 if small == scale"),
+           "total = 2.0 if small == scale", "total = 1.0 if small == scale",
+           "tests/test_norms.py::TestLpNormBits::test_float_norm_is_bit_identical[1.1]"),
     Mutant("kernel's zero branch returns 0.0", NORMS,
            "total = 0 + a + b  # a NaN behind a zero is not a zero norm\n"
            "        return 0.0 if total == 0 else total\n",
-           "return 0.0\n"),
+           "return 0.0\n",
+           "tests/test_norms.py::TestLpNormBits::test_nan_after_a_zero_is_not_a_zero_norm[space0]"),
     Mutant("skip margin bits + 3 -> bits - 1", NORMS,
-           "(-(bits + 3) / p)", "(-(bits - 1) / p)"),
+           "(-(bits + 3) / p)", "(-(bits - 1) / p)",
+           "tests/test_norms.py::TestNegligibleTerm::test_ratios_near_the_threshold_are_bit_identical[None]"),
     Mutant("root formed as 1.0 / float(p)", NORMS,
-           '"root", 1 / p)', '"root", 1.0 / float(p))'),
+           '"root", 1 / p)', '"root", 1.0 / float(p))',
+           "tests/test_norms.py::TestLpNormBits::test_mpf_norm_and_dist_are_bit_identical[1.1-50]"),
     Mutant("convexity check slack 1e-12 -> 1e-6", NORMS,
-           "slack = 1e-12 * R", "slack = 1e-6 * R"),
+           "slack = 1e-12 * R", "slack = 1e-6 * R",
+           "tests/test_norms.py::TestConvexityInequality::test_hypotheses_hold_to_the_slack_and_no_further[1e-09]"),
     Mutant("convexity check slack scaled by max(R, 1)", NORMS,
-           "slack = 1e-12 * R", "slack = 1e-12 * max(R, 1.0)"),
+           "slack = 1e-12 * R", "slack = 1e-12 * max(R, 1.0)",
+           "tests/test_norms.py::TestConvexityInequality::test_hypotheses_hold_to_the_slack_and_no_further[1e-09]"),
     Mutant("convexity check tolerance 1e-9 -> 1e-3", NORMS,
-           "return lhs <= rhs + 1e-9 * R", "return lhs <= rhs + 1e-3 * R"),
+           "return lhs <= rhs + 1e-9 * R", "return lhs <= rhs + 1e-3 * R",
+           "tests/test_norms.py::TestConvexityInequality::test_a_modulus_overstated_by_1e_6_fails_at_an_extremal_pair[0.25]"),
     Mutant("convexity check tolerance scaled by max(R, 1)", NORMS,
-           "return lhs <= rhs + 1e-9 * R", "return lhs <= rhs + 1e-9 * max(R, 1.0)"),
+           "return lhs <= rhs + 1e-9 * R", "return lhs <= rhs + 1e-9 * max(R, 1.0)",
+           "tests/test_norms.py::TestConvexityInequality::test_a_modulus_of_1_fails_at_every_radius[1e-09]"),
     Mutant("convexity check ratio floor 0 -> 0.5", NORMS,
-           "0.0 if ratio <= 0 else", "0.0 if ratio <= 0.5 else"),
+           "0.0 if ratio <= 0 else", "0.0 if ratio <= 0.5 else",
+           "tests/test_norms.py::TestConvexityInequality::test_a_modulus_overstated_by_1e_6_fails_at_an_extremal_pair[0.25]"),
     Mutant("convexity check ratio without its clamp at 2", NORMS,
-           "2.0 if ratio > 2.0 else ratio", "ratio"),
+           "2.0 if ratio > 2.0 else ratio", "ratio",
+           "tests/test_norms.py::TestConvexityInequality::test_r_at_the_diameter_holds_at_every_scale[1e+308]"),
     Mutant("midpoint reads z[1] in its first coordinate", NORMS,
-           "(y[0] - z[0]) / 2.0,", "(y[0] - z[1]) / 2.0,"),
+           "(y[0] - z[0]) / 2.0,", "(y[0] - z[1]) / 2.0,",
+           "tests/test_acceptance.py::test_criterion_5_geometry_suite"),
     Mutant("midpoint subtracts z after the halved sum", NORMS,
-           "(x[0] - z[0]) / 2.0 + (y[0] - z[0]) / 2.0,", "x[0] / 2.0 + y[0] / 2.0 - z[0],"),
+           "(x[0] - z[0]) / 2.0 + (y[0] - z[0]) / 2.0,", "x[0] / 2.0 + y[0] / 2.0 - z[0],",
+           "tests/test_norms.py::TestConvexityInequality::test_admissible_triples_pass_at_small_radii_far_from_the_origin[True-z0-1e-09-1.5]"),
     Mutant("implicit residual tolerance 1e-10 -> 1e-6", ORACLE,
            "abs(_implicit_equation(delta, p, eps)[0]) > 1e-10",
-           "abs(_implicit_equation(delta, p, eps)[0]) > 1e-6"),
+           "abs(_implicit_equation(delta, p, eps)[0]) > 1e-6",
+           "tests/test_oracle.py::test_implicit_residual_check_fails_a_modulus_off_by_1e_9[1.1]"),
     Mutant("separation check reads 20 of its 200 pairs", ORACLE,
-           "zip(us, vs)", "zip(us[:20], vs[:20])"),
+           "zip(us, vs)", "zip(us[:20], vs[:20])",
+           "tests/test_oracle.py::TestCyclicSuite::test_separation_reads_every_sampled_pair"),
     Mutant("pattern search quarters its step", ORACLE,
-           "        step /= 2\n", "        step /= 4\n"),
+           "        step /= 2\n", "        step /= 4\n",
+           "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned[1.5-2.0000000002566827]"),
     Mutant("contraction floor x 1.001", CYCLIC,
-           "floor = (1 - k) * spec.d", "floor = (1 - k) * spec.d * 1.001"),
+           "floor = (1 - k) * spec.d", "floor = (1 - k) * spec.d * 1.001",
+           "tests/test_cyclic.py::TestVerifyContraction::test_benchmark_map_passes"),
     Mutant("map's neg term built as rest * 1", CYCLIC,
-           "rest * -1,", "rest * 1,"),
+           "-(rest * -1)", "-(rest * 1)",
+           "tests/test_acceptance.py::test_criterion_1_aposteriori_table"),
+    Mutant("map's zero branch built as nzero + flip * x", CYCLIC,
+           "return (nzero, flip * y)", "return (nzero + flip * x, flip * y)",
+           "tests/test_step_bits.py::test_map_images_keep_their_bits"),
+    Mutant("map's positive branch taken at x >= zero", CYCLIC,
+           "if x > zero:", "if x >= zero:",
+           "tests/test_step_bits.py::test_map_images_keep_their_bits"),
+    Mutant("map sends NaN to the zero branch", CYCLIC,
+           "if x:  # x < 0, or NaN", "if x < zero:",
+           "tests/test_step_bits.py::test_map_images_keep_their_bits"),
+    Mutant("dist names one length where two differ", NORMS,
+           "        if len(u) != len(v):\n", "        if False:\n",
+           "tests/test_step_bits.py::test_refusals_keep_their_messages"),
 ]
 
 
@@ -183,10 +256,11 @@ def mutated(mutant: Mutant, tree: Path) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def run_tests(tree: Path):
-    """(passed, first failing test or outcome, seconds) of the tests in `tree`."""
+def run_tests(tree: Path, tests=("tests",)):
+    """(passed, first failing test or outcome, seconds) of `tests` in `tree`,
+    stopping at the first failure."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     start = time.perf_counter()
     try:
         done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
@@ -215,13 +289,24 @@ def main() -> int:
         if not passed:
             sys.exit(f"the unmutated copy fails its tests ({why}); no mutant was run")
         print(f"unmutated copy passes ({seconds:.1f} s)", flush=True)
+        # a named test that is gone would count as a kill: pytest exits 4
+        passed, why, seconds = run_tests(pristine, sorted({m.test for m in MUTANTS}))
+        if not passed:
+            sys.exit(f"the mutants' named tests fail on the unmutated copy ({why}); "
+                     "no mutant was run")
+        print(f"the named tests pass on the unmutated copy ({seconds:.1f} s)", flush=True)
 
         rows = []
         for mutant in MUTANTS:
             tree = Path(scratch) / "mutant"
             shutil.copytree(pristine, tree, ignore=ignore)
             (tree / mutant.path).write_text(mutated(mutant, tree))
-            passed, why, seconds = run_tests(tree)
+            passed, why, seconds = run_tests(tree, (mutant.test,))
+            if passed:
+                print(f"  the map is stale: {mutant.test} passes on {mutant.name!r}; "
+                      "running all of tests", flush=True)
+                passed, why, more = run_tests(tree)
+                seconds += more
             shutil.rmtree(tree)
             rows.append((mutant.name, "survived" if passed else "killed", why, seconds))
             print(f"  {mutant.name}: {rows[-1][1]} ({seconds:.1f} s)", flush=True)
