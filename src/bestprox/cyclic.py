@@ -192,8 +192,9 @@ def sample_points(
     predicate: Callable[[Vector], bool],
     count: int,
 ) -> list[Vector]:
-    """Rejection-sample `count` points of a predicate set inside a box;
-    ConfigurationError when there is no box.
+    """Rejection-sample `count` points of a predicate set inside a box of
+    the plane, two (lo, hi) intervals; ConfigurationError, before the first
+    draw, when there is no box or it is not two intervals.
 
     Each coordinate is drawn as lo + (hi - lo) * rng.random(), the
     expression `random.uniform(lo, hi)` evaluates, so the points have the
@@ -201,12 +202,18 @@ def sample_points(
     """
     if box is None:
         raise ConfigurationError("map spec has no sampling boxes for A/B")
+    try:
+        (lo0, hi0), (lo1, hi1) = box
+        w0, w1 = hi0 - lo0, hi1 - lo1
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"sampling box must be two (lo, hi) intervals, got {box!r}"
+        ) from None
     points = []
     draw = rng.random
-    spans = [(lo, hi - lo) for lo, hi in box]
     for _ in range(count):
         for _attempt in range(SAMPLER_RETRY_CAP):
-            candidate = tuple([lo + width * draw() for lo, width in spans])
+            candidate = (lo0 + w0 * draw(), lo1 + w1 * draw())
             if predicate(candidate):
                 points.append(candidate)
                 break

@@ -48,7 +48,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from operator import add
 
 import mpmath as mp
 
@@ -263,13 +262,13 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
         improved = True
         while improved:
             improved = False
-            for move in moves:
-                cu = tuple(map(add, best_u, move))
+            for mx, my in moves:
+                cu = (best_u[0] + mx, best_u[1] + my)
                 if spec.in_a(cu):
                     trial = dist(space, cu, best_v)
                     if trial < best:
                         best_u, best, improved = cu, trial, True
-                cv = tuple(map(add, best_v, move))
+                cv = (best_v[0] + mx, best_v[1] + my)
                 if spec.in_b(cv):
                     trial = dist(space, best_u, cv)
                     if trial < best:
@@ -357,9 +356,11 @@ def _plan_cell(lam: float, p: float, x0: Vector, eps: float):
     float64 normal range, where the stop would evaluate the certificate at
     every even step, at thousands of digits: InputError naming p.  On this
     map |x_n| - 1 = lam^n (x0 - 1), so the even-step excess P - d is at
-    least lam^(m-1) (1 + lam) (x0 - 1) at step m and the stop needs it
-    below h: a cell whose fewest such step lies beyond the cap raises
-    BudgetExhaustedError.
+    least lam^(m-1) (1 + lam) (x0 - 1) at step m.  The bound is below eps
+    only where that excess g has g (1 + g/d)^q < h, so the stop needs g
+    below min(h, (h d^q)^(1/(q+1))), also formed at 53 bits; the second
+    term is the smaller where h exceeds d.  A cell whose fewest such step
+    lies beyond the cap raises BudgetExhaustedError.
     """
     rule = StopRule(StopKind.APOSTERIORI, eps, WORKING_PRECISION_CAP)
     spec = make_example1(Example1Params(lam, p))
@@ -367,15 +368,17 @@ def _plan_cell(lam: float, p: float, x0: Vector, eps: float):
     xi = reference_best_proximity(spec)
     consts = power_type_constants(p)
     with mp.workprec(max(mp.mp.prec, 53)):  # resolved at any ambient precision
-        h = stop_excess(mp.mpf(spec.d), lam, consts, mp.mpf(eps))
-    if h is None:
-        raise InputError(
-            f"the a posteriori stop forms no threshold at p={p}: "
-            f"C*d = {consts.C * spec.d:.3g} is below the float64 normal range"
-        )
+        d, q = mp.mpf(spec.d), consts.q
+        h = stop_excess(d, lam, consts, mp.mpf(eps))
+        if h is None:
+            raise InputError(
+                f"the a posteriori stop forms no threshold at p={p}: "
+                f"C*d = {consts.C * spec.d:.3g} is below the float64 normal range"
+            )
+        excess = min(h, (h * d ** q) ** (1 / (q + 1)))
     spread = (1 + mp.mpf(lam)) * (mp.mpf(x0[0]) - 1)
     if spread > 0:  # not the apex start
-        fewest = 2 * int(mp.floor((1 + mp.log(h / spread) / mp.log(lam)) / 2))
+        fewest = 2 * int(mp.floor((1 + mp.log(excess / spread) / mp.log(lam)) / 2))
         if fewest > WORKING_PRECISION_CAP:
             raise BudgetExhaustedError(
                 f"a posteriori criterion needs at least {fewest} steps, "

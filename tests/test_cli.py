@@ -627,9 +627,8 @@ def _known_defect(command, options):
     meet a known defect, and are left out until it is mended:
 
     * a posteriori table cells that run past 2 s: at p = 1013 below
-      eps = 1e-2, whose digits grow like p log10(1/eps); at p = 1 + 2^-52
-      and eps <= 1e-300 (1.5 to 2.6 s); and at lambda = 1 - 2^-53 and eps = 1e300
-      from 1e308, which run the working-precision cap;
+      eps = 1e-2, whose digits grow like p log10(1/eps); and at p = 1 + 2^-52
+      and eps <= 1e-300 (1.5 to 2.6 s);
     * a posteriori solves at lambda = 1 - 2^-53 and p 2 or 1 + 2^-52 from
       (1000, 8) or 1e308, which, but at eps = 1e300, run the float64 cap of
       10^6 steps, about 0.5 s each (ROADMAP item 3; pinned below).
@@ -639,8 +638,25 @@ def _known_defect(command, options):
     lam, p, eps, x0 = (options[name] for name in ("--lambda", "--p", "--eps", "--x0"))
     if command == "solve":
         return lam == LAMBDA_ULP and p in ("2", P_ULP) and x0 in ("1000,8", "1e308,0")
-    return ((p == "1013" and float(eps) < 1e-2) or (p == P_ULP and float(eps) <= 1e-300)
-            or (lam == LAMBDA_ULP and eps == "1e300" and x0 == "1e308,0"))
+    return (p == "1013" and float(eps) < 1e-2) or (p == P_ULP and float(eps) <= 1e-300)
+
+
+@pytest.mark.parametrize("p", ["2", P_ULP])
+def test_a_table_whose_excess_bound_lies_beyond_the_cap_is_refused_at_once(capsys, monkeypatch, p):
+    # h exceeds the start's spread of 2e308 (7.7e566 at p = 2), but the stop
+    # needs an excess g with g (1 + g/d)^q < h, so g < (h d^q)^(1/(q+1)),
+    # 1.5e189 at p = 2, which lam = 1 - 2^-53 reaches only after about 2.5e18
+    # steps; the cell used to run the working-precision cap for 19.6 s
+    def no_run(*args, **kwargs):
+        raise AssertionError("the cell ran before the refusal")
+
+    monkeypatch.setattr(oracle, "run_with_stop", no_run)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "table", "--lambda", LAMBDA_ULP, "--p", p,
+                             "--eps", "1e300", "--x0", "1e308,0")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and out == ""
+    assert re.search(r"needs at least 2[45]\d{17} steps, cap is 1000000", err), err
 
 
 @given(st.sampled_from(("solve", "table")),

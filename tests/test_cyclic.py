@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import re
@@ -160,6 +161,17 @@ class TestVerifyCyclicity:
         expected_b = sample_points(rng, spec.box_b, spec.in_b, 30)
         assert sample_sets(spec, 30, 11) == (expected_a, expected_b)
 
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "7266750f2fc073a5ccd842c24d1417203eb047386967af11ccb491380e0aa963"),
+        (2, "6b1d97c87dbd6d205adc1a7bc595342015f1d168a68e9a88719b5c81a1aec195"),
+        (3, "bb4414ef32b053241ccc7a69ce5c7ce97ce444406e93b6c23fb554ee43844197"),
+    ])
+    def test_built_in_sample_is_pinned(self, seed, digest):
+        # recorded from the sampler that drew each candidate over a list of
+        # (lo, width) spans; the verify suites and criterion 8 read these points
+        sample = sample_sets(two_cone_map(), 1000, seed)
+        assert hashlib.sha256(repr(sample).encode()).hexdigest() == digest
+
 
 class TestVerifyContraction:
     def test_benchmark_map_passes(self):
@@ -303,6 +315,19 @@ class TestOrbitGeometry:
     def test_sampler_without_a_box_is_config_error(self):
         with pytest.raises(ConfigurationError, match="no sampling boxes"):
             sample_points(random.Random(0), None, two_cone_map().in_a, 1)
+
+    @pytest.mark.parametrize("box", [
+        ((1.0, 1000.0),),
+        ((1.0, 1000.0), (-1000.0, 1000.0), (0.0, 1.0)),
+        ((1.0, 1000.0, 5.0), (-1000.0, 1000.0)),
+        (1.0, 1000.0),
+        (("a", "b"), (-1000.0, 1000.0)),
+    ])
+    def test_sampler_refuses_a_box_that_is_not_two_intervals_before_drawing(self, box):
+        rng = random.Random(0)
+        with pytest.raises(ConfigurationError, match=re.escape(f"two (lo, hi) intervals, got {box!r}")):
+            sample_points(rng, box, lambda v: True, 1)
+        assert rng.random() == random.Random(0).random()
 
     def test_sampler_draw_order_is_pinned(self):
         # values recorded from the generator-built sampler; the verify

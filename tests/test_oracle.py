@@ -240,6 +240,38 @@ class TestRederiveDistance:
         # recorded from the generator-built pattern search: same bits
         assert rederive_distance(benchmark_map(p=p), sample_count=100, seed=21) == expected
 
+    @pytest.mark.parametrize("count, seed, p, expected", [
+        (50, 1, 1.1, 2.0000000002001106),
+        (50, 1, 1.5, 2.000000000110895),
+        (50, 1, 2.0, 2.0000000003199068),
+        (50, 1, 3.0, 2.000000000154575),
+        (50, 1, 5.0, 2.000000000141804),
+        (50, 1, 20.0, 2.000000000274686),
+        (50, 2, 1.1, 2.0000000001492366),
+        (50, 2, 1.5, 2.0000000002436003),
+        (50, 2, 2.0, 2.0000000001316565),
+        (50, 2, 3.0, 2.0000000002057114),
+        (50, 2, 5.0, 2.0000000003395586),
+        (50, 2, 20.0, 2.0000000003500786),
+        (100, 1, 1.1, 2.0000000001823524),
+        (100, 1, 1.5, 2.000000000257213),
+        (100, 1, 2.0, 2.000000000140191),
+        (100, 1, 3.0, 2.0000000001639364),
+        (100, 1, 5.0, 2.0000000002313802),
+        (100, 1, 20.0, 2.0000000002018465),
+        (100, 2, 1.1, 2.000000000274304),
+        (100, 2, 1.5, 2.000000000288615),
+        (100, 2, 2.0, 2.0000000001990066),
+        (100, 2, 3.0, 2.0000000002406333),
+        (100, 2, 5.0, 2.0000000003352194),
+        (100, 2, 20.0, 2.00000000022151),
+    ])
+    def test_estimate_is_pinned_at_every_suite_p(self, count, seed, p, expected):
+        # recorded from the pattern search that built its trial points with
+        # map(add, ...) over the sampler's list of spans: same bits.  50 is the
+        # sample count of the benchmark's verify workload.
+        assert rederive_distance(suite_map(0.5, p), count, seed) == expected
+
     def test_overdeclared_distance_is_flagged(self):
         spec = dataclasses.replace(benchmark_map(), d=3.0)
         with pytest.raises(DeclarationError):

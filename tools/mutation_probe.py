@@ -2,10 +2,11 @@
 the a priori run, the table's refusals before its first cell, the
 proof-chain audit, the cyclic validators and their declaration slacks, the
 norm constants, the two-coordinate norm kernel and its skip of a negligible
-term, the length checks of `lp_norm` and `dist`, the map's signed terms and
-its zero branch, the convexity check, the pattern search and the suites'
-residual and separation checks: apply hand-written mutants,
-one at a time, to a copy of the package and report which the tests kill.
+term, the length checks of `lp_norm` and `dist`, the map's signed terms, its
+y image and its zero branch, the convexity check, the pattern search's step
+and trial points, the sampler's candidates and the suites' residual and
+separation checks: apply hand-written mutants, one at a time, to a copy of
+the package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another, and names the test that kills it.  The copy lives in a
@@ -225,6 +226,18 @@ MUTANTS = [
     Mutant("pattern search quarters its step", ORACLE,
            "        step /= 2\n", "        step /= 4\n",
            "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned[1.5-2.0000000002566827]"),
+    Mutant("pattern search adds my to u's x", ORACLE,
+           "cu = (best_u[0] + mx,", "cu = (best_u[0] + my,",
+           "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned_at_every_suite_p[50-1-1.1-2.0000000002001106]"),
+    Mutant("pattern search adds mx to v's y", ORACLE,
+           "best_v[1] + my)", "best_v[1] + mx)",
+           "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned_at_every_suite_p[50-1-1.1-2.0000000002001106]"),
+    Mutant("cap refusal's fewest step reads h", ORACLE,
+           "mp.log(excess / spread)", "mp.log(h / spread)",
+           "tests/test_cli.py::test_a_table_whose_excess_bound_lies_beyond_the_cap_is_refused_at_once[2]"),
+    Mutant("sampler draws x over the y width", CYCLIC,
+           "(lo0 + w0 * draw(),", "(lo0 + w1 * draw(),",
+           "tests/test_cyclic.py::TestVerifyCyclicity::test_built_in_sample_is_pinned[1-7266750f2fc073a5ccd842c24d1417203eb047386967af11ccb491380e0aa963]"),
     Mutant("contraction floor x 1.001", CYCLIC,
            "floor = (1 - k) * spec.d", "floor = (1 - k) * spec.d * 1.001",
            "tests/test_cyclic.py::TestVerifyContraction::test_benchmark_map_passes"),
@@ -233,6 +246,9 @@ MUTANTS = [
            "tests/test_acceptance.py::test_criterion_1_aposteriori_table"),
     Mutant("map's zero branch built as nzero + flip * x", CYCLIC,
            "return (nzero, flip * y)", "return (nzero + flip * x, flip * y)",
+           "tests/test_step_bits.py::test_map_images_keep_their_bits"),
+    Mutant("map's y image lam * y on the positive branch", CYCLIC,
+           "return (pos + flip * x, flip * y)", "return (pos + flip * x, lam * y)",
            "tests/test_step_bits.py::test_map_images_keep_their_bits"),
     Mutant("map's positive branch taken at x >= zero", CYCLIC,
            "if x > zero:", "if x >= zero:",
