@@ -83,12 +83,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _trace_rows(space, trace: IterationTrace):
-    dim = len(trace.iterates[0])
-    header = (
-        ["step", "side"]
-        + [f"coord_{i}" for i in range(dim)]
-        + ["displacement", "apriori", "aposteriori"]
-    )
+    header = ["step", "side", "coord_0", "coord_1", "displacement", "apriori", "aposteriori"]
     budgets = {b.step: b for b in trace.budgets}
     rows = [header]
     points = trace.iterates
@@ -128,11 +123,14 @@ def _render_rows(rows, fmt: str | None, title: str | None = None) -> str:
 
 
 def _check_out(out_path: str | None):
-    """InputError naming --out unless its directory exists and is writable
-    and it is no directory itself.  The file is not opened, so a run that
-    fails later leaves an existing file as it was."""
-    if not out_path:
+    """InputError naming --out unless it is None (no --out) or a path whose
+    directory exists and is writable and that is no directory itself.  The
+    file is not opened, so a run that fails later leaves an existing file as
+    it was."""
+    if out_path is None:
         return
+    if not out_path:
+        raise InputError("--out is empty: give a file path, or drop --out")
     directory = os.path.dirname(os.path.abspath(out_path))
     if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
         raise InputError(f"--out {out_path}: directory {directory} is missing or not writable")
@@ -157,9 +155,9 @@ def _emit(text: str, out_path: str | None):
 
 
 def cmd_solve(args) -> int:
+    _check_out(args.out)
     if args.format and not args.out:
         raise InputError("--format formats the --out trace; give --out PATH or drop --format")
-    _check_out(args.out)
     spec = make_example1(Example1Params(lam=args.lam, p=args.p))
     x0 = _parse_floats(args.x0)
     rule = StopRule(

@@ -144,7 +144,7 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
         return (nzero, flip * y)
 
     return CyclicMapSpec(
-        space=LpSpace(dim=2, p=params.p),
+        space=LpSpace(params.p),
         apply=apply,
         in_a=example1_in_a,
         in_b=example1_in_b,
@@ -157,21 +157,17 @@ def make_example1(params: Example1Params) -> CyclicMapSpec:
 
 
 def apply_map(spec: CyclicMapSpec, x: Vector) -> Vector:
-    """Apply T once, after checking the dimension."""
-    if len(x) != 2:  # the only dim LpSpace admits
-        raise InputError(
-            f"point has {len(x)} coordinates, space has dim {spec.space.dim}"
-        )
+    """Apply T once, after checking that x is a point of the plane."""
+    if len(x) != 2:
+        raise InputError(f"point has {len(x)} coordinates, space has dim 2")
     return spec.apply(x)
 
 
 def _check_point(spec: CyclicMapSpec, x0: Vector):
     """Raise InputError, naming x0, unless x0 is a finite point of the
     map's space.  Coordinates may be floats or mpmath numbers."""
-    if len(x0) != spec.space.dim:
-        raise InputError(
-            f"x0={tuple(x0)} has {len(x0)} coordinates, space has dim {spec.space.dim}"
-        )
+    if len(x0) != 2:
+        raise InputError(f"x0={tuple(x0)} has {len(x0)} coordinates, space has dim 2")
     # c - c is exactly 0 for a finite c of any number type and magnitude
     # (math.isfinite would reject an mpf beyond the float range), nan else.
     if not all(c - c == 0 for c in x0):
@@ -194,14 +190,12 @@ def sample_points(
 ) -> list[Vector]:
     """Rejection-sample `count` points of a predicate set inside a box of
     the plane, two (lo, hi) intervals; ConfigurationError, before the first
-    draw, when there is no box or it is not two intervals.
+    draw, when the box is not two intervals (None, a spec's default, is not).
 
     Each coordinate is drawn as lo + (hi - lo) * rng.random(), the
     expression `random.uniform(lo, hi)` evaluates, so the points have the
     bits of uniform draws without a call frame per draw.
     """
-    if box is None:
-        raise ConfigurationError("map spec has no sampling boxes for A/B")
     try:
         (lo0, hi0), (lo1, hi1) = box
         w0, w1 = hi0 - lo0, hi1 - lo1
@@ -232,7 +226,8 @@ def sample_sets(
 
     The points depend on the sets, their boxes, count and seed only, so
     one sample serves every spec over the same A and B.  InputError when
-    count < 1; ConfigurationError when the spec has no sampling boxes.
+    count < 1; ConfigurationError, from `sample_points`' one box check, when
+    a box is None or not two intervals.
     """
     if count < 1:
         raise InputError("sample_count must be >= 1")

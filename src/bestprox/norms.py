@@ -1,6 +1,7 @@
 """l_p geometry of the plane: the norm and the modulus of convexity.
 
-The system has one space, R^2 with the l_p norm.  The modulus of
+The system has one space, R^2 with the l_p norm, `LpSpace(p)`: p alone
+fixes it, and with it every quantity below.  The modulus of
 convexity delta_p quantifies how "round" its unit ball is.  Two facts
 drive everything downstream:
 
@@ -59,7 +60,7 @@ def _significand_bits(one):
 
 @dataclass(frozen=True)
 class LpSpace:
-    """The plane R^2 equipped with the l_p norm, p > 1; dim must be 2.
+    """The plane R^2 equipped with the l_p norm, p > 1.
 
     Three fields are derived from p when the space is built, in p's own
     arithmetic (float64, or an mpf at the working precision in force then):
@@ -72,15 +73,12 @@ class LpSpace:
     numbers of that arithmetic.
     """
 
-    dim: int
     p: float
     one: float = field(init=False, repr=False, compare=False)
     root: float = field(init=False, repr=False, compare=False)
     negligible: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dim != 2:
-            raise InputError(f"the space is the plane: dim must be 2, got {self.dim}")
         p = self.p
         check_exponent(p)
         one = p / p
@@ -110,7 +108,7 @@ def lp_norm(space: LpSpace, v: Vector):
     try:  # the unpacking checks the length; only a refusal reads len
         a, b = v
     except ValueError:
-        raise InputError(f"vector has {len(v)} coordinates, space has dim {space.dim}") from None
+        raise InputError(f"vector has {len(v)} coordinates, space has dim 2") from None
     # Scaling by the larger coordinate prevents overflow/underflow of the
     # p-th powers.  A NaN in the first slot is the scale, as with max.
     a = abs(a)
@@ -143,7 +141,7 @@ def dist(space: LpSpace, u: Vector, v: Vector):
             raise InputError(
                 f"cannot take the distance of vectors of lengths {len(u)} and {len(v)}"
             ) from None
-        raise InputError(f"vector has {len(u)} coordinates, space has dim {space.dim}") from None
+        raise InputError(f"vector has {len(u)} coordinates, space has dim 2") from None
     return lp_norm(space, (u0 - v0, u1 - v1))
 
 

@@ -140,9 +140,6 @@ class SoundnessReport:
     passed: bool
     #: (step, true_error, apriori, aposteriori) for every violated step.
     failures: list = field(default_factory=list)
-    #: (step, apriori/true, aposteriori/true); ratios are inf when the true
-    #: error is zero.  Reported, never asserted against thresholds.
-    tightness: list = field(default_factory=list)
 
 
 def audit_soundness(spec: CyclicMapSpec, x0: Vector, steps: int) -> SoundnessReport:
@@ -165,12 +162,6 @@ def audit_soundness(spec: CyclicMapSpec, x0: Vector, steps: int) -> SoundnessRep
             report.failures.append(
                 (budget.step, true_error, budget.apriori, budget.aposteriori)
             )
-        if true_error > 0:
-            report.tightness.append(
-                (budget.step, budget.apriori / true_error, budget.aposteriori / true_error)
-            )
-        else:
-            report.tightness.append((budget.step, float("inf"), float("inf")))
     return report
 
 
@@ -528,7 +519,7 @@ def midpoint_inequality_holds(p: float, rng: random.Random):
     # Keep the draws as they are: criterion 5 and the verify fingerprint pin
     # their order and bits.  Each uniform draw on [lo, hi] is written as
     # lo + (hi - lo) * rng.random(), the expression random.uniform evaluates.
-    space = LpSpace(dim=2, p=p)
+    space = LpSpace(p)
     draw = rng.random
 
     def point(z0, z1, R):

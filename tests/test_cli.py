@@ -478,6 +478,12 @@ class TestVerify:
         golden = DATA / f"verify_bounds_seed42{'_k' + k_override if k_override else ''}.txt"
         assert (code, out) == (want, golden.read_text(encoding="ascii"))
 
+    def test_norms_suite_matches_golden_bytes(self, capsys):
+        # every label and verdict of the norms suite, in order, the midpoint
+        # check's 1e4 triples per p included
+        code, out, _ = run_cli(capsys, "verify", "--suite", "norms", "--seed", "42")
+        assert (code, out) == (0, (DATA / "verify_norms_seed42.txt").read_text(encoding="ascii"))
+
     def test_tables_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "tables")
         assert code == 0
@@ -524,6 +530,16 @@ def test_unwritable_out_is_exit_2_before_the_run(capsys, monkeypatch, tmp_path, 
     code, out, err = run_cli(capsys, *argv, "--out", str(path))
     assert (code, out) == (2, "")
     assert f"--out {path}" in err
+
+
+@_OUT_COMMANDS
+def test_empty_out_is_exit_2_before_the_run(capsys, monkeypatch, argv):
+    # an empty path is a bad --out, not a missing one
+    monkeypatch.setattr(cli, "run_with_stop", _no_run)
+    monkeypatch.setattr(oracle, "reproduce_table", _no_run)
+    code, out, err = run_cli(capsys, *argv, "--out", "")
+    assert (code, out) == (2, "")
+    assert "--out" in err
 
 
 @_OUT_COMMANDS

@@ -109,7 +109,7 @@ class TestLpNormBits:
     @settings(max_examples=FLOAT_DRAWS)
     def test_float_norm_is_bit_identical(self, p, coords):
         for e in _lead(p):
-            space = LpSpace(2, e)
+            space = LpSpace(e)
             assert lp_norm(space, coords) == reference_lp_norm(space, coords), f"p={e}"
 
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
@@ -119,7 +119,7 @@ class TestLpNormBits:
         u, v = [a for a, _ in pairs], [b for _, b in pairs]
         diff = [a - b for a, b in pairs]
         for e in _lead(p):
-            space = LpSpace(2, e)
+            space = LpSpace(e)
             assert dist(space, u, v) == reference_lp_norm(space, diff), f"p={e}"
 
     @pytest.mark.parametrize("dps", [50, 300])
@@ -128,7 +128,7 @@ class TestLpNormBits:
     @settings(max_examples=20, deadline=None)
     def test_mpf_norm_and_dist_are_bit_identical(self, dps, p, pairs):
         with mp.workdps(dps):
-            space = LpSpace(2, mp.mpf(p))
+            space = LpSpace(mp.mpf(p))
             # thirds and sevenths are not float64 numbers: every digit is used
             u = [mp.mpf(a) / 3 for a, _ in pairs]
             v = [mp.mpf(b) / 7 for _, b in pairs]
@@ -143,7 +143,7 @@ class TestLpNormBits:
     def test_float_norm_with_a_tied_maximum_is_bit_identical(self, p, coords):
         zero = [0.0, 0.0]
         for e in _lead(p):
-            space = LpSpace(2, e)
+            space = LpSpace(e)
             want = reference_lp_norm(space, coords)
             assert lp_norm(space, coords) == want, f"p={e}"
             assert dist(space, coords, zero) == want, f"p={e}"
@@ -154,7 +154,7 @@ class TestLpNormBits:
     @settings(max_examples=20, deadline=None)
     def test_mpf_norm_with_a_tied_maximum_is_bit_identical(self, dps, p, coords):
         with mp.workdps(dps):
-            space = LpSpace(2, mp.mpf(p))
+            space = LpSpace(mp.mpf(p))
             # thirds are not float64 numbers; ties stay exact ties
             u = [mp.mpf(c) / 3 for c in coords]
             v = [mp.mpf(c) / 7 for c in coords]
@@ -175,7 +175,7 @@ class TestLpNormBits:
             # is exactly 1 in float64
             coords = [m * fraction * 2.0 ** (-56 / e)]
             coords.insert(0 if first else 1, -m)
-            space = LpSpace(2, e)
+            space = LpSpace(e)
             assert sum((abs(c) / m) ** e for c in coords) == 1, f"p={e}"
             assert lp_norm(space, coords) == reference_lp_norm(space, coords), f"p={e}"
 
@@ -196,7 +196,7 @@ class TestLpNormBits:
             coords = [top * mp.mpf(fraction) / 7 * shrink]
             coords.insert(0 if first else 1, top)
         with mp.workdps(dps):
-            space = LpSpace(2, mp.mpf(p))
+            space = LpSpace(mp.mpf(p))
             scale = max(abs(c) for c in coords)
             assert scale != top
             assert sum((abs(c) / scale) ** space.p for c in coords) == 1
@@ -206,10 +206,10 @@ class TestLpNormBits:
     @pytest.mark.parametrize("v", [(2.0, -2.0), (-1e300, 1e300), (5e-324, -5e-324)])
     def test_listed_ties_are_bit_identical(self, v):
         for p in BIT_EXPONENTS:
-            space = LpSpace(2, p)
+            space = LpSpace(p)
             assert lp_norm(space, v) == reference_lp_norm(space, v)
             with mp.workdps(50):
-                space = LpSpace(2, mp.mpf(p))
+                space = LpSpace(mp.mpf(p))
                 u = [mp.mpf(c) for c in v]
                 assert lp_norm(space, u) == reference_lp_norm(space, u)
 
@@ -219,16 +219,16 @@ class TestLpNormBits:
         with mp.workdps(50):
             for v in [(inf, 0.0), (0.0, -inf), (inf, -inf), (inf, 1e300)]:
                 v = tuple(num(c) for c in v)
-                assert lp_norm(LpSpace(2, num(2)), v) == inf
-                assert lp_norm(LpSpace(2, num(20)), v) == inf
+                assert lp_norm(LpSpace(num(2)), v) == inf
+                assert lp_norm(LpSpace(num(20)), v) == inf
             # a difference that overflows float64 is an infinite coordinate
             if num is float:
-                assert dist(LpSpace(2, 2), (1e308, 0.0), (-1e308, 0.0)) == inf
+                assert dist(LpSpace(2), (1e308, 0.0), (-1e308, 0.0)) == inf
             for v in [(inf, num("nan")), (num("nan"), inf), (num("nan"), 1.0)]:
-                norm = lp_norm(LpSpace(2, num(2)), tuple(num(c) for c in v))
+                norm = lp_norm(LpSpace(num(2)), tuple(num(c) for c in v))
                 assert norm != norm
 
-    @pytest.mark.parametrize("space", [LpSpace(2, 2), LpSpace(2, mp.mpf(3))])
+    @pytest.mark.parametrize("space", [LpSpace(2), LpSpace(mp.mpf(3))])
     def test_nan_after_a_zero_is_not_a_zero_norm(self, space):
         nan = mp.mpf("nan") if isinstance(space.p, mp.mpf) else float("nan")
         for v in [(0.0, nan), (nan, 0.0), (1.0, nan)]:
@@ -269,7 +269,7 @@ class TestTwoCoordinateKernel:
 
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
     def test_float_edge_pairs_are_bit_identical(self, p):
-        space = LpSpace(2, p)
+        space = LpSpace(p)
         for v in EDGE_PAIRS:
             want = repr(reference_with_specials(space, v))
             assert repr(lp_norm(space, v)) == want, v
@@ -282,7 +282,7 @@ class TestTwoCoordinateKernel:
     @pytest.mark.parametrize("p", BIT_EXPONENTS)
     def test_mpf_edge_pairs_are_bit_identical(self, dps, p):
         with mp.workdps(dps):
-            space = LpSpace(2, mp.mpf(p))
+            space = LpSpace(mp.mpf(p))
             for a, b in EDGE_PAIRS:
                 # thirds are not float64 numbers: every digit is used
                 v = (mp.mpf(a) / 3, mp.mpf(b) / 3)
@@ -298,14 +298,14 @@ class TestTwoCoordinateKernel:
     def test_other_lengths_are_refused_before_any_unpacking(self, v):
         # abs of a string would raise TypeError, unpacking three ValueError
         with pytest.raises(InputError, match=f"vector has {len(v)} coordinates, space has dim 2"):
-            lp_norm(LpSpace(2, 2.0), v)
+            lp_norm(LpSpace(2.0), v)
 
     def test_dist_refuses_lengths_2_and_3(self):
         with pytest.raises(InputError, match="lengths 2 and 3"):
-            dist(LpSpace(2, 2.0), (3.0, 4.0), (0.0, 0.0, 100.0))
+            dist(LpSpace(2.0), (3.0, 4.0), (0.0, 0.0, 100.0))
         # two points of R^3 would lose their third coordinates
         with pytest.raises(InputError, match="vector has 3 coordinates, space has dim 2"):
-            dist(LpSpace(2, 2.0), (3.0, 4.0, 100.0), (0.0, 0.0, 0.0))
+            dist(LpSpace(2.0), (3.0, 4.0, 100.0), (0.0, 0.0, 0.0))
 
 
 #: Exponents of the threshold test, from near 1 to far past the grid's 20.
@@ -342,7 +342,7 @@ class TestNegligibleTerm:
         cases = 0
         with mp.workdps(dps) if dps else contextlib.nullcontext():
             for p in THRESHOLD_EXPONENTS:
-                space = LpSpace(2, num(p))
+                space = LpSpace(num(p))
                 bits = mp.mp.prec if dps else 53
                 for v in _near_threshold_points(rng, space, bits, 74, num):
                     want = repr(reference_with_specials(space, v))
@@ -352,13 +352,13 @@ class TestNegligibleTerm:
 
     @pytest.mark.parametrize("p", THRESHOLD_EXPONENTS)
     def test_derived_fields_are_formed_at_the_build_precision(self, p):
-        space = LpSpace(2, p)
+        space = LpSpace(p)
         assert (space.one, space.root) == (1.0, 1 / p)
         assert space.negligible == 2.0 ** (-(sys.float_info.mant_dig + 3) / p)
         for dps in (15, 50, 300):
             with mp.workdps(dps):
                 q = mp.mpf(p)
-                space = LpSpace(2, q)
+                space = LpSpace(q)
                 want = (mp.mpf(2) ** (-(mp.mp.prec + 3) / q), 1 / q)
             # read at another precision, the fields keep their build bits
             assert (space.negligible, space.root) == want
@@ -372,57 +372,57 @@ class TestNegligibleTerm:
 
     def test_derived_fields_take_no_part_in_equality(self):
         with mp.workdps(50):
-            wide = LpSpace(2, mp.mpf(3))
-        assert wide == LpSpace(2, mp.mpf(3)) and hash(wide) == hash(LpSpace(2, mp.mpf(3)))
-        assert repr(LpSpace(2, 3.0)) == "LpSpace(dim=2, p=3.0)"
+            wide = LpSpace(mp.mpf(3))
+        assert wide == LpSpace(mp.mpf(3)) and hash(wide) == hash(LpSpace(mp.mpf(3)))
+        assert repr(LpSpace(3.0)) == "LpSpace(p=3.0)"
 
     @pytest.mark.parametrize("v", [(1.0, 0.0), (0.0, -3.0), (2.0, 1e-300), (mp.mpf(1), 0.0)])
     def test_a_skipped_term_keeps_the_result_type_of_the_space(self, v):
         # float coordinates on an mpf space gave an mpf before the skip
         with mp.workdps(50):
-            space = LpSpace(2, mp.mpf(3))
+            space = LpSpace(mp.mpf(3))
             assert type(lp_norm(space, v)) is mp.mpf
-        assert type(lp_norm(LpSpace(2, 3.0), tuple(map(float, v)))) is float
+        assert type(lp_norm(LpSpace(3.0), tuple(map(float, v)))) is float
 
 
 class TestLpNorm:
     def test_pythagorean(self):
-        assert lp_norm(LpSpace(2, 2), (3.0, 4.0)) == 5.0
+        assert lp_norm(LpSpace(2), (3.0, 4.0)) == 5.0
 
     def test_single_coordinate(self):
-        assert lp_norm(LpSpace(2, 7), (2.0, 0.0)) == 2.0
+        assert lp_norm(LpSpace(7), (2.0, 0.0)) == 2.0
 
     def test_benchmark_displacement(self):
         # ||x0 - Tx0||_2 for the benchmark start; frozen from a 50-digit
         # evaluation of sqrt(1500.5^2 + 12^2).
-        assert lp_norm(LpSpace(2, 2), (1500.5, 12.0)) == pytest.approx(
+        assert lp_norm(LpSpace(2), (1500.5, 12.0)) == pytest.approx(
             1500.5479832381236, abs=1e-9
         )
 
     def test_zero_iff_zero_vector(self):
-        assert lp_norm(LpSpace(2, 1.5), (0.0, 0.0)) == 0.0
-        assert lp_norm(LpSpace(2, 1.5), (0.0, 1e-300)) > 0.0
-        assert lp_norm(LpSpace(2, 1.5), (1e-300, -0.0)) > 0.0
+        assert lp_norm(LpSpace(1.5), (0.0, 0.0)) == 0.0
+        assert lp_norm(LpSpace(1.5), (0.0, 1e-300)) > 0.0
+        assert lp_norm(LpSpace(1.5), (1e-300, -0.0)) > 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            lp_norm(LpSpace(2, 2), (1.0, 2.0, 3.0))
+            lp_norm(LpSpace(2), (1.0, 2.0, 3.0))
 
     def test_distance_of_vectors_of_unequal_length_names_both_lengths(self):
         # map(sub, u, v) alone would stop at the shorter vector and give 5.0
         with pytest.raises(InputError, match="lengths 3 and 2"):
-            dist(LpSpace(2, 2.0), (3.0, 4.0, 100.0), (0.0, 0.0))
+            dist(LpSpace(2.0), (3.0, 4.0, 100.0), (0.0, 0.0))
 
     def test_space_validation(self):
         with pytest.raises(InputError):
-            LpSpace(2, 1.0)
-        for dim in (0, 1, 3):
-            with pytest.raises(InputError, match=f"dim must be 2, got {dim}"):
-                LpSpace(dim, 2.0)
+            LpSpace(1.0)
+        # the plane is the only space: p alone builds it
+        with pytest.raises(TypeError):
+            LpSpace(2, 2.0)
 
     @pytest.mark.parametrize("p", [1.0, float("inf"), float("nan")])
     @pytest.mark.parametrize("build", [
-        lambda p: LpSpace(2, p),
+        lambda p: LpSpace(p),
         lambda p: Example1Params(0.5, p),
         power_type_constants,
         lambda p: modulus_of_convexity(p, 1.0),
@@ -436,7 +436,7 @@ class TestLpNorm:
         st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=2),
     )
     def test_homogeneity(self, p, coords):
-        space = LpSpace(2, p)
+        space = LpSpace(p)
         doubled = lp_norm(space, [2 * c for c in coords])
         assert doubled == pytest.approx(2 * lp_norm(space, coords), rel=1e-12, abs=1e-12)
 
@@ -625,17 +625,17 @@ class TestInverseModulusBound:
 class TestConvexityInequality:
     def test_degenerate_origin(self):
         x, y, z = (0.0, 0.0), (0.0, 0.0), (0.0, 0.0)
-        assert check_convexity_inequality(LpSpace(2, 2), x, y, z, R=1.0, r=0.0)
+        assert check_convexity_inequality(LpSpace(2), x, y, z, R=1.0, r=0.0)
 
     def test_equality_at_diameter(self):
         x, y, z = (1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)
-        assert check_convexity_inequality(LpSpace(2, 2), x, y, z, R=1.0, r=2.0)
+        assert check_convexity_inequality(LpSpace(2), x, y, z, R=1.0, r=2.0)
 
     def test_one_ulp_of_r_at_the_diameter_is_not_a_violation(self):
         # ||y|| = (2^-50 + 1)^(1/10) rounds to 1 and ||x - y|| rounds to 2R,
         # where delta_10 = 1; one ulp below 2R it is 0.968.  The check applies
         # the inequality at its slack, so the rounding cannot fail it.
-        space = LpSpace(2, 10.0)
+        space = LpSpace(10.0)
         x, y, z = (0.0, -1.0), (0.03125, 1.0), (0.0, 0.0)
         assert dist(space, x, y) == 2.0
         assert check_convexity_inequality(space, x, y, z, R=1.0, r=2.0)
@@ -644,7 +644,7 @@ class TestConvexityInequality:
     def test_midpoint_of_far_points_agrees_with_the_origin(self, shift):
         # the distances are 0.5, 0.5 and 1 in both triples; (a + b) / 2 of
         # the far first coordinates overflows to inf and failed the check
-        space = LpSpace(2, 2.0)
+        space = LpSpace(2.0)
         far = (shift, 0.0), (shift, 1.0), (shift, 0.5)
         near = (0.0, 0.0), (0.0, 1.0), (0.0, 0.5)
         assert check_convexity_inequality(space, *far, 1.0, 1.0)
@@ -654,7 +654,7 @@ class TestConvexityInequality:
     def test_r_at_the_diameter_holds_at_every_scale(self, R):
         # at R = 1e308, 2R and x - y overflow, so r = inf is admitted and
         # separated, and the check clamps the ratio to 2 for the modulus
-        space = LpSpace(2, 2)
+        space = LpSpace(2)
         x, y, z = (R, 0.0), (-R, 0.0), (0.0, 0.0)
         assert dist(space, x, y) == 2 * R
         assert check_convexity_inequality(space, x, y, z, R=R, r=2 * R)
@@ -663,14 +663,14 @@ class TestConvexityInequality:
         # the third coordinate of x would be dropped, and the check pass
         with pytest.raises(InputError, match="lengths 3 and 2"):
             check_convexity_inequality(
-                LpSpace(2, 2.0), (0.5, 0.0, 9.0), (-0.5, 0.0), (0.0, 0.0), 1.0, 1.0
+                LpSpace(2.0), (0.5, 0.0, 9.0), (-0.5, 0.0), (0.0, 0.0), 1.0, 1.0
             )
 
     @pytest.mark.parametrize("R", [1e-9, 0.5, 1.0, 1e6])
     def test_hypotheses_hold_to_the_slack_and_no_further(self, R):
         # the slack is 1e-12 * R; four slacks past R or below r is a
         # violated hypothesis, half a slack is not
-        space, slack, z = LpSpace(2, 2), 1e-12 * R, (0.0, 0.0)
+        space, slack, z = LpSpace(2), 1e-12 * R, (0.0, 0.0)
         assert check_convexity_inequality(space, (R + slack / 2, 0.0), z, z, R=R, r=0.0)
         with pytest.raises(PreconditionError, match="exceeds R"):
             check_convexity_inequality(space, (R + 4 * slack, 0.0), z, z, R=R, r=0.0)
@@ -684,7 +684,7 @@ class TestConvexityInequality:
         # for p >= 2, x = (a, eps/2) and y = (a, -eps/2) with
         # a = (1 - (eps/2)^p)^(1/p) are unit vectors whose midpoint has norm
         # exactly 1 - delta_p(eps); the check's tolerance is 1e-9 of R
-        space = LpSpace(2, 4.0)
+        space = LpSpace(4.0)
         a = (1 - (eps / 2) ** 4) ** 0.25
         x, y, z = (a, eps / 2), (a, -eps / 2), (0.0, 0.0)
         assert check_convexity_inequality(space, x, y, z, R=1.0, r=eps)
@@ -699,7 +699,7 @@ class TestConvexityInequality:
         # the inequality, so the check fails at small R too
         monkeypatch.setattr(norms, "modulus_of_convexity", lambda p, e: 1.0)
         x, y, z = (R, 0.0), (0.0, R), (0.0, 0.0)
-        assert not check_convexity_inequality(LpSpace(2, 2), x, y, z, R=R, r=1.4 * R)
+        assert not check_convexity_inequality(LpSpace(2), x, y, z, R=R, r=1.4 * R)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
     @pytest.mark.parametrize("z, scale", [((1000.0, -7.0), 1e-9), ((5.0, 0.0), 1e-12)])
@@ -711,7 +711,7 @@ class TestConvexityInequality:
         # than R raise no false violation, even for points on the sphere,
         # where the inequality is tightest; R is the larger computed
         # distance from z, so every triple is admissible
-        space, rng = LpSpace(2, p), random.Random(5)
+        space, rng = LpSpace(p), random.Random(5)
 
         def ball_point():
             a = (rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -727,10 +727,10 @@ class TestConvexityInequality:
     def test_precondition_violation_is_distinct(self):
         x, y, z = (5.0, 0.0), (0.0, 0.0), (0.0, 0.0)
         with pytest.raises(PreconditionError):
-            check_convexity_inequality(LpSpace(2, 2), x, y, z, R=1.0, r=0.5)
+            check_convexity_inequality(LpSpace(2), x, y, z, R=1.0, r=0.5)
 
     def test_bad_radius_inputs(self):
-        space = LpSpace(2, 2)
+        space = LpSpace(2)
         with pytest.raises(InputError):
             check_convexity_inequality(space, (0, 0), (0, 0), (0, 0), R=0.0, r=0.0)
         with pytest.raises(InputError):
@@ -738,7 +738,7 @@ class TestConvexityInequality:
 
     @pytest.mark.parametrize("R", [float("inf"), float("nan")])
     def test_non_finite_radius_is_an_input_error_naming_it(self, R):
-        space = LpSpace(2, 2)
+        space = LpSpace(2)
         with pytest.raises(InputError, match=f"R={R}"):
             check_convexity_inequality(space, (0, 0), (0, 0), (0, 0), R=R, r=0.0)
 
@@ -752,7 +752,7 @@ class TestConvexityInequality:
         ((0.0, 0.0), (float("-inf"), 0.0), (0.0, 0.0)),
     ])
     def test_non_finite_coordinate_is_an_input_error_naming_it(self, x, y, z):
-        space = LpSpace(2, 2)
+        space = LpSpace(2)
         with pytest.raises(InputError, match=r"must be finite, got .*(nan|inf)"):
             check_convexity_inequality(space, x, y, z, R=1.0, r=0.0)
 
@@ -761,7 +761,7 @@ class TestConvexityInequality:
         # distance, named as an input error rather than a violated hypothesis
         x, y, z = (1e308, 0.0), (0.0, 0.0), (-1e308, 0.0)
         with pytest.raises(InputError, match=r"\|\|x - z\|\| = inf.*must be finite"):
-            check_convexity_inequality(LpSpace(2, 2), x, y, z, R=1.0, r=0.0)
+            check_convexity_inequality(LpSpace(2), x, y, z, R=1.0, r=0.0)
 
     @given(
         st.floats(min_value=1.05, max_value=25),
@@ -777,7 +777,7 @@ class TestConvexityInequality:
     )
     @settings(max_examples=300)
     def test_holds_on_admissible_data(self, p, zx, zy, R, ux, uy, vx, vy, su, sv):
-        space = LpSpace(2, p)
+        space = LpSpace(p)
         z = (zx, zy)
 
         def ball_point(cx, cy, scale):

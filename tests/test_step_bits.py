@@ -128,7 +128,7 @@ def _map_lines():
 
 
 def _norm_lines():
-    spaces = [LpSpace(2, p) for p in EXPONENTS]
+    spaces = [LpSpace(p) for p in EXPONENTS]
     lines = [_line("norm", *v, *(lp_norm(s, v) for s in spaces))
              for v in EDGE_POINTS if _pow_free(v)]
     pairs = [(u, v) for u in EDGE_POINTS[::3] for v in EDGE_POINTS[1::3]]
@@ -137,7 +137,7 @@ def _norm_lines():
     rng = random.Random(53)
     for dps in DIGITS:
         with mp.workdps(dps):
-            spaces = [LpSpace(2, mp.mpf(p)) for p in EXPONENTS]
+            spaces = [LpSpace(mp.mpf(p)) for p in EXPONENTS]
             points = [*_mpf_edge(), *_seeded_mpfs(rng, SEEDED_MPF_POINTS)]
             pairs = list(zip(points[::2], points[1::2]))
             lines.append(_line(f"norm-dist-dps{dps}", _digest(
@@ -153,7 +153,7 @@ def _refusal(call, *args):
 
 
 def _refusal_lines():
-    space = LpSpace(2, 2.0)
+    space = LpSpace(2.0)
     return [
         "refuse lp_norm 1: " + _refusal(lp_norm, space, (1.0,)),
         "refuse lp_norm 3: " + _refusal(lp_norm, space, (1.0, 2.0, 3.0)),

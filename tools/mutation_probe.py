@@ -4,8 +4,9 @@ proof-chain audit, the cyclic validators and their declaration slacks, the
 norm constants, the two-coordinate norm kernel and its skip of a negligible
 term, the length checks of `lp_norm` and `dist`, the map's signed terms, its
 y image and its zero branch, the convexity check, the pattern search's step
-and trial points, the sampler's candidates and the suites' residual and
-separation checks: apply hand-written mutants, one at a time, to a copy of
+and trial points, the sampler's candidates and its box check, the suites'
+residual and separation checks, the norms suite's seeds and the check of
+an empty `--out`: apply hand-written mutants, one at a time, to a copy of
 the package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
@@ -42,6 +43,7 @@ SOLVER = "src/bestprox/solver.py"
 ORACLE = "src/bestprox/oracle.py"
 CYCLIC = "src/bestprox/cyclic.py"
 NORMS = "src/bestprox/norms.py"
+CLI = "src/bestprox/cli.py"
 TIMEOUT_S = 600.0  # a run this long counts as killed by a hang
 
 
@@ -259,6 +261,15 @@ MUTANTS = [
     Mutant("dist names one length where two differ", NORMS,
            "        if len(u) != len(v):\n", "        if False:\n",
            "tests/test_step_bits.py::test_refusals_keep_their_messages"),
+    Mutant("sampler's box check catches ValueError only", CYCLIC,
+           "    except (TypeError, ValueError):\n", "    except ValueError:\n",
+           "tests/test_cyclic.py::TestOrbitGeometry::test_sampler_refuses_a_box_that_is_not_two_intervals_before_drawing[None]"),
+    Mutant("an empty --out passes its check", CLI,
+           "    if not out_path:\n        raise InputError", "    if False:\n        raise InputError",
+           "tests/test_cli.py::test_empty_out_is_exit_2_before_the_run[solve]"),
+    Mutant("norms suite seeds with seed + int(p * 1000)", ORACLE,
+           "random.Random(seed + int(p * 100))", "random.Random(seed + int(p * 1000))",
+           "tests/test_oracle.py::test_norms_suite_draws_each_p_from_its_own_seed"),
 ]
 
 
