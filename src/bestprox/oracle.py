@@ -184,19 +184,26 @@ def audit_proof_chain(spec: CyclicMapSpec, x0: Vector, steps: int) -> ProofChain
     * distance form:  ||x_2n - x_{2n+2}||
                         <= ||x_{2n-l} - x_{2n+1-l}|| (S/(C d))^(1/q) k^(l/q).
 
-    Checked within 1e-9 mixed tolerance.
+    Checked within 1e-9 mixed tolerance.  The spans of lookbacks 1 and 2n,
+    P_n and D, are the trace's own displacements: the run took them with
+    the same `dist(x_i, x_{i+1})`.
     """
     if steps < 4 or steps % 2 != 0:
         raise InputError(f"steps must be an even integer >= 4, got {steps}")
     trace = picard_iterate(spec, x0, steps)
-    pts = trace.iterates
+    pts, displacements = trace.iterates, trace.displacements
     space, k, d = spec.space, spec.k, spec.d
     consts = trace.constants
     report = ProofChainReport(passed=True)
     for step in range(2, steps - 1, 2):
         even_move = dist(space, pts[step], pts[step + 2])
         for lookback in {1, 2, step}:
-            span = dist(space, pts[step - lookback], pts[step + 1 - lookback])
+            if lookback == 1:
+                span = displacements[step // 2]
+            elif lookback == step:
+                span = displacements[0]
+            else:
+                span = dist(space, pts[step - 2], pts[step - 1])
             excess = max(span - d, 0.0)
             scaled = (k ** lookback) * excess
 

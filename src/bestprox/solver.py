@@ -122,7 +122,9 @@ class IterationTrace:
     The declared (k, d) and power-type constants are carried so that
     `budgets` can be derived from the displacements when read; on mpmath
     numbers they are evaluated at the working precision in force at the
-    time of reading.
+    time of reading.  A read forms the a posteriori evaluator and the
+    a priori prefactor once, not once per even step, and its budgets equal
+    those of `error_budget_at` to the bit.
     """
 
     k: float
@@ -137,7 +139,15 @@ class IterationTrace:
     @property
     def budgets(self) -> list:
         """The ErrorBudget of every even step 2n >= 2, in step order."""
-        return [error_budget_at(self, n) for n in range(1, self.steps // 2 + 1)]
+        if self.steps < 2:
+            return []
+        d, k, consts, displacements = self.d, self.k, self.constants, self.displacements
+        apriori = _apriori(displacements[0], d, k, consts)
+        aposteriori = certificate_evaluator(d, k, consts, 1)
+        return [
+            ErrorBudget(2 * n, apriori(n), aposteriori(displacements[n]))
+            for n in range(1, self.steps // 2 + 1)
+        ]
 
 
 def _check_distance(d):
@@ -165,7 +175,9 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m):
     as a one-argument function of X.
 
     X = D and m = 2n give the a priori bound at step 2n, X = P and m = 1
-    the a posteriori bound, and m = 0 the prefactor of both.  k in (0, 1),
+    the a posteriori bound, and m = 0 the prefactor of both.  The tail
+    k^(m/q) multiplies last and k^0 is exactly 1, so the prefactor at D times
+    k^(2n/q) is the a priori bound to the bit (`apriori_bound`).  k in (0, 1),
     d > 0 and a finite d / (1 - k^(2/q)) are checked here, once; an
     evaluation at an X below d raises an error naming X as P (m = 1) or D.  An evaluation
     returns exactly 0 when X = d; a gap X - d in (-GAP_CLAMP, 0) is
@@ -219,15 +231,27 @@ def stop_excess(d, k, consts: PowerTypeConstants, eps):
     return h if all(x * (1 + tol) > x for x in (h, h / Cd)) else None
 
 
+def _apriori(D, d, k, consts: PowerTypeConstants):
+    """The a priori bound as a function of n >= 1: the prefactor, the
+    certificate at D with m = 0, formed once at the precision in force now,
+    times k^(2n/q)."""
+    prefactor = certificate_evaluator(d, k, consts, 0)(D)
+    q = consts.q
+    return lambda n: prefactor * k ** (2 * n / q)
+
+
 def apriori_bound(D, d, k, consts: PowerTypeConstants, n: int):
     """Error bound at even step 2n from the initial displacement D.
 
-    Returns exactly 0 when D = d (the orbit already realizes the set
-    distance, so the best proximity point is reached).
+    It is the prefactor, the certificate at D with m = 0, times k^(2n/q):
+    the certificate with m = 2n, to the bit, and the one product that
+    `error_budget_at` and `IterationTrace.budgets` read.  Returns exactly 0
+    when D = d (the orbit already realizes the set distance, so the best
+    proximity point is reached).
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    return certificate_evaluator(d, k, consts, 2 * n)(D)
+    return _apriori(D, d, k, consts)(n)
 
 
 def aposteriori_bound(P, d, k, consts: PowerTypeConstants):

@@ -176,15 +176,16 @@ class TestAuditSoundness:
         spec, x0, short_step = benchmark_map(), (1000.0, 8.0), 12
         iterate = picard_iterate(spec, x0, 20).iterates[short_step]
         true_error = dist(spec.space, iterate, E1)
-        budget_at = solver.error_budget_at
+        budgets = solver.IterationTrace.budgets.fget
 
-        def short(trace, n):
-            budget = budget_at(trace, n)
-            if budget.step == short_step:
-                budget = dataclasses.replace(budget, aposteriori=true_error - 1e-6)
-            return budget
+        def short(trace):
+            return [
+                dataclasses.replace(budget, aposteriori=true_error - 1e-6)
+                if budget.step == short_step else budget
+                for budget in budgets(trace)
+            ]
 
-        monkeypatch.setattr(solver, "error_budget_at", short)
+        monkeypatch.setattr(solver.IterationTrace, "budgets", property(short))
         report = audit_soundness(spec, x0, steps=20)
         assert not report.passed
         assert [failure[0] for failure in report.failures] == [short_step]
@@ -192,6 +193,59 @@ class TestAuditSoundness:
     def test_steps_validation(self):
         with pytest.raises(InputError):
             audit_soundness(benchmark_map(), (1000.0, 8.0), steps=7)
+
+
+#: Starts of the zero-slack check: far off, near the limit, a hair off the
+#: best proximity point, and beside the edge of A.
+ZERO_SLACK_STARTS = ((1000, 8), (3, -1.5), (1 + mp.mpf(2) ** -20, 0), (500, 499))
+
+
+def test_every_even_step_bound_holds_with_no_slack_at_working_precision():
+    # at 60 digits the orbit's round-off is far below every bound, so the
+    # theorem is checked as stated: bound >= true error, with no slack
+    checks, ratios = 0, []
+    with mp.workdps(60):
+        xi = tuple(mp.mpf(c) for c in E1)
+        for lam in (0.3, 0.5, 0.9):
+            for p in SUITE_PS:
+                spec = make_example1(Example1Params(lam=mp.mpf(lam), p=mp.mpf(p)))
+                for x0 in ZERO_SLACK_STARTS:
+                    trace = picard_iterate(spec, tuple(mp.mpf(c) for c in x0), 100)
+                    for budget in trace.budgets:
+                        true_error = dist(spec.space, trace.iterates[budget.step], xi)
+                        for bound in (budget.apriori, budget.aposteriori):
+                            assert bound >= true_error, (lam, p, x0, budget, true_error)
+                            checks += 1
+                        ratios.append(min(budget.apriori, budget.aposteriori) / true_error)
+    assert checks == 7200
+    # the tightest is 16.4, at lam = 0.3, p = 2, start (500, 499), step 6
+    assert min(ratios) > 16
+
+
+def _chain_failures_from_dist(spec, x0, steps):
+    """(failures, checks) of the proof chain as `audit_proof_chain` states
+    it, with every span ||x_{2n-l} - x_{2n+1-l}|| taken by `dist`."""
+    pts = picard_iterate(spec, x0, steps).iterates
+    space, k, d = spec.space, spec.k, spec.d
+    consts = power_type_constants(space.p)
+    C, q = consts.C, consts.q
+    failures, checks = [], 0
+    for step in range(2, steps - 1, 2):
+        even_move = dist(space, pts[step], pts[step + 2])
+        for lookback in {1, 2, step}:
+            span = dist(space, pts[step - lookback], pts[step + 1 - lookback])
+            excess = max(span - d, 0.0)
+            scaled = (k ** lookback) * excess
+            rhs_dist = span * (excess / (C * d)) ** (1.0 / q) * k ** (lookback / q)
+            if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):
+                failures.append((step, lookback, "distance", even_move, rhs_dist))
+            radius = d + scaled
+            ratio = min(max(even_move / radius, 0.0), 2.0)
+            lhs_mod = 0.0 if ratio == 0 else oracle.modulus_of_convexity(space.p, ratio)
+            if lhs_mod > scaled / radius + 1e-9:
+                failures.append((step, lookback, "modulus", lhs_mod, scaled / radius))
+            checks += 2
+    return failures, checks
 
 
 class TestAuditProofChain:
@@ -221,6 +275,24 @@ class TestAuditProofChain:
     def test_steps_validation(self):
         with pytest.raises(InputError):
             audit_proof_chain(benchmark_map(), (1000.0, 8.0), steps=2)
+
+    @pytest.mark.parametrize("x0", [(1000.0, 8.0), (3.0, -1.5)])
+    @pytest.mark.parametrize("k", [None, 0.05, 0.15, 0.8125])
+    @pytest.mark.parametrize("lam, p", [(0.5, 1.1), (0.5, 1.5), (0.9, 2.0), (0.5, 5.0), (0.9, 20.0)])
+    def test_failures_match_spans_taken_by_dist(self, lam, p, k, x0):
+        # the audit reads the spans of lookbacks 1 and 2n from the trace;
+        # an understated k makes their figures enter the failures
+        spec = benchmark_map(lam=lam, p=p)
+        if k is not None:
+            spec = dataclasses.replace(spec, k=k)
+        report = audit_proof_chain(spec, x0, steps=60)
+        failures, checks = _chain_failures_from_dist(spec, x0, steps=60)
+        assert report.failures == failures
+        assert report.checks == checks
+        assert report.passed == (not failures)
+        if k == 0.05 and x0 == (1000.0, 8.0):
+            assert any(failure[1] == failure[0] > 2 for failure in failures)
+            assert lam == 0.9 or any(failure[1] == 1 for failure in failures)
 
 
 class TestRederiveDistance:

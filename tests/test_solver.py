@@ -1124,3 +1124,70 @@ class TestErrorBudgetAt:
             error_budget_at(trace, 3)
         with pytest.raises(InputError):
             error_budget_at(trace, 0)
+
+
+def _same(a, b):
+    """Equal, or both NaN."""
+    return a == b or (a != a and b != b)
+
+
+class TestBudgetsBits:
+    """A trace's budgets, read in one pass or one step at a time, are the
+    paper's expression: the a priori one from D with m = 2n, the a
+    posteriori one from P_n with m = 1."""
+
+    @pytest.mark.parametrize("dps", [None, 50, 300])
+    @pytest.mark.parametrize("lam, p, x0, steps", [
+        (0.5, 1.5, (1000.0, 8.0), 80),
+        (0.9, 20.0, (3.0, -1.5), 60),
+        (0.3, 3.0, (500.0, 499.0), 40),
+        # D = d: every budget is 0
+        (0.5, 2.0, E1, 10),
+    ])
+    def test_match_the_paper_expression_bit_for_bit(self, dps, lam, p, x0, steps):
+        with mp.workdps(dps or mp.mp.dps):
+            num = float if dps is None else mp.mpf
+            spec = make_example1(Example1Params(lam=num(lam), p=num(p)))
+            trace = picard_iterate(spec, tuple(num(c) for c in x0), steps)
+            d, k, consts, displacements = spec.d, spec.k, trace.constants, trace.displacements
+            budgets = trace.budgets
+            assert [b.step for b in budgets] == list(range(2, steps + 1, 2))
+            for budget in budgets:
+                n = budget.step // 2
+                apriori = _inline_certificate(displacements[0], d, k, consts, 2 * n)
+                aposteriori = _inline_certificate(displacements[n], d, k, consts, 1)
+                for read in (budget, error_budget_at(trace, n)):
+                    assert type(read.apriori) is type(read.aposteriori) is type(k)
+                    assert read.apriori == apriori and read.aposteriori == aposteriori
+        if x0 == E1:
+            assert all(b.apriori == 0 and b.aposteriori == 0 for b in budgets)
+
+    def test_an_overflowed_d_gives_inf_then_nan_bit_for_bit(self):
+        # D overflows to inf, so the a priori budget is inf until k^(2n/q)
+        # underflows to 0 and inf * 0 is NaN
+        spec = benchmark_map(lam=0.3, p=1.5)
+        trace = picard_iterate(spec, (1.7e308, 1e308), 1300)
+        d, k, consts, displacements = spec.d, spec.k, trace.constants, trace.displacements
+        assert displacements[0] == math.inf
+        budgets = trace.budgets
+        for budget in budgets:
+            n = budget.step // 2
+            apriori = _inline_certificate(displacements[0], d, k, consts, 2 * n)
+            aposteriori = _inline_certificate(displacements[n], d, k, consts, 1)
+            for read in (budget, error_budget_at(trace, n)):
+                assert _same(read.apriori, apriori) and _same(read.aposteriori, aposteriori)
+        aprioris = [b.apriori for b in budgets]
+        assert aprioris[0] == math.inf and math.isnan(aprioris[-1])
+
+    @pytest.mark.parametrize("dps", [None, 50])
+    def test_a_d_below_the_set_distance_is_refused_naming_d(self, dps):
+        with mp.workdps(dps or mp.mp.dps):
+            num = float if dps is None else mp.mpf
+            spec = make_example1(Example1Params(lam=num(0.5), p=num(2)))
+            trace = picard_iterate(spec, (num(1000), num(8)), 6)
+            low = dataclasses.replace(trace, displacements=[num(1.5), *trace.displacements[1:]])
+            pattern = f"D={num(1.5)} is below d={spec.d}"
+            with pytest.raises(InputError, match=re.escape(pattern)):
+                low.budgets
+            with pytest.raises(InputError, match=re.escape(pattern)):
+                error_budget_at(low, 1)

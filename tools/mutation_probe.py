@@ -1,10 +1,11 @@
 """Mutation probe of the certificate path, the run's screen and stall span,
-the a priori run, the table's refusals before its first cell, the
-proof-chain audit, the cyclic validators and their declaration slacks, the
-norm constants, the two-coordinate norm kernel and its skip of a negligible
-term, the length checks of `lp_norm` and `dist`, the map's signed terms, its
-y image and its zero branch, the convexity check, the pattern search's step
-and trial points, the sampler's candidates and its box check, the suites'
+the a priori run, a trace's budgets, the table's refusals before its
+first cell, the proof-chain audit and the spans it reads from the trace,
+the cyclic validators and their declaration slacks, the norm constants,
+the two-coordinate norm kernel and its skip of a negligible term, the
+length checks of `lp_norm` and `dist`, the map's signed terms, its y image
+and its zero branch, the convexity check, the pattern search's step and
+trial points, the sampler's candidates and its box check, the suites'
 residual and separation checks, the norms suite's seeds and the check of
 an empty `--out`: apply hand-written mutants, one at a time, to a copy of
 the package and report which the tests kill.
@@ -143,6 +144,22 @@ MUTANTS = [
     Mutant("XI_PERIOD_SLACK 1e-15 -> 1e-12", CYCLIC,
            "XI_PERIOD_SLACK = 1e-15", "XI_PERIOD_SLACK = 1e-12",
            "tests/test_cli.py::TestVerify::test_corrupted_k_matches_golden_bytes"),
+    Mutant("a priori tail reads k ** (n / q)", SOLVER,
+           "prefactor * k ** (2 * n / q)", "prefactor * k ** (n / q)",
+           "tests/test_solver.py::TestBudgetsBits::test_match_the_paper_expression_bit_for_bit[0.5-1.5-x00-80-None]"),
+    Mutant("a priori prefactor formed at m = 1", SOLVER,
+           "prefactor = certificate_evaluator(d, k, consts, 0)(D)\n    q = consts.q",
+           "prefactor = certificate_evaluator(d, k, consts, 1)(D)\n    q = consts.q",
+           "tests/test_solver.py::TestBudgetsBits::test_match_the_paper_expression_bit_for_bit[0.5-1.5-x00-80-None]"),
+    Mutant("a posteriori budget reads P[n - 1]", SOLVER,
+           "aposteriori(displacements[n])", "aposteriori(displacements[n - 1])",
+           "tests/test_solver.py::TestBudgetsBits::test_match_the_paper_expression_bit_for_bit[0.5-1.5-x00-80-None]"),
+    Mutant("chain's lookback-1 span reads the previous displacement", ORACLE,
+           "span = displacements[step // 2]", "span = displacements[step // 2 - 1]",
+           "tests/test_oracle.py::TestAuditProofChain::test_failures_match_spans_taken_by_dist[0.5-1.1-0.05-x00]"),
+    Mutant("chain's lookback-2n span reads P_1", ORACLE,
+           "span = displacements[0]", "span = displacements[1]",
+           "tests/test_oracle.py::TestAuditProofChain::test_failures_match_spans_taken_by_dist[0.5-1.1-0.05-x00]"),
     Mutant("proof chain distance slack 1e-9 -> 1e-3", ORACLE,
            "if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):",
            "if even_move > rhs_dist + 1e-3 * (1 + rhs_dist):",
