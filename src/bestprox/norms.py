@@ -186,7 +186,20 @@ def _implicit_equation(delta, p: float, eps: float):
 
 
 def modulus_of_convexity(p: float, eps: float):
-    """delta_p(eps) for eps in (0, 2].
+    """delta_p(eps) for eps in (0, 2]: InputError naming p unless p is a
+    finite exponent > 1, and naming eps unless eps lies in (0, 2] (a NaN
+    among them); then the value of `_modulus`.
+    """
+    check_exponent(p)
+    if not (0 < eps <= 2):
+        raise InputError(f"eps must lie in (0, 2], got {eps}")
+    return _modulus(p, eps)
+
+
+def _modulus(p, eps):
+    """delta_p(eps) for a p already checked (`check_exponent`, as an
+    `LpSpace` does) and an eps in (0, 2], which the caller guarantees: a NaN
+    or an eps above 2 is not refused here.
 
     Closed form for p >= 2.  For 1 < p < 2 the root in [0, 1] of
     g(d) = (1 - d + eps/2)^p + |1 - d - eps/2|^p - 2 is found by Newton's
@@ -199,9 +212,6 @@ def modulus_of_convexity(p: float, eps: float):
     double, convergence is linear at first, and at eps = 2 the root d = 1
     is returned exactly.
     """
-    check_exponent(p)
-    if not (0 < eps <= 2):
-        raise InputError(f"eps must lie in (0, 2], got {eps}")
     if p >= 2:
         u = (eps / 2.0) ** p
         if u >= 1.0:

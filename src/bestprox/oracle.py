@@ -76,6 +76,7 @@ from .norms import (
     LpSpace,
     Vector,
     _implicit_equation,
+    _modulus,
     check_convexity_inequality,
     check_exponent,
     dist,
@@ -186,44 +187,54 @@ def audit_proof_chain(spec: CyclicMapSpec, x0: Vector, steps: int) -> ProofChain
 
     Checked within 1e-9 mixed tolerance.  The spans of lookbacks 1 and 2n,
     P_n and D, are the trace's own displacements: the run took them with
-    the same `dist(x_i, x_{i+1})`.
+    the same `dist(x_i, x_{i+1})`.  What does not change along the orbit,
+    C d, 1/q and the pairs (k^l, k^(l/q)) of lookbacks 1 and 2, is formed
+    once per audit; lookback 2n forms its own.  The modulus is read through
+    `norms._modulus`: p is the validated space's, and the ratio is clamped
+    into [0, 2], with 0 taken as delta = 0.  A ratio that is not a number
+    (0 * inf, where D overflows and k^(2n) underflows) goes to
+    `modulus_of_convexity`, which refuses it naming eps.  The report equals
+    that of the same checks, each formed in full at its step, to the bit.
     """
     if steps < 4 or steps % 2 != 0:
         raise InputError(f"steps must be an even integer >= 4, got {steps}")
     trace = picard_iterate(spec, x0, steps)
     pts, displacements = trace.iterates, trace.displacements
     space, k, d = spec.space, spec.k, spec.d
-    consts = trace.constants
-    report = ProofChainReport(passed=True)
+    p, q = space.p, trace.constants.q
+    c_d, root = trace.constants.C * d, 1.0 / q
+    near = k, k ** root
+    second = k ** 2, k ** (2 / q)
+    failures, checks = [], 0
     for step in range(2, steps - 1, 2):
         even_move = dist(space, pts[step], pts[step + 2])
         for lookback in {1, 2, step}:
             if lookback == 1:
-                span = displacements[step // 2]
+                span, (k_l, k_lq) = displacements[step // 2], near
             elif lookback == step:
-                span = displacements[0]
+                span, k_l, k_lq = displacements[0], k ** step, k ** (step / q)
             else:
-                span = dist(space, pts[step - 2], pts[step - 1])
+                span, (k_l, k_lq) = dist(space, pts[step - 2], pts[step - 1]), second
             excess = max(span - d, 0.0)
-            scaled = (k ** lookback) * excess
+            scaled = k_l * excess
 
-            rhs_dist = span * (excess / (consts.C * d)) ** (1.0 / consts.q) * k ** (
-                lookback / consts.q
-            )
-            report.checks += 1
+            rhs_dist = span * (excess / c_d) ** root * k_lq
             if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):
-                report.passed = False
-                report.failures.append((step, lookback, "distance", even_move, rhs_dist))
+                failures.append((step, lookback, "distance", even_move, rhs_dist))
 
             radius = d + scaled
             ratio = min(max(even_move / radius, 0.0), 2.0)
-            lhs_mod = 0.0 if ratio == 0 else modulus_of_convexity(space.p, ratio)
+            if ratio > 0:
+                lhs_mod = _modulus(p, ratio)
+            elif ratio == 0:
+                lhs_mod = 0.0
+            else:  # NaN, from 0 * inf: the public function refuses it, naming eps
+                lhs_mod = modulus_of_convexity(p, ratio)
             rhs_mod = scaled / radius
-            report.checks += 1
             if lhs_mod > rhs_mod + 1e-9:
-                report.passed = False
-                report.failures.append((step, lookback, "modulus", lhs_mod, rhs_mod))
-    return report
+                failures.append((step, lookback, "modulus", lhs_mod, rhs_mod))
+            checks += 2
+    return ProofChainReport(passed=not failures, failures=failures, checks=checks)
 
 
 #: Pattern-search moves of the plane: unit coordinate moves, then the four
@@ -358,7 +369,10 @@ def _plan_cell(lam: float, p: float, x0: Vector, eps: float):
     only where that excess g has g (1 + g/d)^q < h, so the stop needs g
     below min(h, (h d^q)^(1/(q+1))), also formed at 53 bits; the second
     term is the smaller where h exceeds d.  A cell whose fewest such step
-    lies beyond the cap raises BudgetExhaustedError.
+    lies beyond the cap raises BudgetExhaustedError.  A start with zero
+    spread, the apex (1, 0), plans WORKING_DPS_FLOOR digits whatever h is:
+    its every iterate is exactly (+-1, +-0) at 54 bits or more, so P = d
+    and the stop fires at step 2 at any digits.
     """
     rule = StopRule(StopKind.APOSTERIORI, eps, WORKING_PRECISION_CAP)
     spec = make_example1(Example1Params(lam, p))
@@ -375,13 +389,14 @@ def _plan_cell(lam: float, p: float, x0: Vector, eps: float):
             )
         excess = min(h, (h * d ** q) ** (1 / (q + 1)))
     spread = (1 + mp.mpf(lam)) * (mp.mpf(x0[0]) - 1)
-    if spread > 0:  # not the apex start
-        fewest = 2 * int(mp.floor((1 + mp.log(excess / spread) / mp.log(lam)) / 2))
-        if fewest > WORKING_PRECISION_CAP:
-            raise BudgetExhaustedError(
-                f"a posteriori criterion needs at least {fewest} steps, "
-                f"cap is {WORKING_PRECISION_CAP}"
-            )
+    if not spread:  # the apex start, whose every iterate is (+-1, +-0)
+        return rule, xi, WORKING_DPS_FLOOR
+    fewest = 2 * int(mp.floor((1 + mp.log(excess / spread) / mp.log(lam)) / 2))
+    if fewest > WORKING_PRECISION_CAP:
+        raise BudgetExhaustedError(
+            f"a posteriori criterion needs at least {fewest} steps, "
+            f"cap is {WORKING_PRECISION_CAP}"
+        )
     return rule, xi, _working_dps(spec.d, h)
 
 

@@ -514,6 +514,26 @@ class TestModulusOfConvexity:
                 residual = (1 - d + eps / 2) ** p + abs(1 - d - eps / 2) ** p - 2
                 assert abs(residual) <= 1e-10
 
+    @pytest.mark.parametrize("p", [*MODULUS_PS, 2.0, 3.0, 5.0, 20.0])
+    def test_core_equals_the_public_function_bit_for_bit(self, p):
+        # the proof-chain audit reads the core without the public checks
+        assert [norms._modulus(p, eps).hex() for eps in MODULUS_GRID] == [
+            modulus_of_convexity(p, eps).hex() for eps in MODULUS_GRID
+        ]
+
+    @pytest.mark.parametrize("p, eps, named", [
+        (1.0, 1.0, r"p=1\.0"),
+        (float("nan"), 1.0, r"p=nan"),
+        (float("inf"), 1.0, r"p=inf"),
+        (2.0, 0.0, r"eps must lie in \(0, 2\], got 0\.0"),
+        (1.5, 2.0000001, r"eps must lie in \(0, 2\], got 2\.0000001"),
+        (1.5, float("nan"), r"eps must lie in \(0, 2\], got nan"),
+        (2.0, float("nan"), r"eps must lie in \(0, 2\], got nan"),
+    ])
+    def test_the_public_function_refuses_naming_p_or_eps(self, p, eps, named):
+        with pytest.raises(InputError, match=named):
+            modulus_of_convexity(p, eps)
+
     def test_domain_errors(self):
         with pytest.raises(InputError):
             modulus_of_convexity(2, 0)

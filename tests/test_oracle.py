@@ -248,6 +248,56 @@ def _chain_failures_from_dist(spec, x0, steps):
     return failures, checks
 
 
+def _per_step_chain(spec, x0, steps):
+    """The proof-chain audit as it was written before its constants were
+    formed once per audit: every constant formed at its step, and the
+    modulus read through the checked `modulus_of_convexity`."""
+    trace = picard_iterate(spec, x0, steps)
+    pts, displacements = trace.iterates, trace.displacements
+    space, k, d = spec.space, spec.k, spec.d
+    consts = trace.constants
+    report = oracle.ProofChainReport(passed=True)
+    for step in range(2, steps - 1, 2):
+        even_move = dist(space, pts[step], pts[step + 2])
+        for lookback in {1, 2, step}:
+            if lookback == 1:
+                span = displacements[step // 2]
+            elif lookback == step:
+                span = displacements[0]
+            else:
+                span = dist(space, pts[step - 2], pts[step - 1])
+            excess = max(span - d, 0.0)
+            scaled = (k ** lookback) * excess
+
+            rhs_dist = span * (excess / (consts.C * d)) ** (1.0 / consts.q) * k ** (
+                lookback / consts.q
+            )
+            report.checks += 1
+            if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):
+                report.passed = False
+                report.failures.append((step, lookback, "distance", even_move, rhs_dist))
+
+            radius = d + scaled
+            ratio = min(max(even_move / radius, 0.0), 2.0)
+            lhs_mod = 0.0 if ratio == 0 else oracle.modulus_of_convexity(space.p, ratio)
+            rhs_mod = scaled / radius
+            report.checks += 1
+            if lhs_mod > rhs_mod + 1e-9:
+                report.passed = False
+                report.failures.append((step, lookback, "modulus", lhs_mod, rhs_mod))
+    return report
+
+
+#: Starts of the bit-identity check: far off, near the limit, a hair off the
+#: best proximity point, beside the edge of A, and at the float64 range.
+CHAIN_STARTS = ((1000.0, 8.0), (3.0, -1.5), (1 + 2.0 ** -20, 0.0), (500.0, 499.0), (1e308, 0.0))
+
+
+def _bits(report):
+    """A report as text: repr gives every float to the bit."""
+    return repr((report.passed, report.checks, report.failures))
+
+
 class TestAuditProofChain:
     @pytest.mark.parametrize("p", [1.1, 2.0, 5.0])
     def test_benchmark_chain(self, p):
@@ -275,6 +325,49 @@ class TestAuditProofChain:
     def test_steps_validation(self):
         with pytest.raises(InputError):
             audit_proof_chain(benchmark_map(), (1000.0, 8.0), steps=2)
+
+    @pytest.mark.parametrize("k", [None, 0.05, 0.15, 0.8125])
+    @pytest.mark.parametrize("lam", SUITE_LAMBDAS)
+    def test_report_equals_the_per_step_loop_bit_for_bit(self, lam, k):
+        # the constants formed once per audit and the modulus core give
+        # the same passed flag, check count and failures, values and order
+        failing = 0
+        for p in SUITE_PS:
+            spec = benchmark_map(lam=lam, p=p)
+            if k is not None:
+                spec = dataclasses.replace(spec, k=k)
+            for x0 in CHAIN_STARTS:
+                report = audit_proof_chain(spec, x0, steps=60)
+                assert _bits(report) == _bits(_per_step_chain(spec, x0, steps=60)), (p, x0)
+                failing += not report.passed
+        # a k below lam is understated, and its failures enter the comparison
+        assert (failing > 0) == (k is not None and k < lam)
+
+    def test_a_ratio_that_is_not_a_number_is_refused_naming_eps(self):
+        # from (1e308, 9e307) D overflows to inf and, past step 1074,
+        # k^(2n) underflows to 0, so the radius of lookback 2n is 0 * inf
+        spec = benchmark_map(lam=0.5, p=2.0)
+        for audit in (audit_proof_chain, _per_step_chain):
+            with pytest.raises(InputError, match=r"^eps must lie in \(0, 2\], got nan$"):
+                audit(spec, (1e308, 9e307), 2200)
+
+    def test_the_modulus_core_reads_only_ratios_in_0_2(self, monkeypatch):
+        # the core checks neither p nor eps; the audit clamps every ratio
+        # into [0, 2] and short-circuits 0 (a NaN has its own test above)
+        seen = []
+
+        def core(p, eps):
+            seen.append(eps)
+            return modulus(p, eps)
+
+        modulus = oracle._modulus
+        monkeypatch.setattr(oracle, "_modulus", core)
+        for p in (1.5, 2.0):
+            spec = dataclasses.replace(benchmark_map(lam=0.5, p=p), k=0.05)
+            audit_proof_chain(spec, (1000.0, 8.0), steps=60)
+            audit_proof_chain(spec, E1, steps=20)
+        assert seen and all(0 < eps <= 2 for eps in seen)
+        assert 2.0 in seen  # an even move beyond twice the radius is clamped
 
     @pytest.mark.parametrize("x0", [(1000.0, 8.0), (3.0, -1.5)])
     @pytest.mark.parametrize("k", [None, 0.05, 0.15, 0.8125])
@@ -592,6 +685,16 @@ class TestWorkingPrecisionDigits:
         monkeypatch.setattr(oracle, "WORKING_PRECISION_CAP", 2)
         assert oracle.aposteriori_stop_working_precision(0.5, 20.0, E1, 1e-10) == (2, 0.0)
 
+    @pytest.mark.parametrize("lam, p, eps", [(5e-324, 1013.0, 5e-324), (0.5, 20.0, 1e-10)])
+    def test_apex_start_plans_the_floor_digits(self, lam, p, eps):
+        # every iterate is (+-1, +-0), so P = d at any digits: h sized
+        # 327,934 digits at lam = 5e-324, p = 1013, eps = 5e-324
+        assert oracle._plan_cell(lam, p, E1, eps)[2] == oracle.WORKING_DPS_FLOOR
+        one_ulp_off = (1 + 2.0 ** -52, 0.0)
+        assert oracle._plan_cell(lam, p, one_ulp_off, eps)[2] == oracle._working_dps(
+            2.0, _cell_excess(lam, p, eps)
+        )
+
     def test_excess_is_formed_once_per_cell(self, monkeypatch):
         # the digits and the cap refusal read the same h
         calls = []
@@ -618,6 +721,69 @@ class TestWorkingPrecisionDigits:
         assert _cell_excess(0.5, 1014.0, 1e-2) is None
         with pytest.raises(InputError, match=r"p=1014"):
             oracle.aposteriori_stop_working_precision(0.5, 1014.0, (1000.0, 8.0), 1e-2)
+
+
+#: The a posteriori counts from (1000, 8) at eps = 1e-10 and lam 0.3 and
+#: 0.9 that the benchmark's fingerprint pins beside the published grid.
+PINNED_CELLS = {
+    (0.3, 1.1): 50, (0.3, 1.5): 48, (0.3, 2.0): 48, (0.3, 3.0): 70, (0.3, 5.0): 114,
+    (0.3, 20.0): 450, (0.9, 1.1): 602, (0.9, 1.5): 586, (0.9, 2.0): 580, (0.9, 3.0): 848,
+    (0.9, 5.0): 1392, (0.9, 20.0): 5594,
+}
+
+
+def _pinned_counts():
+    """(lam, p, eps, count) of the 30 published cells and the 12 pinned ones."""
+    eps_list, p_list, counts = load_reference_counts(StopKind.APOSTERIORI)
+    cells = [(0.5, p, eps, count)
+             for eps, row in zip(eps_list, counts) for p, count in zip(p_list, row)]
+    return cells + [(lam, p, 1e-10, count) for (lam, p), count in PINNED_CELLS.items()]
+
+
+def _exact_count(lam, p, x0, eps, dps):
+    """The first even step 2n whose a posteriori certificate at the exact
+    orbit's P_n is below eps, at dps digits, written here from the closed
+    form and independently of `solver` and `norms`.
+
+    From x0 in A the two-cone map gives |x_n| - 1 = lam^n (x0 - 1) and
+    y_n = (-lam)^n y0, with x_n > 0 at even n.  So x_{2n-1} - x_{2n} =
+    -(2 + g (x0 - 1), g y0), g = lam^(2n-1) (1 + lam), and P_n is its
+    l_p norm.  The certificate is P/(1 - k^(2/q)) ((P - d)/(C d))^(1/q)
+    k^(1/q), with k = lam, d = 2, and (C, q) = (1/(p 2^p), p) for p >= 2,
+    ((p - 1)/8, 2) below.  It decreases in n, so the first n is bisected.
+    """
+    with mp.workdps(dps):
+        lam, p, eps = mp.mpf(lam), mp.mpf(p), mp.mpf(eps)
+        spread, y0 = mp.mpf(x0[0]) - 1, mp.mpf(x0[1])
+        C, q = (1 / (p * 2 ** p), p) if p >= 2 else ((p - 1) / 8, mp.mpf(2))
+        d = 2
+
+        def certificate(n):
+            g = lam ** (2 * n - 1) * (1 + lam)
+            P = (abs(2 + g * spread) ** p + abs(g * y0) ** p) ** (1 / p)
+            return P / (1 - lam ** (2 / q)) * ((P - d) / (C * d)) ** (1 / q) * lam ** (1 / q)
+
+        lo, n = 0, 1  # the certificate at lo is >= eps (lo = 0: no step yet)
+        while not certificate(n) < eps:
+            lo, n = n, 2 * n
+        while n - lo > 1:
+            mid = (lo + n) // 2
+            lo, n = (lo, mid) if certificate(mid) < eps else (mid, n)
+        return 2 * n
+
+
+class TestExactOrbit:
+    def test_every_pinned_count_is_the_exact_orbit_count(self):
+        for lam, p, eps, count in _pinned_counts():
+            dps = oracle._plan_cell(lam, p, (1000.0, 8.0), eps)[2]
+            assert _exact_count(lam, p, (1000.0, 8.0), eps, dps + 20) == count, (lam, p, eps)
+
+    def test_the_cap_refusal_admits_every_pinned_count(self, monkeypatch):
+        # the fewest step of the refusal is at most the count: 796 <= 798
+        # at lam = 0.5, p = 20, eps = 1e-10
+        for lam, p, eps, count in _pinned_counts():
+            monkeypatch.setattr(oracle, "WORKING_PRECISION_CAP", count)
+            oracle._plan_cell(lam, p, (1000.0, 8.0), eps)
 
 
 #: Digests of working-precision orbits, one cell a line: lam, p, eps, the

@@ -1,14 +1,15 @@
 """Mutation probe of the certificate path, the run's screen and stall span,
 the a priori run, a trace's budgets, the table's refusals before its
-first cell, the proof-chain audit and the spans it reads from the trace,
-the cyclic validators and their declaration slacks, the norm constants,
-the two-coordinate norm kernel and its skip of a negligible term, the
-length checks of `lp_norm` and `dist`, the map's signed terms, its y image
-and its zero branch, the convexity check, the pattern search's step and
-trial points, the sampler's candidates and its box check, the suites'
-residual and separation checks, the norms suite's seeds and the check of
-an empty `--out`: apply hand-written mutants, one at a time, to a copy of
-the package and report which the tests kill.
+first cell, the apex start's digits, the proof-chain audit, the spans it
+reads from the trace, the constants it forms once and the range of its
+modulus core, the cyclic validators and their declaration slacks, the
+norm constants, the two-coordinate norm kernel and its skip of a
+negligible term, the length checks of `lp_norm` and `dist`, the map's
+signed terms, its y image and its zero branch, the convexity check, the
+pattern search's step and trial points, the sampler's candidates and its
+box check, the suites' residual and separation checks, the norms suite's
+seeds and the check of an empty `--out`: apply hand-written mutants, one
+at a time, to a copy of the package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another, and names the test that kills it.  The copy lives in a
@@ -155,10 +156,10 @@ MUTANTS = [
            "aposteriori(displacements[n])", "aposteriori(displacements[n - 1])",
            "tests/test_solver.py::TestBudgetsBits::test_match_the_paper_expression_bit_for_bit[0.5-1.5-x00-80-None]"),
     Mutant("chain's lookback-1 span reads the previous displacement", ORACLE,
-           "span = displacements[step // 2]", "span = displacements[step // 2 - 1]",
+           "displacements[step // 2], near", "displacements[step // 2 - 1], near",
            "tests/test_oracle.py::TestAuditProofChain::test_failures_match_spans_taken_by_dist[0.5-1.1-0.05-x00]"),
     Mutant("chain's lookback-2n span reads P_1", ORACLE,
-           "span = displacements[0]", "span = displacements[1]",
+           "= displacements[0], k ** step", "= displacements[1], k ** step",
            "tests/test_oracle.py::TestAuditProofChain::test_failures_match_spans_taken_by_dist[0.5-1.1-0.05-x00]"),
     Mutant("proof chain distance slack 1e-9 -> 1e-3", ORACLE,
            "if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):",
@@ -166,8 +167,7 @@ MUTANTS = [
            "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("proof chain drops the distance form", ORACLE,
            "            if even_move > rhs_dist + 1e-9 * (1 + rhs_dist):\n"
-           "                report.passed = False\n"
-           "                report.failures.append((step, lookback, \"distance\", even_move, rhs_dist))\n",
+           "                failures.append((step, lookback, \"distance\", even_move, rhs_dist))\n",
            "",
            "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("proof chain modulus slack 1e-9 -> 1e-3", ORACLE,
@@ -175,10 +175,24 @@ MUTANTS = [
            "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
     Mutant("proof chain drops the modulus form", ORACLE,
            "            if lhs_mod > rhs_mod + 1e-9:\n"
-           "                report.passed = False\n"
-           "                report.failures.append((step, lookback, \"modulus\", lhs_mod, rhs_mod))\n",
+           "                failures.append((step, lookback, \"modulus\", lhs_mod, rhs_mod))\n",
            "",
            "tests/test_cli.py::TestVerify::test_bounds_suite_matches_golden_bytes[0.05-1]"),
+    Mutant("chain's lookback-2 pair formed at l = 1", ORACLE,
+           "second = k ** 2, k ** (2 / q)", "second = k ** 1, k ** (1 / q)",
+           "tests/test_oracle.py::TestAuditProofChain::test_report_equals_the_per_step_loop_bit_for_bit[0.5-0.05]"),
+    Mutant("chain counts one check per lookback", ORACLE,
+           "            checks += 2\n", "            checks += 1\n",
+           "tests/test_oracle.py::TestAuditProofChain::test_report_equals_the_per_step_loop_bit_for_bit[0.3-None]"),
+    Mutant("chain calls the modulus core without the clamp at 2", ORACLE,
+           "ratio = min(max(even_move / radius, 0.0), 2.0)", "ratio = max(even_move / radius, 0.0)",
+           "tests/test_oracle.py::TestAuditProofChain::test_the_modulus_core_reads_only_ratios_in_0_2"),
+    Mutant("chain sends a NaN ratio to the modulus core", ORACLE,
+           "            if ratio > 0:\n", "            if ratio != 0:\n",
+           "tests/test_oracle.py::TestAuditProofChain::test_a_ratio_that_is_not_a_number_is_refused_naming_eps"),
+    Mutant("apex digits planned at any spread", ORACLE,
+           "    if not spread:", "    if spread >= 0:",
+           "tests/test_oracle.py::TestWorkingPrecisionDigits::test_apex_start_plans_the_floor_digits[5e-324-1013.0-5e-324]"),
     Mutant("C = 1.001/(p 2^p)", NORMS, "C = 1 / (p * 2 ** p)", "C = 1.001 / (p * 2 ** p)",
            "tests/test_acceptance.py::test_criterion_5_geometry_suite"),
     Mutant("C = (p - 1)/7.99", NORMS, "C=(p - 1) / 8", "C=(p - 1) / 7.99",
