@@ -104,7 +104,14 @@ class PowerTypeConstants:
 
 def lp_norm(space: LpSpace, v: Vector):
     """Return (sum |v_i|^p)^(1/p); zero exactly when v is the zero vector,
-    inf when a coordinate is infinite, NaN when one is NaN."""
+    inf when a coordinate is infinite, NaN when one is NaN.
+
+    The result is never below max(|v_0|, |v_1|), round-off included: it is
+    that coordinate times a factor of at least 1.  That holds where the
+    coordinates are numbers of the space's arithmetic (an mpf formed at the
+    working precision the space was built at); a coordinate carrying more
+    digits is rounded to the working precision, possibly downward.
+    `oracle.rederive_distance` skips the norms this floor rules out."""
     try:  # the unpacking checks the length; only a refusal reads len
         a, b = v
     except ValueError:

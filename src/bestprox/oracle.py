@@ -247,6 +247,26 @@ PATTERN_DIRECTIONS = (
 )
 
 
+def _nearest(space: LpSpace, points: list[Vector], target: Vector):
+    """The first of points nearest to target, and its distance.
+
+    A point replaces the nearest so far only when strictly nearer, as with
+    `min(points, key=...)` over `dist`.  `lp_norm` is never below the larger
+    coordinate gap, so a point with a gap not below the best distance so far
+    cannot be nearer, and its norm is not taken.
+    """
+    t0, t1 = target
+    nearest = points[0]
+    best = lp_norm(space, (nearest[0] - t0, nearest[1] - t1))
+    for point in points[1:]:
+        a, b = point[0] - t0, point[1] - t1
+        if abs(a) < best and abs(b) < best:
+            trial = lp_norm(space, (a, b))
+            if trial < best:
+                nearest, best = point, trial
+    return nearest, best
+
+
 def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> float:
     """Numerically re-derive dist(A, B) and cross-check the declaration.
 
@@ -254,34 +274,40 @@ def rederive_distance(spec: CyclicMapSpec, sample_count: int, seed: int) -> floa
     argmins: the u closest to the first v drawn, the v closest to that u,
     and the u closest to that v.  Refines that pair by pattern search with
     a halving step, moving either endpoint while its membership predicate
-    allows.  Raises DeclarationError when the refined estimate undercuts
-    the declared d by more than `cyclic.D_SLACK` (the declaration claims a
-    separation the sets do not have).
+    allows.  A trial whose larger coordinate gap is not below the best
+    distance so far cannot improve it (`lp_norm` is never below that gap),
+    so neither its predicate nor its norm is evaluated; the estimate is the
+    one every trial's norm would give, to the bit.  Raises DeclarationError
+    when the refined estimate undercuts the declared d by more than
+    `cyclic.D_SLACK` (the declaration claims a separation the sets do not
+    have).
     """
     space = spec.space
     us, vs = sample_sets(spec, sample_count, seed)
-    best_u = min(us, key=lambda u: dist(space, u, vs[0]))
-    best_v = min(vs, key=lambda v: dist(space, best_u, v))
-    best_u = min(us, key=lambda u: dist(space, u, best_v))
-    best = dist(space, best_u, best_v)
+    best_u, _ = _nearest(space, us, vs[0])
+    best_v, _ = _nearest(space, vs, best_u)
+    best_u, best = _nearest(space, us, best_v)
 
     step = max(1.0, best / 4)
+    (ux, uy), (vx, vy) = best_u, best_v
     while step > 1e-10:
         moves = [(step * dx, step * dy) for dx, dy in PATTERN_DIRECTIONS]
         improved = True
         while improved:
             improved = False
             for mx, my in moves:
-                cu = (best_u[0] + mx, best_u[1] + my)
-                if spec.in_a(cu):
-                    trial = dist(space, cu, best_v)
+                cx, cy = ux + mx, uy + my
+                a, b = cx - vx, cy - vy
+                if abs(a) < best and abs(b) < best and spec.in_a((cx, cy)):
+                    trial = lp_norm(space, (a, b))
                     if trial < best:
-                        best_u, best, improved = cu, trial, True
-                cv = (best_v[0] + mx, best_v[1] + my)
-                if spec.in_b(cv):
-                    trial = dist(space, best_u, cv)
+                        ux, uy, best, improved = cx, cy, trial, True
+                cx, cy = vx + mx, vy + my
+                a, b = ux - cx, uy - cy
+                if abs(a) < best and abs(b) < best and spec.in_b((cx, cy)):
+                    trial = lp_norm(space, (a, b))
                     if trial < best:
-                        best_v, best, improved = cv, trial, True
+                        vx, vy, best, improved = cx, cy, trial, True
         step /= 2
 
     if best < spec.d - D_SLACK:

@@ -1,4 +1,5 @@
 import contextlib
+import math
 import random
 import sys
 
@@ -385,6 +386,31 @@ class TestNegligibleTerm:
         assert type(lp_norm(LpSpace(3.0), tuple(map(float, v)))) is float
 
 
+#: Exponents of the floor tests, from the least float64 p above 1 to 1013.
+FLOOR_PS = st.one_of(
+    st.floats(min_value=1 + 2.0 ** -52, max_value=1013), st.sampled_from([1 + 2.0 ** -52, 1013.0])
+)
+FLOOR_COORDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_COORDS + [1e308, -1e308])
+)
+
+
+@st.composite
+def _floor_vectors(draw):
+    """Points of the plane: two drawn coordinates, or a coordinate and one a
+    few ulps from it, of either sign."""
+    a = draw(FLOOR_COORDS)
+    if draw(st.booleans()):
+        return a, draw(FLOOR_COORDS)
+    b, ulps = a, draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        b = math.nextafter(b, math.copysign(math.inf, ulps))
+    return a, draw(st.sampled_from([1.0, -1.0])) * b
+
+
+FLOOR_VECTORS = _floor_vectors()
+
+
 class TestLpNorm:
     def test_pythagorean(self):
         assert lp_norm(LpSpace(2), (3.0, 4.0)) == 5.0
@@ -439,6 +465,22 @@ class TestLpNorm:
         space = LpSpace(p)
         doubled = lp_norm(space, [2 * c for c in coords])
         assert doubled == pytest.approx(2 * lp_norm(space, coords), rel=1e-12, abs=1e-12)
+
+    @given(FLOOR_PS, FLOOR_VECTORS)
+    def test_norm_is_never_below_the_larger_coordinate(self, p, v):
+        # the floor that lets oracle.rederive_distance skip a trial whose
+        # larger gap is not below the best distance so far
+        assert lp_norm(LpSpace(p), v) >= max(abs(v[0]), abs(v[1]))
+
+    @given(FLOOR_PS, FLOOR_VECTORS)
+    @settings(max_examples=50, deadline=None)
+    def test_mpf_norm_is_never_below_the_larger_coordinate(self, p, v):
+        with mp.workdps(60):
+            space = LpSpace(mp.mpf(p))
+            # thirds are not float64 numbers, and are formed at 60 digits as
+            # the space's coordinates must be; equal pairs stay equal
+            u = (mp.mpf(v[0]) / 3, mp.mpf(v[1]) / 3)
+            assert lp_norm(space, u) >= max(abs(u[0]), abs(u[1]))
 
 
 class TestModulusOfConvexity:

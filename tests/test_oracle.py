@@ -19,6 +19,7 @@ from bestprox import (
     audit_proof_chain,
     audit_soundness,
     dist,
+    lp_norm,
     make_example1,
     picard_iterate,
     power_type_constants,
@@ -388,6 +389,41 @@ class TestAuditProofChain:
             assert lam == 0.9 or any(failure[1] == 1 for failure in failures)
 
 
+def _unpruned_rederive(spec, sample_count, seed):
+    """`rederive_distance` as it was written before it skipped trials: three
+    `min` argmins over `dist`, and a pattern search that evaluates every
+    trial's membership and distance."""
+    space = spec.space
+    us, vs = cyclic.sample_sets(spec, sample_count, seed)
+    best_u = min(us, key=lambda u: dist(space, u, vs[0]))
+    best_v = min(vs, key=lambda v: dist(space, best_u, v))
+    best_u = min(us, key=lambda u: dist(space, u, best_v))
+    best = dist(space, best_u, best_v)
+    step = max(1.0, best / 4)
+    while step > 1e-10:
+        moves = [(step * dx, step * dy) for dx, dy in oracle.PATTERN_DIRECTIONS]
+        improved = True
+        while improved:
+            improved = False
+            for mx, my in moves:
+                cu = (best_u[0] + mx, best_u[1] + my)
+                if spec.in_a(cu):
+                    trial = dist(space, cu, best_v)
+                    if trial < best:
+                        best_u, best, improved = cu, trial, True
+                cv = (best_v[0] + mx, best_v[1] + my)
+                if spec.in_b(cv):
+                    trial = dist(space, best_u, cv)
+                    if trial < best:
+                        best_v, best, improved = cv, trial, True
+        step /= 2
+    if best < spec.d - cyclic.D_SLACK:
+        raise DeclarationError(
+            f"declared d={spec.d} is too large: refined separation is {best}"
+        )
+    return best
+
+
 class TestRederiveDistance:
     @pytest.mark.parametrize("p", [1.1, 1.5, 2.0])
     def test_matches_declaration(self, p):
@@ -456,6 +492,45 @@ class TestRederiveDistance:
         spec = dataclasses.replace(benchmark_map(), box_a=None)
         with pytest.raises(ConfigurationError, match=re.escape("two (lo, hi) intervals, got None")):
             rederive_distance(spec, sample_count=10, seed=7)
+
+    @pytest.mark.parametrize("p", SUITE_PS)
+    def test_estimate_equals_the_unpruned_search_bit_for_bit(self, p):
+        # a skipped trial is one whose norm could not have won, so the
+        # estimate is the one every trial's norm gives.  The search reads the
+        # sets, their boxes, d and the space, none of which lambda changes, so
+        # one reference serves the three lambdas.
+        specs = [suite_map(lam, p) for lam in SUITE_LAMBDAS]
+        for count in (10, 50, 200):
+            for seed in range(10):
+                want = _unpruned_rederive(specs[0], count, seed)
+                got = [rederive_distance(spec, count, seed) for spec in specs]
+                assert got == [want] * len(specs), (count, seed)
+
+    @pytest.mark.parametrize("d", [3.0, 2.0 + 1e-8])
+    def test_overdeclared_distance_is_refused_as_by_the_unpruned_search(self, d):
+        spec = dataclasses.replace(benchmark_map(), d=d)
+        with pytest.raises(DeclarationError) as want:
+            _unpruned_rederive(spec, sample_count=200, seed=7)
+        with pytest.raises(DeclarationError) as got:
+            rederive_distance(spec, sample_count=200, seed=7)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("p, count, norms", [
+        (1.1, 50, 204), (2.0, 50, 172), (20.0, 50, 83),
+        (1.1, 200, 228), (2.0, 200, 167), (20.0, 200, 90),
+    ])
+    def test_norms_taken_per_call_are_pinned(self, monkeypatch, p, count, norms):
+        # counted at seed 1; a search that stops skipping the trials that
+        # cannot win takes more (`_unpruned_rederive`: 859 at 50 points, p = 2)
+        taken = []
+
+        def counted(space, v):
+            taken.append(v)
+            return lp_norm(space, v)
+
+        monkeypatch.setattr(oracle, "lp_norm", counted)
+        rederive_distance(suite_map(0.5, p), count, seed=1)
+        assert len(taken) == norms
 
 
 class TestMidpointInequalityHolds:

@@ -6,10 +6,11 @@ modulus core, the cyclic validators and their declaration slacks, the
 norm constants, the two-coordinate norm kernel and its skip of a
 negligible term, the length checks of `lp_norm` and `dist`, the map's
 signed terms, its y image and its zero branch, the convexity check, the
-pattern search's step and trial points, the sampler's candidates and its
-box check, the suites' residual and separation checks, the norms suite's
-seeds and the check of an empty `--out`: apply hand-written mutants, one
-at a time, to a copy of the package and report which the tests kill.
+pattern search's step, trial points and skipped trials, the argmins'
+skipped points, the sampler's candidates and its box check, the suites'
+residual and separation checks, the norms suite's seeds and the check of
+an empty `--out`: apply hand-written mutants, one at a time, to a copy of
+the package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another, and names the test that kills it.  The copy lives in a
@@ -260,11 +261,21 @@ MUTANTS = [
            "        step /= 2\n", "        step /= 4\n",
            "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned[1.5-2.0000000002566827]"),
     Mutant("pattern search adds my to u's x", ORACLE,
-           "cu = (best_u[0] + mx,", "cu = (best_u[0] + my,",
+           "cx, cy = ux + mx,", "cx, cy = ux + my,",
            "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned_at_every_suite_p[50-1-1.1-2.0000000002001106]"),
     Mutant("pattern search adds mx to v's y", ORACLE,
-           "best_v[1] + my)", "best_v[1] + mx)",
+           "vx + mx, vy + my", "vx + mx, vy + mx",
            "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned_at_every_suite_p[50-1-1.1-2.0000000002001106]"),
+    Mutant("pattern search prunes u's trials at half the best distance", ORACLE,
+           "if abs(a) < best and abs(b) < best and spec.in_a(",
+           "if abs(a) < best / 2 and abs(b) < best / 2 and spec.in_a(",
+           "tests/test_oracle.py::TestRederiveDistance::test_estimate_is_pinned_at_every_suite_p[50-1-1.1-2.0000000002001106]"),
+    Mutant("pattern search never prunes v's trials", ORACLE,
+           "if abs(a) < best and abs(b) < best and spec.in_b(", "if spec.in_b(",
+           "tests/test_oracle.py::TestRederiveDistance::test_norms_taken_per_call_are_pinned[1.1-50-204]"),
+    Mutant("argmin never prunes", ORACLE,
+           "        if abs(a) < best and abs(b) < best:\n", "        if True:\n",
+           "tests/test_oracle.py::TestRederiveDistance::test_norms_taken_per_call_are_pinned[1.1-50-204]"),
     Mutant("cap refusal's fewest step reads h", ORACLE,
            "mp.log(excess / spread)", "mp.log(h / spread)",
            "tests/test_cli.py::test_a_table_whose_excess_bound_lies_beyond_the_cap_is_refused_at_once[2]"),
