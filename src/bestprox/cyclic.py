@@ -170,7 +170,8 @@ def _check_point(spec: CyclicMapSpec, x0: Vector):
         raise InputError(f"x0={tuple(x0)} has {len(x0)} coordinates, space has dim 2")
     # c - c is exactly 0 for a finite c of any number type and magnitude
     # (math.isfinite would reject an mpf beyond the float range), nan else.
-    if not all(c - c == 0 for c in x0):
+    x, y = x0
+    if not (x - x == 0 and y - y == 0):
         raise InputError(f"x0={tuple(x0)} has a non-finite coordinate")
 
 

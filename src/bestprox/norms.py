@@ -130,8 +130,10 @@ def lp_norm(space: LpSpace, v: Vector):
     # The larger term is exactly 1, so an infinite coordinate gives inf,
     # where inf / inf would give NaN.  Below `negligible` the smaller term
     # rounds away and so does the root (1 ** y is 1 in float64 and in
-    # mpmath): scale * one still rounds scale to the working precision, as
-    # scale * total ** root does.
+    # mpmath).  The multiply by one is not redundant: abs has already
+    # rounded an mpf scale to the working precision, but float coordinates
+    # on an mpf space need it for an mpf result, as scale * total ** root
+    # gives one.
     if small < scale * space.negligible:
         return scale * space.one
     total = 2.0 if small == scale else space.one + (small / scale) ** space.p

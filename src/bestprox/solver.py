@@ -190,7 +190,12 @@ def certificate_evaluator(d, k, consts: PowerTypeConstants, m):
     operations in the same order as the full expression, so its value
     is the same to the bit.
     """
-    denom, Cd, tail = _run_constants(d, k, consts, m)
+    return _evaluator(d, consts, m, *_run_constants(d, k, consts, m))
+
+
+def _evaluator(d, consts: PowerTypeConstants, m, denom, Cd, tail):
+    """The evaluator of `certificate_evaluator` from the run constants
+    (1 - k^(2/q), C d, k^(m/q)) that `_run_constants` formed."""
     root = 1.0 / consts.q
     name = "P" if m == 1 else "D"
 
@@ -218,7 +223,11 @@ def stop_excess(d, k, consts: PowerTypeConstants, eps):
     factor h / (C d) is not resolved to within an eighth of the screen's
     margin q STOP_MARGIN.  Checks k in (0, 1) and d > 0 first.
     """
-    denom, Cd, tail = _run_constants(d, k, consts, 1)
+    return _excess(d, consts, eps, *_run_constants(d, k, consts, 1))
+
+
+def _excess(d, consts: PowerTypeConstants, eps, denom, Cd, tail):
+    """The h of `stop_excess` from the run constants at m = 1."""
     if not (_FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd):
         return None
     q = consts.q
@@ -228,7 +237,8 @@ def stop_excess(d, k, consts: PowerTypeConstants, eps):
         return None
     # x (1 + tol) > x: numbers near x are spaced by less than 2 tol x
     tol = q * STOP_MARGIN / 8
-    return h if all(x * (1 + tol) > x for x in (h, h / Cd)) else None
+    factor = h / Cd
+    return h if h * (1 + tol) > h and factor * (1 + tol) > factor else None
 
 
 def _apriori(D, d, k, consts: PowerTypeConstants):
@@ -384,9 +394,11 @@ def run_with_stop(
         return current, target, trace
 
     # APOSTERIORI: the certificate, its screen and the stall span, formed
-    # at the working precision of this run
-    bound = certificate_evaluator(d, k, consts, 1)
-    h = stop_excess(d, k, consts, eps)
+    # at the working precision of this run; the certificate and h read one
+    # set of run constants
+    run = _run_constants(d, k, consts, 1)
+    bound = _evaluator(d, consts, 1, *run)
+    h = _excess(d, consts, eps, *run)
     hi = math.inf if h is None else h * (1 + consts.q * STOP_MARGIN)
     # d in the screen's arithmetic, so that an even step converts no
     # number; only where the conversion is exact

@@ -269,7 +269,9 @@ class TestDisplacementDecayCheck:
 
 
 class TestCheckStart:
-    @pytest.mark.parametrize("x0", [(math.inf, 0.0), (math.nan, 0.0), (1000.0, -math.inf)])
+    @pytest.mark.parametrize(
+        "x0", [(math.inf, 0.0), (math.nan, 0.0), (1000.0, -math.inf), (1000.0, math.nan)]
+    )
     def test_non_finite_start_rejected_naming_x0(self, x0):
         with pytest.raises(InputError, match=re.escape(f"x0={x0} has a non-finite")):
             check_start(two_cone_map(), x0)
@@ -280,8 +282,9 @@ class TestCheckStart:
             check_start(spec, (mp.mpf(1000), mp.mpf(8)))
             # finite, though beyond the float range
             check_start(spec, (mp.mpf(10) ** 400, mp.mpf(0)))
-            with pytest.raises(InputError, match="non-finite"):
-                check_start(spec, (mp.inf, mp.mpf(0)))
+            for x0 in ((mp.inf, mp.mpf(0)), (mp.mpf(1000), mp.nan), (mp.mpf(1000), mp.inf)):
+                with pytest.raises(InputError, match="non-finite"):
+                    check_start(spec, x0)
 
 
 class TestOrbitGeometry:

@@ -392,6 +392,27 @@ class TestRunWithStop:
             )
         assert stopped_at == 84
 
+    @pytest.mark.parametrize("dps", [None, 60])
+    def test_an_aposteriori_run_forms_its_constants_once(self, monkeypatch, dps):
+        # the certificate and the screen's h read one (1 - k^(2/q), C d, k^(1/q))
+        calls = []
+        formed = solver._run_constants
+
+        def counted(*args):
+            calls.append(args)
+            return formed(*args)
+
+        monkeypatch.setattr(solver, "_run_constants", counted)
+        if dps is None:
+            spec, start = benchmark_map(), (1000.0, 8.0)
+            run_with_stop(spec, start, StopRule(StopKind.APOSTERIORI, 1e-2))
+        else:
+            with mp.workdps(dps):
+                spec = make_example1(Example1Params(lam=mp.mpf(0.5), p=mp.mpf(2)))
+                start = (mp.mpf(1000), mp.mpf(8))
+                run_with_stop(spec, start, StopRule(StopKind.APOSTERIORI, 1e-10))
+        assert len(calls) == 1
+
     def test_deep_cell_in_float64_stops_early_but_correct(self):
         # in float64 the excess collapses to zero once the iterate reaches
         # the limit to machine precision; the run stops earlier than the

@@ -1,16 +1,17 @@
-"""Mutation probe of the certificate path, the run's screen and stall span,
-the a priori run, a trace's budgets, the table's refusals before its
-first cell, the apex start's digits, the proof-chain audit, the spans it
-reads from the trace, the constants it forms once and the range of its
-modulus core, the cyclic validators and their declaration slacks, the
-norm constants, the two-coordinate norm kernel and its skip of a
-negligible term, the length checks of `lp_norm` and `dist`, the map's
-signed terms, its y image and its zero branch, the convexity check, the
-pattern search's step, trial points and skipped trials, the argmins'
-skipped points, the sampler's candidates and its box check, the suites'
-residual and separation checks, the norms suite's seeds and the check of
-an empty `--out`: apply hand-written mutants, one at a time, to a copy of
-the package and report which the tests kill.
+"""Mutation probe of the certificate path, the run's screen, the
+constants it forms once and its stall span, the a priori run, a trace's
+budgets, the table's refusals before its first cell, the apex start's
+digits, the proof-chain audit, the spans it reads from the trace, the
+constants it forms once and the range of its modulus core, the start
+check, the cyclic validators and their declaration slacks, the norm
+constants, the two-coordinate norm kernel and its skip of a negligible
+term, the length checks of `lp_norm` and `dist`, the map's signed terms,
+its y image and its zero branch, the convexity check, the pattern
+search's step, trial points and skipped trials, the argmins' skipped
+points, the sampler's candidates and its box check, the suites' residual
+and separation checks, the norms suite's seeds and the check of an empty
+`--out`: apply hand-written mutants, one at a time, to a copy of the
+package and report which the tests kill.
 
 Each mutant replaces one text, which must occur exactly once in its file,
 by another, and names the test that kills it.  The copy lives in a
@@ -108,8 +109,12 @@ MUTANTS = [
            "tol = q * STOP_MARGIN / 8", "tol = q * STOP_MARGIN * 8",
            "tests/test_solver.py::TestStopScreen::test_threshold_resolved_within_the_margin_but_not_its_eighth"),
     Mutant("stop_excess guard drops h / Cd", SOLVER,
-           "for x in (h, h / Cd)", "for x in (h,)",
+           " and factor * (1 + tol) > factor", "",
            "tests/test_solver.py::TestStopExcess::test_unresolved_power_factor_forms_no_threshold"),
+    Mutant("the run's h formed from constants at m = 0", SOLVER,
+           "h = _excess(d, consts, eps, *run)",
+           "h = _excess(d, consts, eps, *_run_constants(d, k, consts, 0))",
+           "tests/test_solver.py::test_stops_and_confirmations_match_golden"),
     Mutant("stop_excess guard drops _FLOAT_MIN < Cd", SOLVER,
            "if not (_FLOAT_MIN < Cd and Cd * (1 + 2.0 ** -40) > Cd):",
            "if not (Cd * (1 + 2.0 ** -40) > Cd):",
@@ -209,7 +214,7 @@ MUTANTS = [
     Mutant("kernel drops the 1 of the larger term", NORMS,
            "else space.one + (small / scale) ** space.p", "else (small / scale) ** space.p",
            "tests/test_acceptance.py::test_criterion_1_aposteriori_table"),
-    Mutant("kernel's skip returns scale unrounded", NORMS,
+    Mutant("kernel's skip returns scale without the space's type", NORMS,
            "return scale * space.one\n", "return scale\n",
            "tests/test_norms.py::TestNegligibleTerm::test_a_skipped_term_keeps_the_result_type_of_the_space[v0]"),
     Mutant("kernel's tie 2.0 -> 1.0", NORMS,
@@ -300,6 +305,9 @@ MUTANTS = [
     Mutant("map sends NaN to the zero branch", CYCLIC,
            "if x:  # x < 0, or NaN", "if x < zero:",
            "tests/test_step_bits.py::test_map_images_keep_their_bits"),
+    Mutant("_check_point tests only the first coordinate", CYCLIC,
+           "if not (x - x == 0 and y - y == 0):", "if not x - x == 0:",
+           "tests/test_cyclic.py::TestCheckStart::test_non_finite_start_rejected_naming_x0[x03]"),
     Mutant("dist names one length where two differ", NORMS,
            "        if len(u) != len(v):\n", "        if False:\n",
            "tests/test_step_bits.py::test_refusals_keep_their_messages"),
